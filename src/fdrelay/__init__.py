@@ -1,58 +1,5 @@
 """Full-duplex UAV relay simulator: placement, analog beamforming, power control."""
 
-from .channel import (
-    AngleSet,
-    ChannelMatrix,
-    EnvParams,
-    EnvironmentRealization,
-    LinkSet,
-    UpaSpec,
-    Vec3,
-    build_farfield_channel,
-    build_links,
-    build_si_channel,
-    link_geometry,
-    los_path_gain,
-    los_probability,
-    nlos_path_gain,
-    steering_vector,
-)
-from .positioning import (
-    FeasibleBox,
-    LinkBudget,
-    NoLosPositionError,
-    approx_upper_bounds,
-    conditional_optimal_position,
-    los_adjusted_position,
-    strict_upper_bounds,
-)
-from .beamforming import (
-    AisState,
-    Beamformer,
-    RepairReport,
-    SuppressionSchedule,
-    cm_repair,
-    eta_floor_rule,
-    init_beamformers,
-    initial_state,
-    normalize_cm,
-    run_ais,
-)
-from .config import DEFAULTS, ConfigError, build_scenario, load_config, parse_config
-from .harness import (
-    OutputRow,
-    Scenario,
-    SweepSpec,
-    TrialResult,
-    aggregate,
-    apply_misalignment,
-    apply_sweep_value,
-    dbm_to_watts,
-    run_sweep,
-    run_trial,
-    run_trials,
-)
-from .rates import EffectiveGains, PowerPair, achievable_rates, effective_gains, optimal_powers
-from .solver import SolveInfo, SolverError, solve_bf_subproblem, solve_bf_subproblem_report
+from .harness import OutputRow, Scenario, SweepSpec, run_sweep, run_trial
 
 __version__ = "0.1.0"

@@ -187,12 +187,8 @@ def _repair_pair(
 
 
 def cm_repair(
-    w: np.ndarray,
-    h_sig: np.ndarray,
-    h_int: np.ndarray,
-    cap: float,
-    report: bool = False,
-):
+    w: np.ndarray, h_sig: np.ndarray, h_int: np.ndarray, cap: float
+) -> tuple[np.ndarray, RepairReport]:
     """Drive interior elements onto the cap circle without moving either
     inner product, pairing interior elements that share the constant-ratio
     property; non-qualifying pairs are skipped and counted."""
@@ -228,14 +224,12 @@ def cm_repair(
         w[i], w[j] = _repair_pair(w[i], w[j], ref[i], ref[j], cap)
         repaired += 1
 
-    if report:
-        return w, RepairReport(
-            pairs_repaired=repaired,
-            pairs_skipped=len(skipped_pairs),
-            interior_before=interior_before,
-            interior_after=interior_census(w, cap),
-        )
-    return w
+    return w, RepairReport(
+        pairs_repaired=repaired,
+        pairs_skipped=len(skipped_pairs),
+        interior_before=interior_before,
+        interior_after=interior_census(w, cap),
+    )
 
 
 def initial_state(links: LinkSet, budget: LinkBudget, schedule: SuppressionSchedule) -> AisState:

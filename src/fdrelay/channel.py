@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +48,6 @@ class Vec3:
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise ValueError("Vec3 components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
 
     def distance_to(self, other: "Vec3") -> float:
         return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
@@ -205,9 +203,17 @@ def nlos_path_gain(distance: float, env: EnvParams, draw: complex) -> complex:
 
 
 def los_probability(elevation: float, env: EnvParams) -> float:
-    """Logistic LoS probability 1 / (1 + a*exp(-b*(deg(el) - a)))."""
+    """Logistic LoS probability 1 / (1 + a*exp(-b*(deg(el) - a))).
+
+    An exponential that overflows a float puts the probability below
+    1 / (a * 1.8e308); it is returned as 0.0.
+    """
     deg = math.degrees(elevation)
-    return 1.0 / (1.0 + env.los_a * math.exp(-env.los_b * (deg - env.los_a)))
+    try:
+        decay = math.exp(-env.los_b * (deg - env.los_a))
+    except OverflowError:
+        return 0.0
+    return 1.0 / (1.0 + env.los_a * decay)
 
 
 def _hash_uniform(*key_parts) -> float:
@@ -298,8 +304,21 @@ class EnvironmentRealization:
         return self._nlos_cache[role]
 
 
-def _rank1(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
-    return np.outer(rx, tx.conj())
+def channel_from_paths(
+    role: str, components: Sequence[PathComponent], tx_upa: UpaSpec, rx_upa: UpaSpec
+) -> ChannelMatrix:
+    """Ray sum: sum_l gain_l * a_rx(arrival_l) a_tx(departure_l)^H.
+
+    The rank-1 terms are added in component order, one at a time; a matrix
+    product would reorder the sums and change the last bits.
+    """
+    components = tuple(components)
+    entries = np.zeros((rx_upa.n_tot, tx_upa.n_tot), dtype=complex)
+    for comp in components:
+        a_rx = steering_vector(rx_upa, comp.arrival)
+        a_tx = steering_vector(tx_upa, comp.departure)
+        entries += comp.gain * np.outer(a_rx, a_tx.conj())
+    return ChannelMatrix(entries=entries, role=role, components=components)
 
 
 def build_farfield_channel(
@@ -341,12 +360,7 @@ def build_farfield_channel(
             PathComponent(gain=gain, departure=draw.departure, arrival=draw.arrival, is_los=False)
         )
 
-    entries = np.zeros((rx_upa.n_tot, tx_upa.n_tot), dtype=complex)
-    for comp in components:
-        a_rx = steering_vector(rx_upa, comp.arrival)
-        a_tx = steering_vector(tx_upa, comp.departure)
-        entries += comp.gain * _rank1(a_rx, a_tx)
-    return ChannelMatrix(entries=entries, role=role, components=tuple(components))
+    return channel_from_paths(role, components, tx_upa, rx_upa)
 
 
 def _panel_element_positions(upa: UpaSpec, env: EnvParams, center_z: float) -> np.ndarray:

@@ -12,23 +12,10 @@ import csv
 import json
 import sys
 
-from .channel import EnvironmentRealization, Vec3
+from .channel import Vec3
 from .config import ConfigError, build_scenario, load_config
-from .harness import (
-    OutputRow,
-    Scenario,
-    SweepSpec,
-    _sample_dn,
-    run_sweep,
-    run_trial,
-)
-from .positioning import (
-    FeasibleBox,
-    NoLosPositionError,
-    approx_upper_bounds,
-    conditional_optimal_position,
-    los_adjusted_position,
-)
+from .harness import SOURCE, OutputRow, Scenario, SweepSpec, place_relay, run_sweep, run_trial
+from .positioning import approx_upper_bounds
 from .solver import SolverError
 
 
@@ -83,37 +70,15 @@ def _fmt_vec(v: Vec3) -> str:
 
 def cmd_position(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    sn = Vec3(0.0, 0.0, 0.0)
-    dn = _sample_dn(scenario, 0)
-    box = FeasibleBox(
-        x_d=dn.x,
-        y_d=dn.y,
-        h_min=scenario.h_min,
-        h_max=scenario.h_max,
-        eps_x=scenario.eps_x,
-        eps_y=scenario.eps_y,
-        eps_h=scenario.eps_h,
-    )
-    p_star, rho = conditional_optimal_position(scenario.budget, box, scenario.env, dn)
-    env_real = EnvironmentRealization(
-        scenario.env,
-        scenario.master_seed,
-        0,
-        grid_step=(scenario.eps_x, scenario.eps_y, scenario.eps_h),
-    )
-    fallback = False
-    try:
-        adjusted = los_adjusted_position(env_real, scenario.env, p_star, box, sn, dn)
-    except NoLosPositionError:
-        adjusted = p_star
-        fallback = True
-    b_s2v, b_v2d = approx_upper_bounds(adjusted, scenario.budget, scenario.env, sn, dn)
+    placement = place_relay(scenario, 0)
+    dn, adjusted = placement.dn, placement.designed
+    b_s2v, b_v2d = approx_upper_bounds(adjusted, scenario.budget, scenario.env, SOURCE, dn)
 
     print(f"dn = {_fmt_vec(dn)}")
-    print(f"rho_star = {rho!r}")
-    print(f"p_star = {_fmt_vec(p_star)}")
+    print(f"rho_star = {placement.rho!r}")
+    print(f"p_star = {_fmt_vec(placement.p_star)}")
     print(f"adjusted = {_fmt_vec(adjusted)}")
-    print(f"fallback = {int(fallback)}")
+    print(f"fallback = {int(placement.fallback)}")
     print(f"approx_bound_s2v_bps_hz = {b_s2v!r}")
     print(f"approx_bound_v2d_bps_hz = {b_v2d!r}")
     return 0

@@ -29,6 +29,7 @@ from .channel import (
     UpaSpec,
     Vec3,
     build_links,
+    channel_from_paths,
 )
 from .positioning import (
     FeasibleBox,
@@ -46,6 +47,7 @@ _TAG_RANDPOS = 32
 _TAG_MISALIGN = 33
 
 SCHEMES = ("proposed", "randpos_ais", "despos_steer")
+SOURCE = Vec3(0.0, 0.0, 0.0)  # the ground source sits at the origin
 MIN_GROUND_SEPARATION = 10.0  # meters; closer DN draws are resampled
 
 
@@ -193,8 +195,6 @@ def apply_misalignment(links: LinkSet, delta_m_deg: float, rng: np.random.Genera
     trial seed are paired (common random numbers). With delta 0 the original
     links object is returned unchanged.
     """
-    from .channel import ChannelMatrix, PathComponent, steering_vector
-
     n_rows = 1 + max(
         sum(1 for c in links.s2v.components if not c.is_los),
         sum(1 for c in links.v2d.components if not c.is_los),
@@ -206,7 +206,6 @@ def apply_misalignment(links: LinkSet, delta_m_deg: float, rng: np.random.Genera
 
     def perturb(channel, upa_tx, upa_rx, link_idx):
         comps = []
-        entries = np.zeros_like(channel.entries)
         nlos_row = 0
         for comp in channel.components:
             if comp.is_los:
@@ -215,14 +214,14 @@ def apply_misalignment(links: LinkSet, delta_m_deg: float, rng: np.random.Genera
                 nlos_row += 1
                 row = nlos_row
             offs = delta * block[link_idx, row]
-            dep = _perturbed_angles(comp.departure, offs[0:2])
-            arr = _perturbed_angles(comp.arrival, offs[2:4])
-            new = PathComponent(gain=comp.gain, departure=dep, arrival=arr, is_los=comp.is_los)
-            comps.append(new)
-            entries += new.gain * np.outer(
-                steering_vector(upa_rx, arr), steering_vector(upa_tx, dep).conj()
+            comps.append(
+                replace(
+                    comp,
+                    departure=_perturbed_angles(comp.departure, offs[0:2]),
+                    arrival=_perturbed_angles(comp.arrival, offs[2:4]),
+                )
             )
-        return ChannelMatrix(entries=entries, role=channel.role, components=tuple(comps))
+        return channel_from_paths(channel.role, comps, upa_tx, upa_rx)
 
     return replace(
         links,
@@ -242,9 +241,26 @@ def _evaluate_rate(
     return r
 
 
-def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
-    """One full paired trial: proposed pipeline, both baselines, both bounds."""
-    sn = Vec3(0.0, 0.0, 0.0)
+@dataclass(frozen=True)
+class Placement:
+    """Where one trial puts its relay: closed form, then the LoS grid search."""
+
+    dn: Vec3
+    box: FeasibleBox
+    env_real: EnvironmentRealization
+    p_star: Vec3  # closed-form optimum on the SN-DN segment
+    rho: float  # its segment fraction
+    designed: Vec3  # nearest dual-LoS grid point, or p_star on fallback
+    fallback: bool  # no grid point of the box has LoS on both links
+
+
+def place_relay(scenario: Scenario, trial_index: int) -> Placement:
+    """Destination draw, closed-form position and LoS adjustment of one trial.
+
+    The positioning functions are looked up in this module's namespace, so a
+    test or a profiler that replaces ``harness.los_adjusted_position`` (or
+    the closed form) sees every placement.
+    """
     dn = _sample_dn(scenario, trial_index)
     box = FeasibleBox(
         x_d=dn.x,
@@ -261,21 +277,27 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
         trial_index,
         grid_step=(scenario.eps_x, scenario.eps_y, scenario.eps_h),
     )
-    budget = scenario.budget
-
-    p_star, rho = conditional_optimal_position(budget, box, scenario.env, dn)
-    fallback = False
+    p_star, rho = conditional_optimal_position(scenario.budget, box, scenario.env, dn)
     try:
-        designed = los_adjusted_position(env_real, scenario.env, p_star, box, sn, dn)
+        designed = los_adjusted_position(env_real, scenario.env, p_star, box, SOURCE, dn)
+        fallback = False
     except NoLosPositionError:
         designed = p_star
         fallback = True
+    return Placement(dn, box, env_real, p_star, rho, designed, fallback)
+
+
+def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
+    """One full paired trial: proposed pipeline, both baselines, both bounds."""
+    placement = place_relay(scenario, trial_index)
+    dn, designed = placement.dn, placement.designed
+    budget = scenario.budget
 
     def links_at(pos: Vec3) -> LinkSet:
         return build_links(
-            env_real,
+            placement.env_real,
             scenario.env,
-            sn,
+            SOURCE,
             dn,
             pos,
             scenario.upa_s,
@@ -285,7 +307,7 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
         )
 
     links_des = links_at(designed)
-    rand_pos = _sample_random_position(scenario, trial_index, box)
+    rand_pos = _sample_random_position(scenario, trial_index, placement.box)
     links_rand = links_at(rand_pos)
 
     mis_rng = _rng(scenario, trial_index, _TAG_MISALIGN)
@@ -302,16 +324,16 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
         "despos_steer": _evaluate_rate(steer, links_des_eval, scenario),
         "randpos_ais": _evaluate_rate(rand_ais, links_rand_eval, scenario),
     }
-    ab1, ab2 = approx_upper_bounds(designed, budget, scenario.env, sn, dn)
+    ab1, ab2 = approx_upper_bounds(designed, budget, scenario.env, SOURCE, dn)
     sb1, sb2 = strict_upper_bounds(links_des.s2v, links_des.v2d, budget)
 
     return TrialResult(
         trial_index=trial_index,
         dn=dn,
-        rho=rho,
+        rho=placement.rho,
         designed_position=designed,
         random_position=rand_pos,
-        fallback=fallback,
+        fallback=placement.fallback,
         rates=rates,
         approx_bound_s2v=ab1,
         approx_bound_v2d=ab2,

@@ -266,7 +266,7 @@ def test_acceptance_10_invariant_suites():
         )
         before_sig = np.vdot(w, h_sig)
         before_int = np.vdot(w, h_int)
-        out, rep = cm_repair(w, h_sig, h_int, cap, report=True)
+        out, rep = cm_repair(w, h_sig, h_int, cap)
         assert abs(np.vdot(out, h_sig) - before_sig) <= 1e-9
         assert abs(np.vdot(out, h_int) - before_int) <= 1e-9
         assert rep.interior_before == interior_census(w, cap)

@@ -169,7 +169,7 @@ class TestCmRepair:
         w = np.array([cap, 0.2 * cap, 0.3 * cap * 1j, cap], dtype=complex)
         before_sig = np.vdot(w, h_sig)
         before_int = np.vdot(w, h_int)
-        out, rep = cm_repair(w, h_sig, h_int, cap, report=True)
+        out, rep = cm_repair(w, h_sig, h_int, cap)
         assert np.vdot(out, h_sig) == pytest.approx(before_sig, abs=1e-9)
         assert np.vdot(out, h_int) == pytest.approx(before_int, abs=1e-9)
         assert rep.interior_before == 2
@@ -184,7 +184,7 @@ class TestCmRepair:
         w = np.array([1e-3 * cap, 1e-3 * cap * 1j], dtype=complex)
         before_sig = np.vdot(w, h_sig)
         before_int = np.vdot(w, h_int)
-        out, rep = cm_repair(w, h_sig, h_int, cap, report=True)
+        out, rep = cm_repair(w, h_sig, h_int, cap)
         assert np.vdot(out, h_sig) == pytest.approx(before_sig, abs=1e-9)
         assert np.vdot(out, h_int) == pytest.approx(before_int, abs=1e-9)
         assert rep.interior_after == 1
@@ -195,7 +195,7 @@ class TestCmRepair:
         h_sig = np.array([1.0 + 0j, 1.0 + 0j])
         h_int = np.array([0.5 + 0j, -0.5 + 0.7j])  # not proportional
         w = np.array([0.1 + 0j, 0.1j])
-        out, rep = cm_repair(w, h_sig, h_int, cap, report=True)
+        out, rep = cm_repair(w, h_sig, h_int, cap)
         assert rep.pairs_repaired == 0
         assert rep.pairs_skipped == 1
         assert rep.interior_after == rep.interior_before == 2
@@ -205,7 +205,7 @@ class TestCmRepair:
         cap = 0.5
         h_sig, h_int = self._ratio_channels(3, rng)
         w = cap * np.exp(1j * rng.uniform(0, 2 * math.pi, size=3))
-        out, rep = cm_repair(w, h_sig, h_int, cap, report=True)
+        out, rep = cm_repair(w, h_sig, h_int, cap)
         assert np.array_equal(out, w)
         assert rep.pairs_repaired == 0 and rep.interior_before == 0
 
@@ -217,7 +217,7 @@ class TestCmRepair:
         )
         before_sig = np.vdot(w, h_sig)
         before_int = np.vdot(w, h_int)
-        out, rep = cm_repair(w, h_sig, h_int, cap, report=True)
+        out, rep = cm_repair(w, h_sig, h_int, cap)
         assert rep.interior_after <= 1
         assert np.vdot(out, h_sig) == pytest.approx(before_sig, abs=1e-9)
         assert np.vdot(out, h_int) == pytest.approx(before_int, abs=1e-9)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -102,6 +103,19 @@ class TestPositionCommand:
         assert lines["fallback"] in ("0", "1")
         assert float(lines["approx_bound_s2v_bps_hz"]) > 0
 
+    def test_los_probability_overflow_falls_back(self, tmp_path, capsys):
+        # with los_a = 100, los_b = 10 the logistic's exponential overflows a
+        # float below ~29 deg elevation; the 5 m hop at 1 m height stays below
+        path = tmp_path / "blocked.cfg"
+        path.write_text(
+            "los_a = 100\nlos_b = 10\ndn_rule = fixed\ndn_x = 4\ndn_y = 3\n"
+            "h_min = 1\nh_max = 1\n"
+        )
+        assert main(["position", "--config", str(path)]) == 0
+        lines = dict(l.split(" = ", 1) for l in capsys.readouterr().out.strip().splitlines())
+        assert lines["fallback"] == "1"
+        assert lines["adjusted"] == lines["p_star"]
+
 
 class TestConvergeCommand:
     def test_trace_csv(self, fast_config, tmp_path, capsys):
@@ -163,6 +177,17 @@ class TestSweepCommand:
         with open(more, newline="") as fh:
             n_col = [row["n_trials"] for row in csv.DictReader(fh)]
         assert n_col == ["3"] * 4
+
+    def test_csv_bytes_pinned(self, fast_config, tmp_path, capsys):
+        # a refactor must not move any output bit; recorded with numpy 2.4.6,
+        # whose rounding a different numpy need not reproduce
+        out = tmp_path / "pinned.csv"
+        argv = ["sweep", "--config", fast_config, "--trials", "3", "--sweep", "array=2,4"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert (
+            hashlib.sha256(out.read_bytes()).hexdigest()
+            == "d7d02020ea71ee31f2832e1c35bbfd347e24243240fd0aa68cb20fc84351bb3d"
+        )
 
 
 class TestTrialCommand:

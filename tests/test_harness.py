@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import fdrelay.beamforming as beamforming
 import fdrelay.harness as harness
-from fdrelay.channel import Vec3
+from fdrelay.channel import UpaSpec, Vec3
 from fdrelay.harness import (
     MIN_GROUND_SEPARATION,
     OutputRow,
@@ -21,6 +22,7 @@ from fdrelay.harness import (
     run_trial,
     run_trials,
 )
+from fdrelay.solver import CAP_TOL, FEAS_TOL, GAP_TOL, solve_bf_subproblem_report
 
 FAST = Scenario(dn_rule="fixed", trials=4, master_seed=7)
 
@@ -166,6 +168,30 @@ class TestRunTrial:
         assert res.fallback is True
         # the designed position falls back to the unadjusted optimum
         assert res.designed_position == Vec3(200.0, 150.0, 100.0)
+
+    def test_every_solve_certified_when_polish_runs_out_of_rounds(self, monkeypatch):
+        # 8x8 panels, 10 deg misalignment, master_seed 8, trial 307: one dual
+        # solve ends its feasibility polish on an interference projection that
+        # leaves max|w| - cap = 2.5e-12 > CAP_TOL unless the polish clips again
+        upa = UpaSpec(8, 8)
+        scenario = Scenario(
+            upa_s=upa, upa_r=upa, upa_t=upa, upa_d=upa, delta_m_deg=10.0, master_seed=8
+        )
+        infos = []
+
+        def audited(h_sig, h_int, eta, cap):
+            w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
+            infos.append(info)
+            return w
+
+        monkeypatch.setattr(beamforming, "solve_bf_subproblem", audited)
+        res = run_trial(scenario, 307)
+        assert all(math.isfinite(r) for r in res.rates.values())
+        assert infos
+        for info in infos:
+            assert info.gap <= GAP_TOL
+            assert info.int_violation <= FEAS_TOL
+            assert info.cap_violation <= CAP_TOL
 
 
 class TestRunTrials:

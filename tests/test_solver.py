@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdrelay.solver as solver
 from fdrelay.solver import (
     CAP_TOL,
     FEAS_TOL,
@@ -77,6 +78,32 @@ class TestCertificates:
         h = np.array([1 + 1j, -2 + 0.5j, 0.3 - 0.7j])
         w = solve_bf_subproblem(h, h, 0.0, 1 / math.sqrt(3))
         assert abs(np.vdot(w, h)) <= 1e-8 * np.linalg.norm(h)
+
+    def test_pdhg_certifies_where_dual_recovery_misses(self, monkeypatch):
+        # per-element magnitudes 10^U(-6, 6); with numpy 2.4.6 the closed-form
+        # dual recovery ends at gap 9.4e-6 > GAP_TOL and the splitting fallback
+        # certifies at 2.1e-7
+        rng = np.random.default_rng(289)
+        n = 16
+        h_sig = 10 ** rng.uniform(-6, 6, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        h_int = 10 ** rng.uniform(-6, 6, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        cap = 0.25
+        eta = 0.01 * cap * np.linalg.norm(h_int)
+
+        w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
+        assert info.method == "pdhg"
+        assert info.gap <= GAP_TOL
+        assert info.int_violation <= FEAS_TOL
+        assert info.cap_violation <= CAP_TOL
+        assert np.max(np.abs(w)) <= cap + CAP_TOL
+        assert abs(np.vdot(w, h_int)) <= eta + FEAS_TOL * np.linalg.norm(h_int)
+        assert np.vdot(w, h_sig).real == pytest.approx(info.objective, rel=1e-12)
+        assert info.objective <= info.dual_bound
+
+        # without the fallback the same instance is not certified
+        monkeypatch.setattr(solver, "_pdhg", lambda s, i, e, c: (np.zeros_like(s), 0j))
+        with pytest.raises(SolverError, match="gap=9.4"):
+            solve_bf_subproblem_report(h_sig, h_int, eta, cap)
 
     def test_validation_errors(self):
         h = np.ones(3, complex)
