@@ -240,7 +240,10 @@ def initial_state(links: LinkSet, budget: LinkBudget, schedule: SuppressionSched
     mu2 = float(abs(np.vdot(w_r.weights, links.si.entries @ w_t.weights)))
     mu4 = float(abs(np.vdot(w_d.weights, links.s2d.entries @ w_s.weights)))
     schedule = replace(schedule, mu1=mu2, mu2=mu2, mu3=mu4, mu4=mu4)
-    gains = effective_gains(w_s, w_r, w_t, w_d, links.s2v, links.si, links.v2d, links.s2d)
+    gains = effective_gains(
+        w_s.weights, w_r.weights, w_t.weights, w_d.weights,
+        links.s2v.entries, links.si.entries, links.v2d.entries, links.s2d.entries,
+    )
     powers = optimal_powers(gains, budget.p_s_tot, budget.p_v_tot, budget.noise1, budget.noise2)
     _, _, r = achievable_rates(gains, powers, budget.noise1, budget.noise2)
     return AisState(
@@ -291,7 +294,9 @@ def ais_iterate(state: AisState, links: LinkSet, budget: LinkBudget) -> AisState
     )
     w_d = normalize_cm(w_d_raw, state.w_d.cap)
 
-    gains = effective_gains(w_s, w_r, w_t, w_d, links.s2v, links.si, links.v2d, links.s2d)
+    gains = effective_gains(
+        w_s.weights, w_r.weights, w_t.weights, w_d.weights, h_s2v, h_si, h_v2d, h_s2d
+    )
     powers = optimal_powers(gains, budget.p_s_tot, budget.p_v_tot, budget.noise1, budget.noise2)
     _, _, r = achievable_rates(gains, powers, budget.noise1, budget.noise2)
     return AisState(

@@ -235,7 +235,8 @@ def _evaluate_rate(
 ) -> float:
     """End-to-end rate of a designed state against (possibly perturbed) channels."""
     gains = effective_gains(
-        state.w_s, state.w_r, state.w_t, state.w_d, links.s2v, links.si, links.v2d, links.s2d
+        state.w_s.weights, state.w_r.weights, state.w_t.weights, state.w_d.weights,
+        links.s2v.entries, links.si.entries, links.v2d.entries, links.s2d.entries,
     )
     _, _, r = achievable_rates(gains, state.powers, scenario.noise1, scenario.noise2)
     return r

@@ -36,22 +36,13 @@ class PowerPair:
     p_v: float
 
 
-def _weights(w) -> np.ndarray:
-    """Accept either a bare weight vector or an object carrying one."""
-    return np.asarray(getattr(w, "weights", w))
-
-
-def _entries(h) -> np.ndarray:
-    return np.asarray(getattr(h, "entries", h))
-
-
-def _bilinear_power(w_rx, h, w_tx) -> float:
-    v = np.vdot(_weights(w_rx), _entries(h) @ _weights(w_tx))
+def _bilinear_power(w_rx: np.ndarray, h: np.ndarray, w_tx: np.ndarray) -> float:
+    v = np.vdot(w_rx, h @ w_tx)
     return float(abs(v) ** 2)
 
 
 def effective_gains(w_s, w_r, w_t, w_d, h_s2v, h_si, h_v2d, h_s2d) -> EffectiveGains:
-    """The four squared bilinear forms |w_rx^H H w_tx|^2."""
+    """The four squared bilinear forms |w_rx^H H w_tx|^2 (weight vectors, channel matrices)."""
     return EffectiveGains(
         g_s2v=_bilinear_power(w_r, h_s2v, w_s),
         g_si=_bilinear_power(w_r, h_si, w_t),

@@ -17,6 +17,17 @@ the fallback route. No default trial reaches it, but the closed-form dual
 recovery misses the gap tolerance on some inputs whose element magnitudes
 span many decades (10^-6 to 10^6), and the splitting certifies a share of
 those.
+
+Bit identity. The seeded outputs of every trial are fixed, so the loops are
+made cheaper without moving an output bit: reductions call the ufunc
+directly (np.add.reduce gives the bits of np.sum on the same contiguous 1-D
+operand), loop invariants are hoisted, and the kink test screens its
+candidates before the exact test (see _kink_point). Two facts of numpy
+2.4.6 are relied on. np.abs of a complex array can differ by one ulp from
+the scalar abs(z), which is libm hypot, so an array that must reproduce a
+scalar abs(z) uses np.hypot. And a reduction along the last axis of a
+contiguous 2-D array gives each row the bits of np.sum on that row.
+tests/test_solver.py pins the outputs of a seeded battery by sha256.
 """
 
 from __future__ import annotations
@@ -58,32 +69,34 @@ def _phase_align(w: np.ndarray, h_sig: np.ndarray) -> np.ndarray:
 
 
 def _dual_value(z: complex, s_hat: np.ndarray, i_hat: np.ndarray, eta: float, cap: float) -> float:
-    return cap * float(np.sum(np.abs(s_hat - z * i_hat))) + eta * abs(z)
+    return cap * float(np.add.reduce(np.abs(s_hat - z * i_hat))) + eta * abs(z)
 
 
 def _weiszfeld(
     points: np.ndarray, weights: np.ndarray, z0: complex, iters: int = 200
 ) -> complex:
     """Modified Weiszfeld iteration for the weighted geometric median."""
+    # fmin.reduce(d) < tol is any(d < tol) in one call: fmin skips NaN
+    absolute, add, fmin = np.abs, np.add.reduce, np.fmin.reduce
     z = z0
     for _ in range(iters):
-        d = np.abs(points - z)
-        on = d < 1e-15
-        if on.any():
+        d = absolute(points - z)
+        if fmin(d) < 1e-15:
             # sitting on an anchor: step off along the descent direction
-            k = int(np.argmax(on))
+            on = d < 1e-15
             others = ~on
             if not others.any():
                 return z
             u = (z - points[others]) / d[others]
-            r = complex(np.sum(weights[others] * u))
-            if abs(r) <= weights[on].sum():
+            r = complex(add(weights[others] * u))
+            w_on = add(weights[on])
+            if abs(r) <= w_on:
                 return z
-            step = (abs(r) - weights[on].sum()) / np.sum(weights[others] / d[others])
+            step = (abs(r) - w_on) / add(weights[others] / d[others])
             z = z - (r / abs(r)) * step
             continue
         inv = weights / d
-        z_new = complex(np.sum(points * inv) / np.sum(inv))
+        z_new = complex(add(points * inv) / add(inv))
         if abs(z_new - z) <= 1e-15 * (1.0 + abs(z)):
             return z_new
         z = z_new
@@ -94,26 +107,28 @@ def _newton_polish(
     z: complex, points: np.ndarray, weights: np.ndarray, iters: int = 60
 ) -> complex:
     """Damped Newton on the smooth Fermat-Weber objective near the optimum."""
+    absolute, add, fmin = np.abs, np.add.reduce, np.fmin.reduce
 
     def value(zz: complex) -> float:
-        return float(np.sum(weights * np.abs(points - zz)))
+        return float(add(weights * absolute(points - zz)))
 
+    grad_floor = 1e-15 * add(weights)
     f = value(z)
     for _ in range(iters):
         d = z - points
-        r = np.abs(d)
-        if (r < 1e-300).any():
+        r = absolute(d)
+        if fmin(r) < 1e-300:
             break
         u = d / r
-        grad = complex(np.sum(weights * u))
-        if abs(grad) <= 1e-15 * weights.sum():
+        grad = complex(add(weights * u))
+        if abs(grad) <= grad_floor:
             break
         # 2x2 Hessian of sum w*|z - p| in real coordinates
         ux, uy = u.real, u.imag
         wr = weights / r
-        hxx = float(np.sum(wr * (1.0 - ux * ux)))
-        hyy = float(np.sum(wr * (1.0 - uy * uy)))
-        hxy = float(np.sum(wr * (-ux * uy)))
+        hxx = float(add(wr * (1.0 - ux * ux)))
+        hyy = float(add(wr * (1.0 - uy * uy)))
+        hxy = float(add(wr * (-ux * uy)))
         det = hxx * hyy - hxy * hxy
         if det <= 0:
             break
@@ -133,6 +148,46 @@ def _newton_polish(
         if not improved:
             break
     return z
+
+
+def _kink_point(points: np.ndarray, weights: np.ndarray) -> complex | None:
+    """First candidate, in index order, at which D has its minimum, or None.
+
+    Exact test at candidate p: the points tied with p (within 1e-12
+    relative) must outweigh the pull of all the others,
+    |sum_rest w u| <= w_same * (1 + 1e-12), u the unit vectors towards p.
+    Nearly every dual solve has no such candidate, so a screen first forms
+    the pull and the tie weight of every candidate at once, as row sums over
+    the m x m differences, and keeps only the candidates within
+    1e-9 * sum(w) of passing.
+
+    Why the screen is exact: its tie masks are the exact test's (the same
+    elementwise np.abs of the differences, against thresholds built with
+    hypot, which has the bits of the scalar abs(p)). Its sums then differ
+    from the exact ones only in summation order and in the order of one
+    multiply and one divide, at most about 2 (m + 3) eps sum(w) apart, far
+    inside the margin for any m below 10^6. So it never drops a candidate
+    the exact test accepts, and the exact test run on the survivors in
+    index order returns what it returns alone.
+    """
+    diff = points[:, None] - points[None, :]  # row i: p_i - p_j
+    dist = np.abs(diff)
+    same = dist <= 1e-12 * (1.0 + np.hypot(points.real, points.imag))[:, None]
+    tie = np.add.reduce(np.where(same, weights, 0.0), axis=1)
+    pull = np.add.reduce(np.where(same, 0.0, weights) * diff / np.where(same, 1.0, dist), axis=1)
+    margin = 1e-9 * np.add.reduce(weights)
+    for idx in np.flatnonzero(np.abs(pull) <= tie * (1.0 + 1e-12) + margin):
+        p = points[idx]
+        same = np.abs(points - p) <= 1e-12 * (1.0 + abs(p))
+        same[idx] = True
+        rest_p = points[~same]
+        rest_w = weights[~same]
+        if rest_p.size == 0:
+            return p
+        u = (p - rest_p) / np.abs(p - rest_p)
+        if abs(complex(np.add.reduce(rest_w * u))) <= np.add.reduce(weights[same]) * (1.0 + 1e-12):
+            return p
+    return None
 
 
 def _fill_free_elements(
@@ -201,7 +256,7 @@ def _clip_to_cap(w: np.ndarray, cap: float, slack: float = 0.0) -> np.ndarray:
     """Scale every element above cap * (1 + slack) back onto the cap circle."""
     mags = np.abs(w)
     over = mags > cap * (1.0 + slack)
-    if over.any():
+    if np.logical_or.reduce(over):
         w = w.copy()
         w[over] *= cap / mags[over]
     return w
@@ -247,12 +302,11 @@ def _pdhg(
     best_w = w
     best_gap = math.inf
     for it in range(1, max_iters + 1):
-        v = s + sigma * complex(np.vdot(i_hat, w_bar).conjugate())
+        v = s + sigma * complex(np.vdot(i_hat, w_bar)).conjugate()
         av = abs(v)
         s = v * max(0.0, 1.0 - sigma * eta / av) if av > 0 else 0.0 + 0.0j
         w_old = w
-        w = w + tau * (s_hat - i_hat * s)
-        w = _clip_to_cap(w, cap)
+        w = _clip_to_cap(w + tau * (s_hat - i_hat * s), cap)
         w_bar = 2.0 * w - w_old
         if it % 200 == 0 or it == max_iters:
             w_f = _feasibility_polish(w, i_hat, eta, cap)
@@ -310,27 +364,13 @@ def solve_bf_subproblem_report(
     all_points = np.concatenate([points, [0.0 + 0.0j]])
     all_weights = np.concatenate([weights, [eta_hat]])
 
-    z_star = None
-    # exact kink test at every candidate point of the nonsmooth objective
-    for idx in range(all_points.size):
-        p = all_points[idx]
-        same = np.abs(all_points - p) <= 1e-12 * (1.0 + abs(p))
-        if not same[idx]:
-            same[idx] = True
-        rest_p = all_points[~same]
-        rest_w = all_weights[~same]
-        if rest_p.size == 0:
-            z_star = p
-            break
-        u = (p - rest_p) / np.abs(p - rest_p)
-        pull = complex(np.sum(rest_w * u))
-        if abs(pull) <= all_weights[same].sum() * (1.0 + 1e-12):
-            z_star = p
-            break
+    z_star = _kink_point(all_points, all_weights)
     if z_star is None:
-        d_vals = [
-            _dual_value(z, s_hat, i_hat, eta_hat, cap) for z in all_points
-        ]
+        # start from the best anchor; hypot gives the bits of _dual_value's abs(z)
+        resid = s_hat - all_points[:, None] * i_hat
+        d_vals = cap * np.add.reduce(np.abs(resid), axis=1) + eta_hat * np.hypot(
+            all_points.real, all_points.imag
+        )
         z0 = all_points[int(np.argmin(d_vals))]
         z_w = _weiszfeld(all_points, all_weights, z0)
         z_star = _newton_polish(z_w, all_points, all_weights)

@@ -2,7 +2,9 @@
 
 Each oracle recomputes an answer from the raw problem statement with dense
 search instead of the library's algebra, so agreement is evidence rather
-than tautology.
+than tautology. ``kink_point`` is the one exception: it is the plain
+per-candidate loop that the solver's screened kink test must reproduce bit
+for bit.
 """
 
 from __future__ import annotations
@@ -130,3 +132,26 @@ def n2_dense_best(h_sig: np.ndarray, h_int: np.ndarray, eta: float, cap: float) 
             d_span /= 6.0
             m_span /= 6.0
     return best
+
+
+def kink_point(points: np.ndarray, weights: np.ndarray):
+    """First candidate, in index order, at which the weighted Fermat-Weber sum has its minimum.
+
+    Candidate p passes when the points tied with it (within 1e-12 relative)
+    outweigh the pull of all the others. Every candidate is tested in turn,
+    with no screen; returns None when none passes.
+    """
+    for idx in range(points.size):
+        p = points[idx]
+        same = np.abs(points - p) <= 1e-12 * (1.0 + abs(p))
+        if not same[idx]:
+            same[idx] = True
+        rest_p = points[~same]
+        rest_w = weights[~same]
+        if rest_p.size == 0:
+            return p
+        u = (p - rest_p) / np.abs(p - rest_p)
+        pull = complex(np.sum(rest_w * u))
+        if abs(pull) <= weights[same].sum() * (1.0 + 1e-12):
+            return p
+    return None

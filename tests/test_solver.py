@@ -1,4 +1,6 @@
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from fdrelay.solver import (
     solve_bf_subproblem,
     solve_bf_subproblem_report,
 )
-from oracles import n2_dense_best
+from oracles import kink_point, n2_dense_best
 
 
 def _instance(rng, n):
@@ -189,3 +191,144 @@ class TestInvariances:
         w_rep, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
         assert np.array_equal(w_plain, w_rep)
         assert info.method in ("shortcut", "dual", "pdhg")
+
+
+def _pin_battery():
+    """Seeded subproblems that reach every route and branch of the solver."""
+    rng = np.random.default_rng(4)
+    cases = []
+    for n in (4, 16, 64):
+        cap = 1.0 / math.sqrt(n)
+        for frac in (0.02, 0.1, 0.25, 0.5):
+            h_sig, h_int = _instance(rng, n)
+            cases.append((h_sig, h_int, frac * cap * np.sum(np.abs(h_int)), cap))
+        # one dominant interference element: the kink sits on its ratio point
+        h_sig, h_int = _instance(rng, n)
+        h_int[n // 2] *= 30.0
+        cases.append((h_sig, h_int, 0.2 * cap * np.sum(np.abs(h_int)), cap))
+    cap = 0.25
+    # a zero signal element puts a ratio point on the origin, which is the kink
+    h_sig, h_int = _instance(rng, 16)
+    h_sig[3] = 0.0
+    h_int[3] *= 10.0
+    w_mf = cap * np.exp(1j * np.angle(h_sig)) * (h_sig != 0)
+    cases.append((h_sig, h_int, 0.9 * abs(np.vdot(w_mf, h_int)), cap))
+    # a cap just under the matched-filter leakage: the origin candidate itself
+    h_sig, h_int = _instance(rng, 16)
+    leak = abs(np.vdot(cap * np.exp(1j * np.angle(h_sig)), h_int))
+    cases.append((h_sig, h_int, leak * (1.0 - 1e-13), cap))
+    # duplicated ratio points (exact multiples), on the smooth path and at a kink
+    for boost in (1.0, 30.0):
+        h_sig, h_int = _instance(rng, 16)
+        h_sig[5], h_int[5] = 2.0 * h_sig[4], 2.0 * h_int[4]
+        h_sig[9], h_int[9] = h_sig[4], h_int[4]
+        h_sig[[4, 5, 9]] *= boost
+        h_int[[4, 5, 9]] *= boost
+        cases.append((h_sig, h_int, 0.3 * cap * np.sum(np.abs(h_int)), cap))
+    h_sig, h_int = _instance(rng, 16)
+    cases.append((h_sig, h_int, 1.01 * cap * np.sum(np.abs(h_int)), cap))
+    # element magnitudes over twelve decades; seed 289 only PDHG certifies
+    for seed in (None, None, None, 289):
+        r = rng if seed is None else np.random.default_rng(seed)
+        h_sig = 10 ** r.uniform(-6, 6, 16) * np.exp(2j * np.pi * r.uniform(size=16))
+        h_int = 10 ** r.uniform(-6, 6, 16) * np.exp(2j * np.pi * r.uniform(size=16))
+        cases.append((h_sig, h_int, 0.01 * cap * np.linalg.norm(h_int), cap))
+    return cases
+
+
+class TestBitPin:
+    # sha256 over every weight vector and every SolveInfo field of the
+    # battery; recorded with numpy 2.4.6 before the kink screen and the lean
+    # Weiszfeld, Newton and PDHG loops, which must not move a single bit
+    DIGEST = "ebbd6239ea715cf35becf31434bbdeb4243edd43fc957decc665a1a1d6fba9d4"
+
+    def test_battery_outputs_are_pinned(self, monkeypatch):
+        smooth_calls = []
+        weiszfeld = solver._weiszfeld
+        monkeypatch.setattr(
+            solver, "_weiszfeld", lambda *a: smooth_calls.append(1) or weiszfeld(*a)
+        )
+        digest = hashlib.sha256()
+        routes = []
+        for h_sig, h_int, eta, cap in _pin_battery():
+            before = len(smooth_calls)
+            w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
+            z = complex(info.z_star)
+            routes.append((info.method, len(smooth_calls) > before, z == 0))
+            digest.update(w.tobytes())
+            for v in (info.objective, info.dual_bound, info.gap, info.int_violation,
+                      info.cap_violation, z.real, z.imag):
+                digest.update(float(v).hex().encode())
+            digest.update(info.method.encode())
+        # shortcut; kink at a ratio point, at the origin; smooth path; PDHG
+        assert ("shortcut", False, True) in routes
+        assert ("dual", False, False) in routes
+        assert ("dual", False, True) in routes
+        assert ("dual", True, False) in routes
+        assert any(method == "pdhg" for method, _, _ in routes)
+        assert digest.hexdigest() == self.DIGEST
+
+
+@st.composite
+def _fuzz_subproblems(draw):
+    """Subproblems with exact ratio-point ties, near-collinear ratio points,
+    a vanishing or borderline cap eta, element magnitudes over 10^-6..10^6,
+    and N from 1 to 64."""
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decades = draw(st.sampled_from([0.0, 6.0]))
+    h_int = 10 ** rng.uniform(-decades, decades, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    if draw(st.booleans()):
+        # ratio points on a line, off it by 1e-12 of their spread
+        t = rng.normal(size=n)
+        ratio = (0.3 - 0.2j) + (1.0 + 0.5j) * t + 1e-12j * rng.normal(size=n)
+    else:
+        ratio = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ratio *= 10 ** rng.uniform(-decades, decades, n)
+    if draw(st.booleans()):
+        # one dominant interference element pulls the kink onto its ratio point
+        h_int[rng.integers(n)] *= 10 ** rng.uniform(0.5, 2.0)
+    h_sig = ratio * h_int
+    for _ in range(draw(st.integers(0, n // 2))):
+        # exact ties: a copy, or both entries doubled, divides to the same point
+        src, dst = rng.integers(n, size=2)
+        scale = 2.0 if rng.uniform() < 0.5 else 1.0
+        h_sig[dst], h_int[dst] = scale * h_sig[src], scale * h_int[src]
+    cap = 1.0 / math.sqrt(n)
+    leak = abs(np.vdot(cap * np.exp(1j * np.angle(h_sig)), h_int))
+    eta = draw(
+        st.sampled_from([0.0, 1e-300, 1e-12, 1e-6, 0.1, 0.5, 1.0 - 1e-13])
+    ) * leak
+    return h_sig, h_int, eta, cap
+
+
+def _solve_spied(case, kink):
+    """Solve with ``kink`` as the kink test; return its arguments and the recovered z*.
+
+    Either is None when the solve never reaches it (the shortcut route). The
+    PDHG fallback is stubbed out, so an uncertified solve fails fast.
+    """
+    with mock.patch.object(solver, "_kink_point", mock.Mock(wraps=kink)) as kink_spy, \
+            mock.patch.object(solver, "_recover_primal", wraps=solver._recover_primal) as spy, \
+            mock.patch.object(solver, "_pdhg", lambda s, i, e, c: (np.zeros_like(s), 0j)):
+        try:
+            solve_bf_subproblem_report(*case)
+        except SolverError:
+            pass
+    args = kink_spy.call_args.args if kink_spy.call_args else None
+    return args, spy.call_args.args[0] if spy.call_args else None
+
+
+def _bits(z):
+    return None if z is None else (float(z.real).hex(), float(z.imag).hex())
+
+
+class TestKinkScreen:
+    @given(case=_fuzz_subproblems())
+    @settings(max_examples=150)
+    def test_screened_kink_test_matches_unscreened_reference(self, case):
+        args, z_star = _solve_spied(case, solver._kink_point)
+        _, z_star_reference = _solve_spied(case, kink_point)
+        assert _bits(z_star) == _bits(z_star_reference)
+        if args is not None:
+            assert _bits(solver._kink_point(*args)) == _bits(kink_point(*args))
