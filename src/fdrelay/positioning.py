@@ -16,6 +16,8 @@ import numpy as np
 from .channel import EnvParams, EnvironmentRealization, ROLE_S2V, ROLE_V2D, Vec3
 
 _TAG_TIEBREAK = 21  # seed purpose tag for equidistant-candidate tie breaking
+_BLOCK = 512  # ring cells evaluated per array pass
+_SLACK = 1e-9  # box membership tolerance, meters
 
 
 class NoLosPositionError(RuntimeError):
@@ -42,11 +44,18 @@ class FeasibleBox:
         if min(self.eps_x, self.eps_y, self.eps_h) <= 0:
             raise ValueError("grid steps must be positive")
 
-    def contains(self, p: Vec3, slack: float = 1e-9) -> bool:
+    def contains(self, p: Vec3, slack: float = _SLACK) -> bool:
+        return bool(self.contains_xyz(p.x, p.y, p.z, slack))
+
+    def contains_xyz(self, x, y, z, slack: float = _SLACK):
+        """contains() on coordinates: floats, or numpy arrays elementwise."""
         return (
-            -slack <= p.x <= self.x_d + slack
-            and -slack <= p.y <= self.y_d + slack
-            and self.h_min - slack <= p.z <= self.h_max + slack
+            (-slack <= x)
+            & (x <= self.x_d + slack)
+            & (-slack <= y)
+            & (y <= self.y_d + slack)
+            & (self.h_min - slack <= z)
+            & (z <= self.h_max + slack)
         )
 
 
@@ -141,11 +150,46 @@ def strict_upper_bounds(h_s2v, h_v2d, budget: LinkBudget) -> tuple[float, float]
     return r1, r2
 
 
-def _both_los(
-    env_real: EnvironmentRealization, sn: Vec3, dn: Vec3, candidate: Vec3
-) -> bool:
-    return env_real.los_indicator(ROLE_S2V, sn, candidate) and env_real.los_indicator(
-        ROLE_V2D, dn, candidate
+def _ring_blocks(t, i_range, j_range, k_top):
+    """(i, j, k) index blocks of ring t, max(|i|, |j|, k) == t, in (i, j, k) order.
+
+    Only i in i_range, j in j_range and 0 <= k <= k_top are made. Each x-slice
+    of the ring is a pattern of (j, k) pairs: the whole face for |i| == t,
+    its rim (|j| == t or k == t) otherwise. Consecutive slices with one
+    pattern are batched, and blocks hold at most _BLOCK cells, so no more
+    than one face of the ring is held at a time.
+    """
+    js = np.arange(j_range[0], j_range[1] + 1)
+    ks = np.arange(k_top + 1)
+    face_j, face_k = np.repeat(js, ks.size), np.tile(ks, js.size)
+    on_rim = (np.abs(face_j) == t) | (face_k == t)
+    rim_j, rim_k = face_j[on_rim], face_k[on_rim]
+    i, i_end = i_range
+    while i <= i_end:
+        if abs(i) == t:
+            pj, pk, last = face_j, face_k, i
+        else:
+            pj, pk, last = rim_j, rim_k, min(i_end, t - 1)
+        if pj.size:
+            per = max(1, _BLOCK // pj.size)  # slices per block
+            for a in range(i, last + 1, per):
+                g = min(per, last + 1 - a)
+                bi = np.repeat(np.arange(a, a + g), pj.size)
+                bj, bk = np.tile(pj, g), np.tile(pk, g)
+                for s in range(0, bi.size, _BLOCK):
+                    yield bi[s : s + _BLOCK], bj[s : s + _BLOCK], bk[s : s + _BLOCK]
+        i = last + 1
+
+
+def _index_range(lo: float, hi: float, origin: float, step: float, t: int) -> tuple[int, int]:
+    """Ring indices in [-t, t] whose coordinate origin + i * step may lie in [lo, hi].
+
+    One index of margin on each side absorbs rounding; the exact box test
+    runs on the coordinates.
+    """
+    return (
+        max(-t, math.floor((lo - _SLACK - origin) / step) - 1),
+        min(t, math.ceil((hi + _SLACK - origin) / step) + 1),
     )
 
 
@@ -164,10 +208,24 @@ def los_adjusted_position(
     h_min), fully evaluating each ring before choosing the member closest to
     p_star; exact distance ties are broken uniformly with the trial seed.
     Raises :class:`NoLosPositionError` once the box is exhausted.
+
+    Each ring is evaluated block by block as arrays: candidate coordinates,
+    the box test, the grid cells, then ``los_mask`` on the S2V link and, for
+    the cells that pass, on the V2D link. Every value is the one the
+    cell-by-cell loop computes (tests/oracles.py keeps that loop), so the
+    chosen point is the same to the bit.
     """
     if not box.contains(p_star):
         raise ValueError("designed position lies outside the feasible box")
-    if _both_los(env_real, sn, dn, p_star):
+
+    def dual_los(x, y, z):
+        cells = env_real.quantize_xyz(x, y, z)
+        los = env_real.los_mask(ROLE_S2V, sn, cells)
+        if los.any():
+            los[los] = env_real.los_mask(ROLE_V2D, dn, cells[los])
+        return los
+
+    if dual_los(np.array([p_star.x]), np.array([p_star.y]), np.array([p_star.z]))[0]:
         return p_star
     if rng is None:
         rng = np.random.default_rng(
@@ -183,24 +241,28 @@ def los_adjusted_position(
     t_h = math.ceil((box.h_max - box.h_min) / eh)
     t_cap = max(t_x, t_y, t_h)
 
-    t = 1
-    while t <= t_cap:
-        hits: list[tuple[float, Vec3]] = []
-        for i in range(-t, t + 1):
-            for j in range(-t, t + 1):
-                for k in range(0, t + 1):
-                    if max(abs(i), abs(j), k) != t:
-                        continue  # ring members only; inner cube already seen
-                    cand = Vec3(p_star.x + i * ex, p_star.y + j * ey, box.h_min + k * eh)
-                    if not box.contains(cand):
-                        continue
-                    if _both_los(env_real, sn, dn, cand):
-                        hits.append((p_star.distance_to(cand), cand))
+    for t in range(1, t_cap + 1):
+        hits: list[tuple[float, float, float]] = []
+        blocks = _ring_blocks(
+            t,
+            _index_range(0.0, box.x_d, p_star.x, ex, t),
+            _index_range(0.0, box.y_d, p_star.y, ey, t),
+            _index_range(box.h_min, box.h_max, box.h_min, eh, t)[1],
+        )
+        for bi, bj, bk in blocks:
+            x = p_star.x + bi * ex
+            y = p_star.y + bj * ey
+            z = box.h_min + bk * eh
+            inside = box.contains_xyz(x, y, z)
+            x, y, z = x[inside], y[inside], z[inside]
+            los = dual_los(x, y, z)
+            hits.extend(zip(x[los].tolist(), y[los].tolist(), z[los].tolist()))
         if hits:
-            best = min(d for d, _ in hits)
-            tied = [c for d, c in hits if d == best]
+            origin = (p_star.x, p_star.y, p_star.z)
+            dists = [math.dist(origin, h) for h in hits]
+            best = min(dists)
+            tied = [Vec3(*h) for d, h in zip(dists, hits) if d == best]
             if len(tied) == 1:
                 return tied[0]
             return tied[int(rng.integers(len(tied)))]
-        t += 1
     raise NoLosPositionError("no LoS position found")

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ import numpy as np
 GAP_TOL = 1e-6  # relative duality-gap certificate
 FEAS_TOL = 1e-8  # interference-constraint violation, normalized units
 CAP_TOL = 1e-12  # per-element magnitude violation
+_NORMAL_MIN = sys.float_info.min  # smallest normal float, np.finfo(float).tiny
 
 
 class SolverError(RuntimeError):
@@ -348,8 +350,14 @@ def solve_bf_subproblem_report(
     # matched constant-magnitude filter whenever it already meets the cap;
     # built from the raw channel so the closed form is recovered bit-exactly
     w_mf = np.zeros_like(h_sig)
-    nz = np.abs(h_sig) > 0
-    w_mf[nz] = cap * h_sig[nz] / np.abs(h_sig[nz])
+    mag = np.abs(h_sig)
+    nz = mag > 0
+    h_nz = h_sig[nz]
+    if mag.min() < _NORMAL_MIN:
+        # a subnormal element would underflow cap * h to 0 (or overflow the
+        # division); an exact power of two lifts it and leaves its phase alone
+        h_nz[mag[nz] < _NORMAL_MIN] *= 2.0**512
+    w_mf[nz] = cap * h_nz / np.abs(h_nz)
     if int_norm == 0.0 or abs(np.vdot(w_mf, h_int)) <= eta:
         obj = float(np.vdot(w_mf, h_sig).real)
         return w_mf, SolveInfo(obj, obj, 0.0, 0.0, 0.0, "shortcut", 0j)

@@ -2,14 +2,19 @@
 
 Each oracle recomputes an answer from the raw problem statement with dense
 search instead of the library's algebra, so agreement is evidence rather
-than tautology. ``kink_point`` is the one exception: it is the plain
-per-candidate loop that the solver's screened kink test must reproduce bit
-for bit.
+than tautology. ``kink_point`` and ``los_ring_search`` are the exceptions:
+they are the plain per-candidate and per-cell loops that the solver's
+screened kink test and the array LoS ring search must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from fdrelay.channel import ROLE_S2V, ROLE_V2D, Vec3
+from fdrelay.positioning import _TAG_TIEBREAK, NoLosPositionError
 
 
 def rho_grid_argmax(
@@ -155,3 +160,51 @@ def kink_point(points: np.ndarray, weights: np.ndarray):
         if abs(pull) <= weights[same].sum() * (1.0 + 1e-12):
             return p
     return None
+
+
+def los_ring_search(env_real, env, p_star, box, sn, dn, rng=None):
+    """Nearest dual-LoS grid point around p_star, one cell at a time.
+
+    Takes ``los_adjusted_position``'s arguments (``env`` is unused there too).
+
+    Walks each cubic ring max(|i|, |j|, k) == t in (i, j, k) order, asks
+    ``los_indicator`` about every in-box member, and picks the hit closest to
+    p_star; exact distance ties go to a seeded uniform draw.
+    """
+
+    def both_los(cand):
+        return env_real.los_indicator(ROLE_S2V, sn, cand) and env_real.los_indicator(
+            ROLE_V2D, dn, cand
+        )
+
+    if not box.contains(p_star):
+        raise ValueError("designed position lies outside the feasible box")
+    if both_los(p_star):
+        return p_star
+    if rng is None:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(
+                (env_real.master_seed, env_real.trial_index, _TAG_TIEBREAK)
+            )
+        )
+    ex, ey, eh = box.eps_x, box.eps_y, box.eps_h
+    t_x = max(math.ceil((box.x_d - p_star.x) / ex), math.ceil(p_star.x / ex))
+    t_y = max(math.ceil((box.y_d - p_star.y) / ey), math.ceil(p_star.y / ey))
+    t_h = math.ceil((box.h_max - box.h_min) / eh)
+    for t in range(1, max(t_x, t_y, t_h) + 1):
+        hits = []
+        for i in range(-t, t + 1):
+            for j in range(-t, t + 1):
+                for k in range(0, t + 1):
+                    if max(abs(i), abs(j), k) != t:
+                        continue
+                    cand = Vec3(p_star.x + i * ex, p_star.y + j * ey, box.h_min + k * eh)
+                    if box.contains(cand) and both_los(cand):
+                        hits.append((p_star.distance_to(cand), cand))
+        if hits:
+            best = min(d for d, _ in hits)
+            tied = [c for d, c in hits if d == best]
+            if len(tied) == 1:
+                return tied[0]
+            return tied[int(rng.integers(len(tied)))]
+    raise NoLosPositionError("no LoS position found")

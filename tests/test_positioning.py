@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fdrelay.channel import (
     ROLE_S2V,
+    DegenerateGeometryError,
     EnvParams,
     EnvironmentRealization,
     UpaSpec,
@@ -23,7 +24,7 @@ from fdrelay.positioning import (
     los_adjusted_position,
     strict_upper_bounds,
 )
-from oracles import rho_grid_argmax
+from oracles import los_ring_search, rho_grid_argmax
 
 ENV = EnvParams()
 
@@ -146,8 +147,8 @@ class _StubRealization(EnvironmentRealization):
         super().__init__(env, master_seed=0, trial_index=0, grid_step=grid_step)
         self._allowed = allowed_cells
 
-    def los_indicator(self, role, ground, uav):
-        return self.quantize(uav) in self._allowed
+    def los_mask(self, role, ground, cells):
+        return np.array([tuple(c) in self._allowed for c in cells.tolist()], dtype=bool)
 
 
 class TestLosAdjustedPosition:
@@ -201,12 +202,131 @@ class TestLosAdjustedPosition:
         out = los_adjusted_position(real, ENV, p_star, box, self.SN, self.DN)
         assert box.contains(out)
 
+    def test_reaches_the_box_corners(self):
+        # the ring blocks are clipped to the box; its far corners stay in reach
+        p_star = Vec3(20, 15, 100)
+        for corner in ((40, 30, 110), (0, 0, 110), (0, 30, 100), (40, 0, 105)):
+            real = _StubRealization(ENV, {corner})
+            out = los_adjusted_position(real, ENV, p_star, self._box(), self.SN, self.DN)
+            assert real.quantize(out) == corner
+
     def test_altitude_candidates_start_at_h_min(self):
         # candidate altitudes are h_min + k*eps_h, never below the floor
         p_star = Vec3(20, 15, 100)
         real = _StubRealization(ENV, {(20, 15, 101), (20, 15, 99)})
         out = los_adjusted_position(real, ENV, p_star, self._box(), self.SN, self.DN)
         assert out.z == 101.0
+
+
+LOS_MODELS = ((11.95, 0.14), (27.23, 0.08), (100.0, 10.0))
+SN = Vec3(0.0, 0.0, 0.0)
+
+
+def _search_both(env, seed, trial, box, p_star):
+    """The array search and the scalar oracle on one real LoS field."""
+    dn = Vec3(box.x_d, box.y_d, 0.0)
+    outs = []
+    for search in (los_adjusted_position, los_ring_search):
+        real = EnvironmentRealization(
+            env, seed, trial, grid_step=(box.eps_x, box.eps_y, box.eps_h)
+        )
+        try:
+            out = search(real, env, p_star, box, SN, dn)
+        except NoLosPositionError:
+            outs.append(None)
+        except DegenerateGeometryError:
+            # a floor below half a height step snaps cells onto the ground
+            outs.append("degenerate")
+        else:
+            outs.append((out.x.hex(), out.y.hex(), out.z.hex()))
+    return outs
+
+
+class TestRingSearchMatchesScalarLoop:
+    """The array ring search returns the cell-by-cell loop's point, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**31),
+        trial=st.integers(0, 1000),
+        model=st.sampled_from(LOS_MODELS),
+        eps_xy=st.sampled_from([0.5, 2.5]),
+        eps_h=st.sampled_from([0.5, 2.5]),
+        halves=st.tuples(
+            st.integers(0, 24), st.integers(0, 24), st.integers(1, 24), st.integers(0, 10)
+        ),
+        where=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
+    )
+    @settings(max_examples=60)
+    def test_matches_oracle(self, seed, trial, model, eps_xy, eps_h, halves, where):
+        # extents, floor and p_star all on the half-integer lattice
+        x_d, y_d, h_min, h_span = (n / 2 for n in halves)
+        box = FeasibleBox(x_d, y_d, h_min, h_min + h_span, eps_xy, eps_xy, eps_h)
+        px, py, pz = (
+            math.floor(f * 2 * hi) / 2 + lo
+            for f, lo, hi in zip(where, (0, 0, h_min), (x_d, y_d, h_span))
+        )
+        env = EnvParams(los_a=model[0], los_b=model[1])
+        new, ref = _search_both(env, seed, trial, box, Vec3(px, py, pz))
+        assert new == ref
+
+    def test_distance_ties_draw_the_same_member(self):
+        # p_star on a grid point: equidistant hits are common, and both
+        # searches must hand the same tied list to the same draws
+        class Draws:
+            def __init__(self):
+                self.gen, self.sizes = np.random.default_rng(0), []
+
+            def integers(self, n):
+                self.sizes.append(n)
+                return self.gen.integers(n)
+
+        box = FeasibleBox(12.0, 9.0, 3.0, 6.0, 1.0, 1.0, 1.0)
+        p_star, dn = Vec3(6.0, 4.0, 3.0), Vec3(12.0, 9.0, 0.0)
+        tied = 0
+        for seed in range(40):
+            outs = []
+            for search in (los_adjusted_position, los_ring_search):
+                draws = Draws()
+                out = search(EnvironmentRealization(ENV, seed, 0), ENV, p_star, box, SN, dn, draws)
+                outs.append((out, draws.sizes))
+            assert outs[0] == outs[1]
+            tied += bool(outs[0][1])
+        assert tied >= 5
+
+    def test_destination_on_an_axis(self):
+        env = EnvParams(los_a=27.23, los_b=0.08)
+        for x_d, y_d in ((0.0, 30.0), (30.0, 0.0)):
+            box = FeasibleBox(x_d, y_d, 5.0, 15.0, 1.0, 1.0, 1.0)
+            found = 0
+            for seed in range(15):
+                new, ref = _search_both(env, seed, 0, box, Vec3(x_d / 2, y_d / 2, 5.0))
+                assert new == ref
+                found += new is not None
+            assert found > 0
+
+    def test_flat_box(self):
+        env = EnvParams(los_a=27.23, los_b=0.08)
+        box = FeasibleBox(20.0, 15.0, 8.0, 8.0, 0.5, 0.5, 0.5)
+        for seed in range(15):
+            new, ref = _search_both(env, seed, 2, box, Vec3(10.0, 7.5, 8.0))
+            assert new == ref
+            assert new is None or new[2] == (8.0).hex()
+
+    def test_exhausted_box_raises(self):
+        # los_a = 100 deg: every elevation has probability near 0
+        env = EnvParams(los_a=100.0, los_b=10.0)
+        box = FeasibleBox(6.0, 4.0, 2.0, 5.0, 1.0, 1.0, 1.0)
+        for seed in range(3):
+            assert _search_both(env, seed, 0, box, Vec3(3.0, 2.0, 2.0)) == [None, None]
+
+    def test_cells_straight_above_a_ground_node(self):
+        # p_star above the source; the rings sweep the cells above both nodes
+        env = EnvParams(los_a=27.23, los_b=0.08)
+        box = FeasibleBox(3.0, 2.0, 1.0, 6.0, 1.0, 1.0, 1.0)
+        for seed in range(20):
+            for p_star in (Vec3(0.0, 0.0, 1.0), Vec3(3.0, 2.0, 1.0)):
+                new, ref = _search_both(env, seed, 1, box, p_star)
+                assert new == ref
 
 
 class TestValidation:

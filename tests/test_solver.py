@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -69,6 +70,17 @@ class TestCertificates:
         assert np.vdot(w, h_sig).real == pytest.approx(
             cap * np.sum(np.abs(h_sig)), rel=1e-12
         )
+
+    def test_matched_filter_of_subnormal_element(self):
+        # cap * h underflows to 0 for h = 5e-324(1 + j), and 0 / |h| is NaN
+        # in numpy's complex division, unless the element is rescaled first
+        h_sig = np.array([5e-324 + 5e-324j, 1.0, 0.5j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, info = solve_bf_subproblem_report(h_sig, np.ones(3, complex), 5.0, 0.25)
+        assert info.method == "shortcut"
+        assert w[0] == pytest.approx(0.25 * np.exp(0.25j * np.pi), abs=1e-15)
+        assert w[1] == 0.25 and w[2] == 0.25j
 
     def test_zero_signal_returns_zero_vector(self):
         w, info = solve_bf_subproblem_report(
