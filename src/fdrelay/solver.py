@@ -382,11 +382,9 @@ def solve_bf_subproblem_report(
         z0 = all_points[int(np.argmin(d_vals))]
         z_w = _weiszfeld(all_points, all_weights, z0)
         z_star = _newton_polish(z_w, all_points, all_weights)
-        if abs(z_star) <= 1e-9:
-            # a vanishing multiplier is a slack constraint; its phase is noise.
-            # A kink is exact however small: its ratio point's element absorbs
-            # the interference, which the origin would saturate instead
-            z_star = 0.0 + 0.0j
+    if abs(z_star) <= 1e-9:
+        # a vanishing multiplier is a slack constraint; its phase is noise
+        z_star = 0.0 + 0.0j
 
     w = _recover_primal(z_star, s_hat, i_hat, eta_hat, cap)
     w = _feasibility_polish(w, i_hat, eta_hat, cap)
