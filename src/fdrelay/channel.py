@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -32,13 +31,6 @@ FARFIELD_ROLES = (ROLE_S2V, ROLE_V2D, ROLE_S2D)
 
 _ROLE_IDS = {ROLE_S2V: 1, ROLE_V2D: 2, ROLE_S2D: 3, ROLE_SI: 4}
 _TAG_NLOS = 11  # seed purpose tag for per-role multipath draws
-_EXP_MAX = math.log(sys.float_info.max)  # math.exp raises above this
-# los_mask re-tests a cell on the scalar path when its uniform lies within
-# this fraction of the array-evaluated probability (times max(1, los_b))
-_LOS_SCREEN = 1e-9
-# an array pass costs about five scalar cells whatever the block size, so
-# smaller blocks take the scalar path
-_ARRAY_MIN_CELLS = 8
 
 
 class DegenerateGeometryError(ValueError):
@@ -166,6 +158,19 @@ def steering_vector(upa: UpaSpec, angles: AngleSet) -> np.ndarray:
     return np.exp(1j * phase).ravel()
 
 
+def _offset_geometry(dx: float, dy: float, dz: float) -> tuple[float, float, float]:
+    """Distance, horizontal distance and elevation of the offset (dx, dy, dz)."""
+    horiz = math.hypot(dx, dy)
+    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if dist == 0.0:
+        raise DegenerateGeometryError("degenerate geometry: endpoints coincide")
+    if horiz == 0.0:
+        elevation = math.pi / 2 if dz > 0 else -math.pi / 2
+    else:
+        elevation = math.atan(dz / horiz)
+    return dist, horiz, elevation
+
+
 def link_geometry(src: Vec3, dst: Vec3) -> tuple[float, AngleSet]:
     """Distance and (elevation, azimuth) of the src -> dst line.
 
@@ -176,15 +181,10 @@ def link_geometry(src: Vec3, dst: Vec3) -> tuple[float, AngleSet]:
     dx = dst.x - src.x
     dy = dst.y - src.y
     dz = dst.z - src.z
-    horiz = math.hypot(dx, dy)
-    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if dist == 0.0:
-        raise DegenerateGeometryError("degenerate geometry: endpoints coincide")
+    dist, horiz, elevation = _offset_geometry(dx, dy, dz)
     if horiz == 0.0:
-        elevation = math.pi / 2 if dz > 0 else -math.pi / 2
         azimuth = 0.0
     else:
-        elevation = math.atan(dz / horiz)
         azimuth = math.atan2(dy, dx) % (2.0 * math.pi)
         # the modulo of a tiny negative angle rounds up to exactly 2*pi
         if azimuth >= 2.0 * math.pi:
@@ -225,7 +225,11 @@ def los_probability(elevation: float, env: EnvParams) -> float:
 
 
 def _hash_uniform(*key_parts) -> float:
-    """Deterministic uniform in [0, 1) keyed by the given integers/strings."""
+    """Deterministic uniform in [0, 1) keyed by the given integers/strings.
+
+    EnvironmentRealization.los_cells draws the LoS field's uniforms with this
+    key format and conversion, the key formatted once per call.
+    """
     text = "|".join(str(p) for p in key_parts)
     digest = hashlib.sha256(text.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big") / 2.0**64
@@ -238,11 +242,6 @@ class NlosDraw:
     departure: AngleSet
     arrival: AngleSet
     gain_draw: complex
-
-
-def _check_los_role(role: str) -> None:
-    if role not in (ROLE_S2V, ROLE_V2D):
-        raise ValueError(f"LoS field only covers ground-UAV links, got {role!r}")
 
 
 class EnvironmentRealization:
@@ -275,81 +274,43 @@ class EnvironmentRealization:
         ex, ey, eh = self.grid_step
         return (round(position.x / ex), round(position.y / ey), round(position.z / eh))
 
-    def cell_center(self, cell: tuple[int, int, int]) -> Vec3:
-        ex, ey, eh = self.grid_step
-        return Vec3(cell[0] * ex, cell[1] * ey, cell[2] * eh)
-
     def quantize_xyz(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """quantize() of many positions: an (n, 3) array of integral floats.
+        """quantize() of many positions: an (n, 3) array of grid cells.
 
-        np.rint rounds half to even, as round() does.
+        np.rint rounds half to even, as round() does. The cells are int64
+        unless one lies beyond 2**62; then they stay integral floats.
         """
         ex, ey, eh = self.grid_step
-        return np.column_stack((np.rint(x / ex), np.rint(y / ey), np.rint(z / eh)))
+        cells = np.column_stack((np.rint(x / ex), np.rint(y / ey), np.rint(z / eh)))
+        if np.abs(cells).max(initial=0.0) < 2.0**62:
+            return cells.astype(np.int64)
+        return cells
 
     def los_indicator(self, role: str, ground: Vec3, uav: Vec3) -> bool:
         """Bernoulli LoS state of a ground-to-UAV link at the UAV's grid cell."""
-        _check_los_role(role)
-        return self._los_at_cell(role, ground, self.quantize(uav))
+        return self.los_cells(role, ground, [self.quantize(uav)])[0]
 
-    def _los_at_cell(self, role: str, ground: Vec3, cell: tuple[int, int, int]) -> bool:
-        _, angles = link_geometry(ground, self.cell_center(cell))
-        p = los_probability(angles.elevation, self.env)
-        u = _hash_uniform(self.master_seed, self.trial_index, role, *cell)
-        return u < p
+    def los_cells(self, role: str, ground: Vec3, cells) -> list[bool]:
+        """LoS state of the ground-to-UAV link at each (i, j, k) grid cell.
 
-    def los_mask(self, role: str, ground: Vec3, cells: np.ndarray) -> np.ndarray:
-        """los_indicator() of every row of an (n, 3) array of grid cells.
-
-        Elevation and probability are evaluated as arrays; each cell's
-        uniform is _hash_uniform's sha256 draw, same key. numpy's hypot,
-        arctan and exp may differ from math's by a few ulps. That moves the
-        exponent by far less than tol = _LOS_SCREEN * max(1, los_b), and the
-        probability p by far less than tol * p. So a cell is decided again
-        on los_indicator's scalar path when its uniform lies within tol * p
-        (plus the smallest normal float) of p, when its exponent lies within
-        tol of math.exp's overflow, or when it sits straight above the
-        ground node. The mask is therefore los_indicator's, bit for bit. A
-        cell whose exponent overflows by more than tol has p = 0.0 and is
-        not hashed. A block of fewer than _ARRAY_MIN_CELLS cells takes the
-        scalar path whole.
+        The uniform of a cell is _hash_uniform's sha256 draw, with the key
+        formatted once per call; the probability is los_probability at the
+        elevation of the cell's center. Integral floats give the same keys
+        and centers as ints. los_indicator is this method on one cell.
         """
-        _check_los_role(role)
-        if len(cells) < _ARRAY_MIN_CELLS:
-            return np.array(
-                [self._los_at_cell(role, ground, tuple(map(int, c))) for c in cells.tolist()],
-                dtype=bool,
-            )
+        if role not in (ROLE_S2V, ROLE_V2D):
+            raise ValueError(f"LoS field only covers ground-UAV links, got {role!r}")
         env = self.env
-        d = cells * self.grid_step - (ground.x, ground.y, ground.z)
-        horiz = np.hypot(d[:, 0], d[:, 1])
-        # a vertical link has elevation +-pi/2; leave it to the scalar path
-        vertical = horiz < sys.float_info.min
-        tol = _LOS_SCREEN * max(1.0, env.los_b)
-        with np.errstate(over="ignore"):
-            deg = np.degrees(np.arctan(d[:, 2] / np.where(vertical, 1.0, horiz)))
-            expo = -env.los_b * (deg - env.los_a)
-            over = (expo > _EXP_MAX + tol) & ~vertical
-            exact = vertical | ((expo >= _EXP_MAX - tol) & ~over)
-            p = 1.0 / (1.0 + env.los_a * np.exp(np.minimum(expo, _EXP_MAX - tol)))
-
-        drawn = ~over
-        keys = cells[drawn]
-        if np.abs(keys).max(initial=0.0) < 2.0**62:
-            keys = keys.astype(np.int64)  # "%d" formats ints faster than floats
+        ex, ey, eh = self.grid_step
+        gx, gy, gz = ground.x, ground.y, ground.z
         key = f"{self.master_seed}|{self.trial_index}|{role}|%d|%d|%d".encode()
         sha = hashlib.sha256
-        head = b"".join([sha(key % (i, j, k)).digest()[:8] for i, j, k in keys.tolist()])
-        # an infinite uniform never falls below p: the cells with p = 0.0
-        u = np.full(len(cells), np.inf)
-        # uint64 to float64 rounds as int / float does in _hash_uniform
-        u[drawn] = np.frombuffer(head, dtype=">u8") / 2.0**64
-        los = u < p
-        # the floor also catches a subnormal p, whose relative error is unbounded
-        exact |= np.abs(u - p) <= tol * p + sys.float_info.min
-        for idx in np.flatnonzero(exact):
-            los[idx] = self._los_at_cell(role, ground, tuple(map(int, cells[idx].tolist())))
-        return los
+        out = []
+        for i, j, k in cells:
+            _, _, elevation = _offset_geometry(i * ex - gx, j * ey - gy, k * eh - gz)
+            u = int.from_bytes(sha(key % (i, j, k)).digest()[:8], "big") / 2.0**64
+            out.append(u < los_probability(elevation, env))
+        return out
 
     def nlos_draws(self, role: str) -> tuple[NlosDraw, ...]:
         """The trial's multipath draws for one link role (cached, fixed order)."""

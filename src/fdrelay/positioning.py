@@ -16,7 +16,7 @@ import numpy as np
 from .channel import EnvParams, EnvironmentRealization, ROLE_S2V, ROLE_V2D, Vec3
 
 _TAG_TIEBREAK = 21  # seed purpose tag for equidistant-candidate tie breaking
-_BLOCK = 512  # ring cells evaluated per array pass
+_BLOCK = 512  # ring cells built per array pass
 _SLACK = 1e-9  # box membership tolerance, meters
 
 
@@ -209,23 +209,17 @@ def los_adjusted_position(
     p_star; exact distance ties are broken uniformly with the trial seed.
     Raises :class:`NoLosPositionError` once the box is exhausted.
 
-    Each ring is evaluated block by block as arrays: candidate coordinates,
-    the box test, the grid cells, then ``los_mask`` on the S2V link and, for
-    the cells that pass, on the V2D link. Every value is the one the
-    cell-by-cell loop computes (tests/oracles.py keeps that loop), so the
-    chosen point is the same to the bit.
+    Each ring is built block by block as arrays: candidate coordinates, the
+    box test and the grid cells. ``los_cells`` then decides the S2V link of
+    each in-box cell and the V2D link of those that pass. Every value is the
+    one the cell-by-cell loop computes (tests/oracles.py keeps that loop), so
+    the chosen point is the same to the bit.
     """
     if not box.contains(p_star):
         raise ValueError("designed position lies outside the feasible box")
-
-    def dual_los(x, y, z):
-        cells = env_real.quantize_xyz(x, y, z)
-        los = env_real.los_mask(ROLE_S2V, sn, cells)
-        if los.any():
-            los[los] = env_real.los_mask(ROLE_V2D, dn, cells[los])
-        return los
-
-    if dual_los(np.array([p_star.x]), np.array([p_star.y]), np.array([p_star.z]))[0]:
+    if env_real.los_indicator(ROLE_S2V, sn, p_star) and env_real.los_indicator(
+        ROLE_V2D, dn, p_star
+    ):
         return p_star
     if rng is None:
         rng = np.random.default_rng(
@@ -255,7 +249,10 @@ def los_adjusted_position(
             z = box.h_min + bk * eh
             inside = box.contains_xyz(x, y, z)
             x, y, z = x[inside], y[inside], z[inside]
-            los = dual_los(x, y, z)
+            cells = env_real.quantize_xyz(x, y, z)
+            los = np.array(env_real.los_cells(ROLE_S2V, sn, cells.tolist()), dtype=bool)
+            if los.any():
+                los[los] = env_real.los_cells(ROLE_V2D, dn, cells[los].tolist())
             hits.extend(zip(x[los].tolist(), y[los].tolist(), z[los].tolist()))
         if hits:
             origin = (p_star.x, p_star.y, p_star.z)

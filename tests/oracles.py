@@ -2,9 +2,10 @@
 
 Each oracle recomputes an answer from the raw problem statement with dense
 search instead of the library's algebra, so agreement is evidence rather
-than tautology. ``kink_point`` and ``los_ring_search`` are the exceptions:
-they are the plain per-candidate and per-cell loops that the solver's
-screened kink test and the array LoS ring search must reproduce bit for bit.
+than tautology. ``kink_point``, ``los_indicator`` and ``los_ring_search``
+are the exceptions: they are the plain per-candidate and per-cell loops that
+the solver's screened kink test, ``EnvironmentRealization.los_cells`` and
+the array LoS ring search must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ import math
 
 import numpy as np
 
-from fdrelay.channel import ROLE_S2V, ROLE_V2D, Vec3
+from fdrelay.channel import (
+    ROLE_S2V,
+    ROLE_V2D,
+    Vec3,
+    _hash_uniform,
+    link_geometry,
+    los_probability,
+)
 from fdrelay.positioning import _TAG_TIEBREAK, NoLosPositionError
 
 
@@ -162,19 +170,32 @@ def kink_point(points: np.ndarray, weights: np.ndarray):
     return None
 
 
+def los_indicator(env_real, role, ground, uav):
+    """LoS state of one ground-to-UAV link, straight from its definition.
+
+    The UAV snaps to its grid cell; the cell's sha256 uniform falls below the
+    logistic LoS probability at the elevation of the cell's center.
+    """
+    cell = env_real.quantize(uav)
+    ex, ey, eh = env_real.grid_step
+    _, angles = link_geometry(ground, Vec3(cell[0] * ex, cell[1] * ey, cell[2] * eh))
+    p = los_probability(angles.elevation, env_real.env)
+    return _hash_uniform(env_real.master_seed, env_real.trial_index, role, *cell) < p
+
+
 def los_ring_search(env_real, env, p_star, box, sn, dn, rng=None):
     """Nearest dual-LoS grid point around p_star, one cell at a time.
 
     Takes ``los_adjusted_position``'s arguments (``env`` is unused there too).
 
     Walks each cubic ring max(|i|, |j|, k) == t in (i, j, k) order, asks
-    ``los_indicator`` about every in-box member, and picks the hit closest to
-    p_star; exact distance ties go to a seeded uniform draw.
+    ``los_indicator`` above about every in-box member, and picks the hit
+    closest to p_star; exact distance ties go to a seeded uniform draw.
     """
 
     def both_los(cand):
-        return env_real.los_indicator(ROLE_S2V, sn, cand) and env_real.los_indicator(
-            ROLE_V2D, dn, cand
+        return los_indicator(env_real, ROLE_S2V, sn, cand) and los_indicator(
+            env_real, ROLE_V2D, dn, cand
         )
 
     if not box.contains(p_star):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import fdrelay.channel as channel
 from fdrelay.channel import (
     ROLE_S2D,
     ROLE_S2V,
@@ -28,6 +27,7 @@ from fdrelay.channel import (
     nlos_path_gain,
     steering_vector,
 )
+from oracles import los_indicator as los_indicator_oracle
 
 ENV = EnvParams()
 
@@ -237,36 +237,21 @@ class TestEnvironmentRealization:
 LOS_MODELS = ((11.95, 0.14), (27.23, 0.08), (100.0, 10.0))
 
 
-class TestLosMask:
-    """The array LoS field must equal los_indicator cell for cell."""
-
-    @staticmethod
-    def _both(real, role, ground, xyz):
-        """los_mask over the positions' cells, the cells it sent down the
-        scalar path, and los_indicator at each position."""
-        cells = real.quantize_xyz(xyz[:, 0], xyz[:, 1], xyz[:, 2])
-        scalar, seen = real._los_at_cell, []
-        real._los_at_cell = lambda r, g, c: seen.append(c) or scalar(r, g, c)
-        try:
-            mask = real.los_mask(role, ground, cells)
-        finally:
-            del real._los_at_cell
-        ref = [real.los_indicator(role, ground, Vec3(*row)) for row in xyz.tolist()]
-        return mask, np.array(ref, dtype=bool), seen
+class TestLosCells:
+    """los_cells must equal the per-cell definition of the LoS field."""
 
     @given(
         seed=st.integers(0, 2**31),
         trial=st.integers(0, 500),
         model=st.sampled_from(LOS_MODELS),
         step=st.sampled_from([(1.0, 1.0, 1.0), (0.5, 0.5, 2.5), (2.5, 2.5, 0.5)]),
-        ground_xy=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+        ground_xyz=st.tuples(st.integers(0, 40), st.integers(0, 40), st.sampled_from([0.0, 1.5])),
         role=st.sampled_from([ROLE_S2V, ROLE_V2D]),
-        wide_screen=st.booleans(),
     )
-    def test_matches_los_indicator(self, seed, trial, model, step, ground_xy, role, wide_screen):
+    def test_matches_oracle(self, seed, trial, model, step, ground_xyz, role):
         env = EnvParams(los_a=model[0], los_b=model[1])
         real = EnvironmentRealization(env, seed, trial, grid_step=step)
-        ground = Vec3(float(ground_xy[0]), float(ground_xy[1]), 0.0)
+        ground = Vec3(*map(float, ground_xyz))
         rng = np.random.default_rng(seed)
         xyz = np.column_stack(
             [rng.uniform(0, 60, 300), rng.uniform(0, 60, 300), rng.uniform(3.0, 120, 300)]
@@ -274,45 +259,33 @@ class TestLosMask:
         # cells straight above the ground node and on half-step rounding ties
         xyz[:20, :2] = ground.x, ground.y
         xyz[20:40] = np.round(xyz[20:40] / step) * step + 0.5 * np.asarray(step)
-        with pytest.MonkeyPatch.context() as mp:
-            if wide_screen:
-                mp.setattr(channel, "_LOS_SCREEN", math.inf)  # every cell on the scalar path
-            mask, ref, _ = self._both(real, role, ground, xyz)
-        assert np.array_equal(mask, ref)
+        cells = real.quantize_xyz(xyz[:, 0], xyz[:, 1], xyz[:, 2])
+        ref = [los_indicator_oracle(real, role, ground, Vec3(*row)) for row in xyz.tolist()]
+        assert real.los_cells(role, ground, cells.tolist()) == ref
+        assert real.los_cells(role, ground, cells.astype(float).tolist()) == ref
+        assert [real.los_indicator(role, ground, Vec3(*row)) for row in xyz.tolist()] == ref
 
-    def test_vertical_link_takes_scalar_path(self):
-        ground = Vec3(40.0, 30.0, 0.0)
-        xyz = np.array([[40.0, 30.0, h] for h in range(1, 60)] + [[41.0, 30.0, 5.0]])
-        for seed in range(20):
-            real = EnvironmentRealization(ENV, seed, 3)
-            mask, ref, seen = self._both(real, ROLE_V2D, ground, xyz)
-            assert np.array_equal(mask, ref)
-            assert [c for c in seen if c[:2] == (40, 30)] == [(40, 30, h) for h in range(1, 60)]
-
-    def test_exponent_at_overflow_takes_scalar_path(self):
-        # choose los_a so that one cell's exponent is math.exp's overflow edge
-        ground, cell = Vec3(0.0, 0.0, 0.0), (30, 40, 20)
-        _, angles = link_geometry(ground, Vec3(*map(float, cell)))
-        env = EnvParams(los_a=math.degrees(angles.elevation) + channel._EXP_MAX, los_b=1.0)
-        xyz = np.array([cell] + [(30, 40, h) for h in range(21, 21 + channel._ARRAY_MIN_CELLS)], dtype=float)
-        for seed in range(5):
-            real = EnvironmentRealization(env, seed, 0)
-            mask, ref, seen = self._both(real, ROLE_S2V, ground, xyz)
-            assert np.array_equal(mask, ref)
-            assert cell in seen
-
-    def test_empty_block_and_role_check(self):
+    def test_cell_on_the_ground_node_is_degenerate(self):
         real = EnvironmentRealization(ENV, 1, 1)
-        assert real.los_mask(ROLE_S2V, Vec3(0, 0, 0), np.zeros((0, 3))).dtype == bool
-        assert real.los_mask(ROLE_S2V, Vec3(0, 0, 0), np.zeros((0, 3))).shape == (0,)
+        with pytest.raises(DegenerateGeometryError):
+            real.los_cells(ROLE_S2V, Vec3(3.0, 4.0, 0.0), [(5, 5, 5), (3, 4, 0)])
+
+    def test_empty_and_role_check(self):
+        real = EnvironmentRealization(ENV, 1, 1)
+        assert real.los_cells(ROLE_S2V, Vec3(0, 0, 0), []) == []
         with pytest.raises(ValueError):
-            real.los_mask(ROLE_S2D, Vec3(0, 0, 0), np.zeros((1, 3)))
+            real.los_cells(ROLE_S2D, Vec3(0, 0, 0), [(1, 1, 1)])
 
     def test_quantize_xyz_matches_quantize(self):
         real = EnvironmentRealization(ENV, 0, 0, grid_step=(2.0, 1.0, 0.5))
         xyz = np.array([[3.1, 3.1, 3.1], [1.0, 0.5, 0.25], [3.0, 2.5, 0.75], [-1.0, -0.5, 5.0]])
         cells = real.quantize_xyz(xyz[:, 0], xyz[:, 1], xyz[:, 2])
+        assert cells.dtype == np.int64
         assert [tuple(c) for c in cells.tolist()] == [real.quantize(Vec3(*r)) for r in xyz.tolist()]
+        # cells past the int64 range stay integral floats
+        huge = np.array([2.0**70, 3.0, -(2.0**64)])
+        cells = real.quantize_xyz(huge, huge, huge)
+        assert [tuple(c) for c in cells.tolist()] == [real.quantize(Vec3(v, v, v)) for v in huge]
 
 
 class TestFarfieldChannel:

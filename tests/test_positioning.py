@@ -147,8 +147,8 @@ class _StubRealization(EnvironmentRealization):
         super().__init__(env, master_seed=0, trial_index=0, grid_step=grid_step)
         self._allowed = allowed_cells
 
-    def los_mask(self, role, ground, cells):
-        return np.array([tuple(c) in self._allowed for c in cells.tolist()], dtype=bool)
+    def los_cells(self, role, ground, cells):
+        return [tuple(c) in self._allowed for c in cells]
 
 
 class TestLosAdjustedPosition:
