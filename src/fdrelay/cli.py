@@ -1,5 +1,7 @@
 """Command-line front end: position reports, convergence traces, sweeps.
 
+`position`, `converge` and `trial` run the one trial named by --trial-index,
+so any trial of a sweep replays from its config, seed and trial index.
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure.
 All CSV output uses ',' separators and '.' decimals; reruns with the same
 seed and arguments produce byte-identical files.
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -19,6 +22,13 @@ from .positioning import approx_upper_bounds
 from .solver import SolverError
 
 
+def _trial_index(raw: str) -> int:
+    index = int(raw)
+    if index < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {index}")
+    return index
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdrelay",
@@ -26,41 +36,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def scenario_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", metavar="PATH", help="scenario config file")
         p.add_argument("--seed", type=int, metavar="N", help="override master_seed")
-        p.add_argument("--trials", type=int, metavar="N", help="override trial count")
-        p.add_argument("--workers", type=int, metavar="N", help="override worker count")
 
-    p_pos = sub.add_parser("position", help="report the optimal relay position")
-    common(p_pos)
+    def single_trial(name: str, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        scenario_flags(p)
+        p.add_argument(
+            "--trial-index", type=_trial_index, default=0, metavar="N", help="trial to run (default 0)"
+        )
+        return p
 
-    p_conv = sub.add_parser("converge", help="per-iteration trace of one trial")
-    common(p_conv)
+    single_trial("position", "report the optimal relay position of one trial")
+
+    p_conv = single_trial("converge", "per-iteration trace of one trial")
     p_conv.add_argument("--out", metavar="PATH", help="CSV path (default: stdout)")
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo sweep over one parameter")
-    common(p_sweep)
+    scenario_flags(p_sweep)
+    p_sweep.add_argument("--trials", type=int, metavar="N", help="override trial count")
+    p_sweep.add_argument("--workers", type=int, metavar="N", help="override worker count")
     p_sweep.add_argument(
         "--sweep", required=True, metavar="NAME=v1,v2,...", help="parameter and values"
     )
     p_sweep.add_argument("--out", required=True, metavar="PATH", help="CSV output path")
 
-    p_trial = sub.add_parser("trial", help="run one trial and print a JSON report")
-    common(p_trial)
+    p_trial = single_trial("trial", "run one trial and print a JSON report")
     p_trial.add_argument("--out", metavar="PATH", help="JSON path (default: stdout)")
 
     return parser
 
 
-def _scenario_from_args(args: argparse.Namespace) -> Scenario:
+def _scenario_from_args(args: argparse.Namespace, **flags: int | None) -> Scenario:
+    """Config file, then ``--seed`` and any other non-None flag overrides."""
     overrides = load_config(args.config) if args.config else {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.workers is not None:
-        overrides["workers"] = args.workers
+    flags["master_seed"] = args.seed
+    overrides.update({key: value for key, value in flags.items() if value is not None})
     return build_scenario(overrides)
 
 
@@ -70,7 +82,7 @@ def _fmt_vec(v: Vec3) -> str:
 
 def cmd_position(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    placement = place_relay(scenario, 0)
+    placement = place_relay(scenario, args.trial_index)
     dn, adjusted = placement.dn, placement.designed
     b_s2v, b_v2d = approx_upper_bounds(adjusted, scenario.budget, scenario.env, SOURCE, dn)
 
@@ -89,7 +101,7 @@ _CONVERGE_FIELDS = ("iteration", "rate", "si_gain", "s2d_gain", "p_s", "p_v")
 
 def cmd_converge(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    result = run_trial(scenario, 0)
+    result = run_trial(scenario, args.trial_index)
     rows = [
         (
             k,
@@ -128,7 +140,7 @@ def _parse_sweep_flag(flag: str) -> tuple[str, tuple[float, ...]]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _scenario_from_args(args)
+    scenario = _scenario_from_args(args, trials=args.trials, workers=args.workers)
     name, values = _parse_sweep_flag(args.sweep)
     try:
         spec = SweepSpec(param=name, values=values, base=scenario)
@@ -138,19 +150,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(OutputRow.FIELDS)
-        for row in rows:
-            writer.writerow(
-                (
-                    row.sweep_param,
-                    row.sweep_value,
-                    row.scheme,
-                    row.mean_rate_bps_hz,
-                    row.stderr,
-                    row.n_trials,
-                    row.mean_iters,
-                    row.fallback_frac,
-                )
-            )
+        writer.writerows(dataclasses.astuple(row) for row in rows)
     for row in rows:
         if row.scheme == "proposed":
             print(
@@ -164,7 +164,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_trial(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    result = run_trial(scenario, 0)
+    result = run_trial(scenario, args.trial_index)
     doc = {
         "trial_index": result.trial_index,
         "dn": [result.dn.x, result.dn.y, result.dn.z],
@@ -214,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _DISPATCH[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

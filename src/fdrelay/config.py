@@ -48,7 +48,7 @@ DEFAULTS: dict = {
     "alpha_los": 1.9,
     "alpha_nlos": 3.3,
     "L": 4,
-    "sigma_f": None,  # None: use 1/sqrt(L)
+    "sigma_f": None,  # None: use 1/sqrt(L); unused when L = 0
     "los_a": 11.95,
     "los_b": 0.14,
     "m_s": 4,
@@ -130,7 +130,8 @@ def build_scenario(overrides: dict | None = None) -> Scenario:
 
     sigma_f = cfg["sigma_f"]
     if sigma_f is None:
-        sigma_f = 1.0 / math.sqrt(cfg["L"])
+        # any positive value passes EnvParams when there are no NLoS rays
+        sigma_f = 1.0 / math.sqrt(cfg["L"]) if cfg["L"] > 0 else 1.0
 
     try:
         env = EnvParams(

@@ -41,6 +41,7 @@ from .positioning import (
     strict_upper_bounds,
 )
 from .rates import achievable_rates, effective_gains
+from .solver import SolverError
 
 _TAG_DN = 31
 _TAG_RANDPOS = 32
@@ -351,21 +352,25 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
 
 
 def _run_trial_tuple(args: tuple[Scenario, int]) -> TrialResult:
-    return run_trial(*args)
+    scenario, trial_index = args
+    try:
+        return run_trial(scenario, trial_index)
+    except SolverError as exc:
+        raise SolverError(
+            f"master_seed={scenario.master_seed} trial_index={trial_index}: {exc}"
+        ) from exc
 
 
 def run_trials(scenario: Scenario, trials: int | None = None) -> list[TrialResult]:
-    """All trials of a scenario, sorted by trial index regardless of workers."""
+    """All trials of a scenario in trial-index order, whatever the worker count."""
     n = scenario.trials if trials is None else trials
-    indices = list(range(n))
+    jobs = [(scenario, i) for i in range(n)]
     if scenario.workers > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=scenario.workers) as pool:
-            results = list(pool.map(_run_trial_tuple, [(scenario, i) for i in indices]))
-    else:
-        results = [run_trial(scenario, i) for i in indices]
-    return sorted(results, key=lambda r: r.trial_index)
+            return list(pool.map(_run_trial_tuple, jobs))
+    return list(map(_run_trial_tuple, jobs))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ import math
 
 import pytest
 
+from fdrelay import harness
 from fdrelay.cli import main
 from fdrelay.config import ConfigError, DEFAULTS, build_scenario, load_config, parse_config
-from fdrelay.harness import OutputRow
+from fdrelay.harness import OutputRow, place_relay, run_trial
+from fdrelay.solver import SolverError
 
 FAST_CFG = "dn_rule = fixed\ntrials = 2\nmaster_seed = 7\n"
 
@@ -88,6 +90,33 @@ class TestExitCodes:
 
     def test_success_is_zero(self, fast_config, capsys):
         assert main(["position", "--config", fast_config]) == 0
+
+    def test_unwritable_out_is_usage_error(self, fast_config, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "o.csv")
+        argv = ["sweep", "--config", fast_config, "--trials", "1", "--sweep", "array=2"]
+        assert main(argv + ["--out", out]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_failing_trial_is_named(self, fast_config, tmp_path, monkeypatch, capsys):
+        real = harness.run_trial
+
+        def fail_trial_1(scenario, trial_index):
+            if trial_index == 1:
+                raise SolverError("stub failure")
+            return real(scenario, trial_index)
+
+        monkeypatch.setattr(harness, "run_trial", fail_trial_1)
+        out = str(tmp_path / "o.csv")
+        argv = ["sweep", "--config", fast_config, "--sweep", "array=2", "--out", out]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "master_seed=7 trial_index=1" in err and "stub failure" in err
+
+    def test_trial_index_and_flag_scope(self, fast_config, capsys):
+        assert main(["trial", "--config", fast_config, "--trial-index", "-1"]) == 2
+        assert main(["converge", "--config", fast_config, "--trial-index", "x"]) == 2
+        assert main(["position", "--config", fast_config, "--trials", "5"]) == 2
+        assert main(["trial", "--config", fast_config, "--workers", "2"]) == 2
 
 
 class TestPositionCommand:
@@ -190,6 +219,53 @@ class TestSweepCommand:
         )
 
 
+class TestTrialIndex:
+    """Single-trial commands replay trial N of the configured scenario."""
+
+    @pytest.fixture
+    def disk_config(self, tmp_path):
+        # drawn destinations, so trial 3 differs from trial 0
+        path = tmp_path / "disk.cfg"
+        path.write_text("trials = 2\nmaster_seed = 7\n")
+        return str(path)
+
+    def test_converge_replays_trial(self, disk_config, capsys):
+        assert main(["converge", "--config", disk_config, "--trial-index", "3"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        result = run_trial(build_scenario(load_config(disk_config)), 3)
+        assert [float(r["rate"]) for r in rows] == list(result.rate_trace)
+        assert [float(r["si_gain"]) for r in rows] == list(result.si_gain_trace)
+        assert [float(r["s2d_gain"]) for r in rows] == list(result.s2d_gain_trace)
+        assert [(float(r["p_s"]), float(r["p_v"])) for r in rows] == list(result.power_trace)
+
+    def test_trial_replays_trial(self, disk_config, capsys):
+        assert main(["trial", "--config", disk_config, "--trial-index", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        result = run_trial(build_scenario(load_config(disk_config)), 3)
+        assert doc["trial_index"] == 3
+        assert doc["rates"] == result.rates
+        assert doc["dn"] == [result.dn.x, result.dn.y, result.dn.z]
+
+    def test_position_replays_trial(self, disk_config, capsys):
+        assert main(["position", "--config", disk_config, "--trial-index", "3"]) == 0
+        third = capsys.readouterr().out
+        assert main(["position", "--config", disk_config]) == 0
+        assert third != capsys.readouterr().out
+        lines = dict(l.split(" = ", 1) for l in third.strip().splitlines())
+        placement = place_relay(build_scenario(load_config(disk_config)), 3)
+        expected = {"dn": placement.dn, "p_star": placement.p_star, "adjusted": placement.designed}
+        for key, v in expected.items():
+            assert lines[key] == f"({v.x!r}, {v.y!r}, {v.z!r})"
+        assert float(lines["rho_star"]) == placement.rho
+        assert lines["fallback"] == str(int(placement.fallback))
+
+    def test_index_zero_is_the_default(self, disk_config, capsys):
+        assert main(["trial", "--config", disk_config]) == 0
+        default = capsys.readouterr().out
+        assert main(["trial", "--config", disk_config, "--trial-index", "0"]) == 0
+        assert capsys.readouterr().out == default
+
+
 class TestTrialCommand:
     def test_json_report(self, fast_config, tmp_path, capsys):
         out = tmp_path / "trial.json"
@@ -205,3 +281,13 @@ class TestTrialCommand:
         assert main(["trial", "--config", fast_config]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["fallback"] in (False, True)
+
+    def test_no_nlos_rays(self, tmp_path, capsys):
+        # with no sigma_f set, L = 0 used to divide by sqrt(0)
+        path = tmp_path / "los_only.cfg"
+        path.write_text(FAST_CFG + "L = 0\n")
+        assert main(["trial", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["rates"]["proposed"] > 0
+        path.write_text(FAST_CFG + "L = -1\n")
+        assert main(["trial", "--config", str(path)]) == 2
+        assert "NLoS path count" in capsys.readouterr().err
