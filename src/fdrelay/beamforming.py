@@ -41,21 +41,26 @@ class Beamformer:
 
 @dataclass(frozen=True)
 class SuppressionSchedule:
-    """Interference-cap schedule eta_i = floor + mu_i, tightened by kappa."""
+    """Interference-cap schedule: each solve caps its interference at
+    eta_floor + mu, with mu shrunk by kappa before every solve.
+
+    ``mu_si`` bounds the relay's self-interference path and ``mu_s2d`` the
+    direct source-to-destination path; they hold the paper's mu2 and mu4, the
+    levels of the last relay-transmit and destination solves. A pass starts its
+    relay-receive (mu1) and source (mu3) solves one kappa step below them.
+    """
 
     eta_floor: float
     kappa: float
-    mu1: float = 0.0
-    mu2: float = 0.0
-    mu3: float = 0.0
-    mu4: float = 0.0
+    mu_si: float = 0.0
+    mu_s2d: float = 0.0
 
     def __post_init__(self) -> None:
         if self.eta_floor < 0:
             raise ValueError("eta floor must be nonnegative")
         if self.kappa <= 1:
             raise ValueError("kappa must exceed 1")
-        if min(self.mu1, self.mu2, self.mu3, self.mu4) < 0:
+        if min(self.mu_si, self.mu_s2d) < 0:
             raise ValueError("suppression state must be nonnegative")
 
 
@@ -69,23 +74,33 @@ def eta_floor_rule(p_s_tot: float, p_v_tot: float, noise1: float, noise2: float)
 
 @dataclass(frozen=True)
 class AisState:
-    """Loop state: the four beamformers, schedule, powers, and traces."""
+    """Loop state: the four beamformers, schedule, and per-iteration traces."""
 
     w_s: Beamformer
     w_r: Beamformer
     w_t: Beamformer
     w_d: Beamformer
     schedule: SuppressionSchedule
-    powers: PowerPair
-    gains: EffectiveGains
     rate_trace: tuple[float, ...]
     gain_trace: tuple[EffectiveGains, ...]
     power_trace: tuple[PowerPair, ...]
-    k: int
 
     def __post_init__(self) -> None:
-        if len(self.rate_trace) != self.k + 1:
-            raise ValueError("rate trace must hold one entry per iteration plus the start")
+        if not 0 < len(self.rate_trace) == len(self.gain_trace) == len(self.power_trace):
+            raise ValueError("the three traces must be non-empty and of equal length")
+
+    @property
+    def k(self) -> int:
+        """Completed passes; the traces also hold the start."""
+        return len(self.rate_trace) - 1
+
+    @property
+    def powers(self) -> PowerPair:
+        return self.power_trace[-1]
+
+    @property
+    def gains(self) -> EffectiveGains:
+        return self.gain_trace[-1]
 
 
 def init_beamformers(
@@ -232,14 +247,12 @@ def cm_repair(
     )
 
 
-def initial_state(links: LinkSet, budget: LinkBudget, schedule: SuppressionSchedule) -> AisState:
-    """Steering-vector start with its interference levels, powers, and rate."""
-    w_s, w_r, w_t, w_d = init_beamformers(
-        links.upa_s, links.upa_r, links.upa_t, links.upa_d, links.s2v_angles, links.v2d_angles
-    )
-    mu2 = float(abs(np.vdot(w_r.weights, links.si.entries @ w_t.weights)))
-    mu4 = float(abs(np.vdot(w_d.weights, links.s2d.entries @ w_s.weights)))
-    schedule = replace(schedule, mu1=mu2, mu2=mu2, mu3=mu4, mu4=mu4)
+def _evaluated_state(
+    prev: AisState | None, links: LinkSet, budget: LinkBudget, schedule: SuppressionSchedule,
+    w_s: Beamformer, w_r: Beamformer, w_t: Beamformer, w_d: Beamformer,
+) -> AisState:
+    """Gains, optimal powers and rate of four beamformers, appended to the
+    traces of ``prev``, or starting them when ``prev`` is None."""
     gains = effective_gains(
         w_s.weights, w_r.weights, w_t.weights, w_d.weights,
         links.s2v.entries, links.si.entries, links.v2d.entries, links.s2d.entries,
@@ -247,71 +260,47 @@ def initial_state(links: LinkSet, budget: LinkBudget, schedule: SuppressionSched
     powers = optimal_powers(gains, budget.p_s_tot, budget.p_v_tot, budget.noise1, budget.noise2)
     _, _, r = achievable_rates(gains, powers, budget.noise1, budget.noise2)
     return AisState(
-        w_s=w_s,
-        w_r=w_r,
-        w_t=w_t,
-        w_d=w_d,
-        schedule=schedule,
-        powers=powers,
-        gains=gains,
-        rate_trace=(r,),
-        gain_trace=(gains,),
-        power_trace=(powers,),
-        k=0,
+        w_s, w_r, w_t, w_d, schedule,
+        rate_trace=(prev.rate_trace if prev else ()) + (r,),
+        gain_trace=(prev.gain_trace if prev else ()) + (gains,),
+        power_trace=(prev.power_trace if prev else ()) + (powers,),
     )
+
+
+def initial_state(links: LinkSet, budget: LinkBudget, schedule: SuppressionSchedule) -> AisState:
+    """Steering-vector start with its interference levels, powers, and rate."""
+    w_s, w_r, w_t, w_d = init_beamformers(
+        links.upa_s, links.upa_r, links.upa_t, links.upa_d, links.s2v_angles, links.v2d_angles
+    )
+    schedule = replace(
+        schedule,
+        mu_si=float(abs(np.vdot(w_r.weights, links.si.entries @ w_t.weights))),
+        mu_s2d=float(abs(np.vdot(w_d.weights, links.s2d.entries @ w_s.weights))),
+    )
+    return _evaluated_state(None, links, budget, schedule, w_s, w_r, w_t, w_d)
 
 
 def ais_iterate(state: AisState, links: LinkSet, budget: LinkBudget) -> AisState:
     """One alternating pass over the four arrays plus the power update."""
     sch = state.schedule
-    eta0 = sch.eta_floor
     h_s2v = links.s2v.entries
     h_v2d = links.v2d.entries
     h_s2d = links.s2d.entries
     h_si = links.si.entries
 
-    mu1 = sch.mu2 / sch.kappa
-    w_r_raw = solve_bf_subproblem(
-        h_s2v @ state.w_s.weights, h_si @ state.w_t.weights, eta0 + mu1, state.w_r.cap
-    )
-    w_r = normalize_cm(w_r_raw, state.w_r.cap)
+    def update(w: Beamformer, h_sig: np.ndarray, h_int: np.ndarray, mu: float) -> Beamformer:
+        return normalize_cm(solve_bf_subproblem(h_sig, h_int, sch.eta_floor + mu, w.cap), w.cap)
 
-    mu2 = mu1 / sch.kappa
-    w_t_raw = solve_bf_subproblem(
-        h_v2d.conj().T @ state.w_d.weights, h_si.conj().T @ w_r.weights, eta0 + mu2, state.w_t.cap
-    )
-    w_t = normalize_cm(w_t_raw, state.w_t.cap)
-
-    mu3 = sch.mu4 / sch.kappa
-    w_s_raw = solve_bf_subproblem(
-        h_s2v.conj().T @ w_r.weights, h_s2d.conj().T @ state.w_d.weights, eta0 + mu3, state.w_s.cap
-    )
-    w_s = normalize_cm(w_s_raw, state.w_s.cap)
-
-    mu4 = mu3 / sch.kappa
-    w_d_raw = solve_bf_subproblem(
-        h_v2d @ w_t.weights, h_s2d @ w_s.weights, eta0 + mu4, state.w_d.cap
-    )
-    w_d = normalize_cm(w_d_raw, state.w_d.cap)
-
-    gains = effective_gains(
-        w_s.weights, w_r.weights, w_t.weights, w_d.weights, h_s2v, h_si, h_v2d, h_s2d
-    )
-    powers = optimal_powers(gains, budget.p_s_tot, budget.p_v_tot, budget.noise1, budget.noise2)
-    _, _, r = achievable_rates(gains, powers, budget.noise1, budget.noise2)
-    return AisState(
-        w_s=w_s,
-        w_r=w_r,
-        w_t=w_t,
-        w_d=w_d,
-        schedule=replace(sch, mu1=mu1, mu2=mu2, mu3=mu3, mu4=mu4),
-        powers=powers,
-        gains=gains,
-        rate_trace=state.rate_trace + (r,),
-        gain_trace=state.gain_trace + (gains,),
-        power_trace=state.power_trace + (powers,),
-        k=state.k + 1,
-    )
+    mu1 = sch.mu_si / sch.kappa
+    mu_si = mu1 / sch.kappa
+    mu3 = sch.mu_s2d / sch.kappa
+    mu_s2d = mu3 / sch.kappa
+    w_r = update(state.w_r, h_s2v @ state.w_s.weights, h_si @ state.w_t.weights, mu1)
+    w_t = update(state.w_t, h_v2d.conj().T @ state.w_d.weights, h_si.conj().T @ w_r.weights, mu_si)
+    w_s = update(state.w_s, h_s2v.conj().T @ w_r.weights, h_s2d.conj().T @ state.w_d.weights, mu3)
+    w_d = update(state.w_d, h_v2d @ w_t.weights, h_s2d @ w_s.weights, mu_s2d)
+    schedule = replace(sch, mu_si=mu_si, mu_s2d=mu_s2d)
+    return _evaluated_state(state, links, budget, schedule, w_s, w_r, w_t, w_d)
 
 
 def run_ais(

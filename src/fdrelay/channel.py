@@ -270,18 +270,25 @@ class EnvironmentRealization:
         self._nlos_cache: dict[str, tuple[NlosDraw, ...]] = {}
 
     def quantize(self, position: Vec3) -> tuple[int, int, int]:
-        """Snap a position to its LoS-field cell (absolute grid from origin)."""
-        ex, ey, eh = self.grid_step
-        return (round(position.x / ex), round(position.y / ey), round(position.z / eh))
+        """Snap a position to its LoS-field cell: quantize_xyz of one point."""
+        cell = self.quantize_xyz(
+            np.array([position.x]), np.array([position.y]), np.array([position.z])
+        )[0]
+        return tuple(int(c) for c in cell.tolist())
 
     def quantize_xyz(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """quantize() of many positions: an (n, 3) array of grid cells.
+        """Snap many positions to their LoS-field cells (absolute grid from the
+        origin): an (n, 3) array of grid cells.
 
-        np.rint rounds half to even, as round() does. The cells are int64
-        unless one lies beyond 2**62; then they stay integral floats.
+        np.rint rounds half to even. A position above the ground gets height
+        layer 1 or more, so it never shares the ground nodes' layer 0. The
+        cells are int64 unless one lies beyond 2**62; then they stay integral
+        floats.
         """
         ex, ey, eh = self.grid_step
-        cells = np.column_stack((np.rint(x / ex), np.rint(y / ey), np.rint(z / eh)))
+        k = np.rint(z / eh)
+        k = np.where((z > 0) & (k < 1), 1.0, k)
+        cells = np.column_stack((np.rint(x / ex), np.rint(y / ey), k))
         if np.abs(cells).max(initial=0.0) < 2.0**62:
             return cells.astype(np.int64)
         return cells

@@ -13,6 +13,8 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import stat
 import sys
 
 from .channel import Vec3
@@ -146,11 +148,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec = SweepSpec(param=name, values=values, base=scenario)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = run_sweep(spec)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(OutputRow.FIELDS)
-        writer.writerows(dataclasses.astuple(row) for row in rows)
+    # opened before the first trial, so a bad path fails at once; a failed
+    # sweep removes the file, but never a link or a device such as /dev/stdout
+    out = open(args.out, "w", encoding="utf-8", newline="")
+    try:
+        with out:
+            rows = run_sweep(spec)
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(OutputRow.FIELDS)
+            writer.writerows(dataclasses.astuple(row) for row in rows)
+    except BaseException:
+        if stat.S_ISREG(os.lstat(args.out).st_mode):
+            os.remove(args.out)
+        raise
     for row in rows:
         if row.scheme == "proposed":
             print(

@@ -18,25 +18,7 @@ class ConfigError(ValueError):
     """Raised for unknown keys, malformed lines, or values of the wrong type."""
 
 
-_INT_KEYS = frozenset(
-    {
-        "L",
-        "trials",
-        "master_seed",
-        "max_iters",
-        "m_s",
-        "n_s",
-        "m_r",
-        "n_r",
-        "m_t",
-        "n_t",
-        "m_d",
-        "n_d",
-        "workers",
-    }
-)
-_STR_KEYS = frozenset({"dn_rule"})
-
+# a config value parses to the type of its default (see _convert)
 DEFAULTS: dict = {
     "h_min": 100.0,
     "h_max": 300.0,
@@ -78,10 +60,12 @@ DEFAULTS: dict = {
 
 
 def _convert(key: str, raw: str):
-    if key in _STR_KEYS:
+    """Parse a value as the type of its default; sigma_f's None reads as float."""
+    default = DEFAULTS[key]
+    if isinstance(default, str):
         return raw
     try:
-        if key in _INT_KEYS:
+        if isinstance(default, int):
             return int(raw)
         value = float(raw)
     except ValueError as exc:

@@ -198,7 +198,9 @@ def _fill_free_elements(
     """Greedy fill of residual-zero elements to move w^H i_hat by rhs.
 
     Elements are taken in decreasing interference magnitude, so at most one
-    of them lands strictly inside its cap.
+    of them lands strictly inside its cap. A subnormal element would overflow
+    both divisions: it saturates its cap, and an exact power of two lifts it
+    for its phase, as in the matched filter.
     """
     remaining = abs(rhs)
     if remaining == 0.0 or idx.size == 0:
@@ -206,9 +208,13 @@ def _fill_free_elements(
     psi = cmath.phase(rhs)
     order = idx[np.argsort(-np.abs(i_hat[idx]))]
     for k in order:
-        mag = min(cap, remaining / abs(i_hat[k]))
+        i_k = i_hat[k]
+        if abs(i_k) < _NORMAL_MIN:
+            mag, i_k = cap, i_k * 2.0**512
+        else:
+            mag = min(cap, remaining / abs(i_k))
         # conj(w_k) * i_hat_k contributes mag*|i_hat_k| at phase psi
-        w[k] = mag * cmath.exp(-1j * psi) * i_hat[k] / abs(i_hat[k])
+        w[k] = mag * cmath.exp(-1j * psi) * i_k / abs(i_k)
         remaining -= mag * abs(i_hat[k])
         if remaining <= 0:
             break

@@ -90,7 +90,7 @@ class TestSchedule:
         with pytest.raises(ValueError):
             SuppressionSchedule(eta_floor=0.0, kappa=1.0)
         with pytest.raises(ValueError):
-            SuppressionSchedule(eta_floor=0.0, kappa=10, mu1=-0.1)
+            SuppressionSchedule(eta_floor=0.0, kappa=10, mu_si=-0.1)
 
 
 class TestInitBeamformers:
@@ -233,17 +233,21 @@ class TestInitialState:
         assert len(state.gain_trace) == 1
         assert len(state.power_trace) == 1
         assert all(bf.cm_flag for bf in (state.w_s, state.w_r, state.w_t, state.w_d))
-        mu2 = abs(np.vdot(state.w_r.weights, links.si.entries @ state.w_t.weights))
-        mu4 = abs(np.vdot(state.w_d.weights, links.s2d.entries @ state.w_s.weights))
-        assert state.schedule.mu1 == state.schedule.mu2 == pytest.approx(mu2)
-        assert state.schedule.mu3 == state.schedule.mu4 == pytest.approx(mu4)
+        mu_si = abs(np.vdot(state.w_r.weights, links.si.entries @ state.w_t.weights))
+        mu_s2d = abs(np.vdot(state.w_d.weights, links.s2d.entries @ state.w_s.weights))
+        assert state.schedule.mu_si == pytest.approx(mu_si)
+        assert state.schedule.mu_s2d == pytest.approx(mu_s2d)
+        assert state.gains == state.gain_trace[0]
+        assert state.powers == state.power_trace[0]
         assert state.rate_trace[0] > 0
 
     def test_trace_length_validation(self):
         links = _links()
         state = initial_state(links, _budget(), _schedule())
         with pytest.raises(ValueError, match="trace"):
-            replace(state, k=3)
+            replace(state, rate_trace=state.rate_trace * 2)
+        with pytest.raises(ValueError, match="trace"):
+            replace(state, rate_trace=(), gain_trace=(), power_trace=())
 
 
 class TestAisIterate:
@@ -255,10 +259,9 @@ class TestAisIterate:
         assert s1.k == 1
         assert len(s1.rate_trace) == 2
         assert s1.rate_trace[0] == s0.rate_trace[0]
-        assert s1.schedule.mu1 == s0.schedule.mu2 / s0.schedule.kappa
-        assert s1.schedule.mu2 == s1.schedule.mu1 / s0.schedule.kappa
-        assert s1.schedule.mu3 == s0.schedule.mu4 / s0.schedule.kappa
-        assert s1.schedule.mu4 == s1.schedule.mu3 / s0.schedule.kappa
+        kappa = s0.schedule.kappa
+        assert s1.schedule.mu_si == (s0.schedule.mu_si / kappa) / kappa
+        assert s1.schedule.mu_s2d == (s0.schedule.mu_s2d / kappa) / kappa
         assert all(bf.cm_flag for bf in (s1.w_s, s1.w_r, s1.w_t, s1.w_d))
 
     def test_zero_interference_channels_give_matched_filters(self):

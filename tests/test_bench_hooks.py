@@ -1,0 +1,28 @@
+"""The trial benchmark's spans replace fdrelay functions by module attribute.
+
+A binding that no longer exists, or a call that no longer goes through the
+module attribute, would silently drop a layer from the benchmark's figures.
+"""
+
+from collections import Counter
+
+from fdrelay import config, harness
+from trialbench.spans import _NAME, SPAN_BINDINGS, Tracer
+
+
+def test_every_span_binding_exists():
+    for owner, attr, name in SPAN_BINDINGS:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} ({name})"
+
+
+def test_traced_trial_calls_every_binding_and_four_solves_per_pass():
+    tracer = Tracer()
+    with tracer.installed():
+        scenario = config.build_scenario({"dn_rule": "fixed", "master_seed": 7})
+        result = harness.run_trial(scenario, 0)
+    calls = Counter(rec[_NAME] for rec in tracer.spans)
+    assert {name for _, _, name in SPAN_BINDINGS} <= set(calls)
+    passes = result.iters["proposed"] + result.iters["randpos_ais"]
+    assert passes > 0
+    assert calls["beamforming.ais_iterate"] == passes
+    assert calls["solver.solve_bf_subproblem"] == 4 * passes

@@ -233,6 +233,15 @@ class TestEnvironmentRealization:
         real = EnvironmentRealization(ENV, 0, 0, grid_step=(2.0, 1.0, 0.5))
         assert real.quantize(Vec3(3.1, 3.1, 3.1)) == (2, 3, 6)
 
+    def test_positions_above_ground_skip_the_ground_layer(self):
+        # a relay below half a height step used to share layer 0 with the
+        # ground nodes, where a cell over a node has no elevation
+        real = EnvironmentRealization(ENV, 0, 0, grid_step=(1.0, 1.0, 2.5))
+        assert real.quantize(Vec3(3.0, 4.0, 0.4)) == (3, 4, 1)
+        assert real.quantize(Vec3(3.0, 4.0, 1.25)) == (3, 4, 1)
+        assert real.quantize(Vec3(3.0, 4.0, 0.0)) == (3, 4, 0)
+        assert real.quantize(Vec3(3.0, 4.0, 3.8)) == (3, 4, 2)
+
 
 LOS_MODELS = ((11.95, 0.14), (27.23, 0.08), (100.0, 10.0))
 

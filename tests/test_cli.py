@@ -97,6 +97,31 @@ class TestExitCodes:
         assert main(argv + ["--out", out]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_out_fails_before_the_first_trial(self, fast_config, tmp_path, monkeypatch, capsys):
+        trials = []
+        real = harness.run_trial
+        monkeypatch.setattr(harness, "run_trial", lambda s, i: trials.append(i) or real(s, i))
+        out = str(tmp_path / "missing" / "o.csv")
+        assert main(["sweep", "--config", fast_config, "--sweep", "array=2,4", "--out", out]) == 2
+        assert trials == []
+
+    def test_failed_sweep_leaves_no_csv(self, fast_config, tmp_path, monkeypatch, capsys):
+        def fail(scenario, trial_index):
+            raise SolverError("stub failure")
+
+        monkeypatch.setattr(harness, "run_trial", fail)
+        out = tmp_path / "o.csv"
+        argv = ["sweep", "--config", fast_config, "--sweep", "array=2", "--out"]
+        assert main(argv + [str(out)]) == 3
+        assert not out.exists()
+        # a link is left in place, as a device like /dev/stdout would be
+        target = tmp_path / "target.csv"
+        target.write_text("kept\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(argv + [str(link)]) == 3
+        assert link.is_symlink() and target.exists()
+
     def test_failing_trial_is_named(self, fast_config, tmp_path, monkeypatch, capsys):
         real = harness.run_trial
 
@@ -144,6 +169,17 @@ class TestPositionCommand:
         lines = dict(l.split(" = ", 1) for l in capsys.readouterr().out.strip().splitlines())
         assert lines["fallback"] == "1"
         assert lines["adjusted"] == lines["p_star"]
+
+
+    def test_floor_below_half_a_height_step(self, tmp_path, capsys):
+        # h_min < eps_h / 2 used to put the relay's LoS cell on the ground
+        # layer, where a cell over the source exited 2 on "endpoints coincide"
+        path = tmp_path / "low.cfg"
+        path.write_text("h_min = 0.4\nh_max = 0.4\np_s_tot_dbm = -60\ndn_rule = fixed\n")
+        assert main(["position", "--config", str(path)]) == 0
+        lines = dict(l.split(" = ", 1) for l in capsys.readouterr().out.strip().splitlines())
+        assert lines["p_star"] == "(0.0, 0.0, 0.4)"
+        assert lines["adjusted"].endswith(", 0.4)")
 
 
 class TestConvergeCommand:

@@ -197,6 +197,37 @@ class TestRunTrial:
             assert info.cap_violation <= CAP_TOL
 
 
+class TestOddArrays:
+    """Trials on single-element and mixed array shapes run like the 4x4 default."""
+
+    @pytest.mark.parametrize(
+        "shapes", [((1, 1),) * 4, ((1, 4), (2, 1), (3, 1), (1, 1)), ((2, 1), (1, 1), (1, 4), (3, 1))]
+    )
+    def test_solves_certify_and_powers_stay_in_budget(self, monkeypatch, shapes):
+        upa_s, upa_r, upa_t, upa_d = (UpaSpec(m, n) for m, n in shapes)
+        scenario = Scenario(upa_s=upa_s, upa_r=upa_r, upa_t=upa_t, upa_d=upa_d, master_seed=7)
+        infos = []
+
+        def audited(h_sig, h_int, eta, cap):
+            w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
+            infos.append(info)
+            return w
+
+        monkeypatch.setattr(beamforming, "solve_bf_subproblem", audited)
+        for trial in range(4):
+            res = run_trial(scenario, trial)
+            assert all(math.isfinite(r) for r in res.rates.values())
+            assert all(math.isfinite(r) for r in res.rate_trace)
+            for p_s, p_v in res.power_trace:
+                assert 0.0 <= p_s <= scenario.p_s_tot
+                assert 0.0 <= p_v <= scenario.p_v_tot
+        assert infos
+        for info in infos:
+            assert info.gap <= GAP_TOL
+            assert info.int_violation <= FEAS_TOL
+            assert info.cap_violation <= CAP_TOL
+
+
 class TestPlacementPin:
     # sha256 over the designed position (float.hex) and the fallback flag of
     # trials 0-39 of three configs; recorded with numpy 2.4.6 at the scalar

@@ -82,6 +82,26 @@ class TestCertificates:
         assert w[0] == pytest.approx(0.25 * np.exp(0.25j * np.pi), abs=1e-15)
         assert w[1] == 0.25 and w[2] == 0.25j
 
+    def test_subnormal_interference_element_certifies(self):
+        # the free-element fill divided by |i_hat_0| ~ 1.6e-311 and overflowed,
+        # which left a NaN gap; with i_hat_0 = 0 the same solve certifies
+        n = 7
+        cap = 1.0 / math.sqrt(n)
+        h_sig = np.array([0, 1, 0, 0, 1, 0, 0], dtype=complex)
+        infos = []
+        for h0 in (2.225073858507e-311, 0.0):
+            h_int = np.array([h0, 1, 0, 0, 1j, 0, 0])
+            eta = 0.5 * cap * np.sum(np.abs(h_int))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
+            assert info.method == "dual"
+            assert info.gap <= GAP_TOL
+            assert info.int_violation <= FEAS_TOL
+            assert np.max(np.abs(w)) <= cap + CAP_TOL
+            infos.append(info)
+        assert infos[0].objective == pytest.approx(infos[1].objective, rel=1e-12)
+
     def test_zero_signal_returns_zero_vector(self):
         w, info = solve_bf_subproblem_report(
             np.zeros(4, complex), np.ones(4, complex), 0.1, 0.5
