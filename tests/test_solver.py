@@ -102,6 +102,29 @@ class TestCertificates:
             infos.append(info)
         assert infos[0].objective == pytest.approx(infos[1].objective, rel=1e-12)
 
+    @pytest.mark.parametrize("sig_flat, int_flat, eta_frac", [
+        ([-2.0, 0.0, 0.0, 1e-08, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
+         [-1.5, 1.5, -2.0, 2.0, 0.0, -1.0, 0.0, 0.0, -0.5, 1.5], 0.53125),
+        ([-1.5, 0.0, 0.0, 1e-08, 1.0, 1.0, 1.0, 2.0, 0.0, 2.0],
+         [-1.5, 1.5625, -1.0, 1.75, -0.5, -0.875, 0.0, 0.0, -0.5, 1.625], 0.5078125),
+    ])
+    def test_smooth_minimizer_beside_near_origin_ratio_point_certifies(
+        self, sig_flat, int_flat, eta_frac
+    ):
+        # element 3's ratio point lies ~5e-9 from the origin and the smooth
+        # minimizer ~1e-9 from both: snapped to zero, it left element 3
+        # saturated along a noise phase, and neither route certified
+        h_sig, h_int = _to_vec(sig_flat), _to_vec(int_flat)
+        cap = 1.0 / math.sqrt(h_sig.size)
+        eta = eta_frac * cap * np.sum(np.abs(h_int))
+        w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
+        assert info.method == "dual"
+        assert info.gap <= GAP_TOL
+        assert info.int_violation <= FEAS_TOL
+        assert np.max(np.abs(w)) <= cap + CAP_TOL
+        assert abs(np.vdot(w, h_int)) <= eta + FEAS_TOL * np.linalg.norm(h_int)
+        assert np.vdot(w, h_sig).real == pytest.approx(info.objective, rel=1e-12)
+
     def test_zero_signal_returns_zero_vector(self):
         w, info = solve_bf_subproblem_report(
             np.zeros(4, complex), np.ones(4, complex), 0.1, 0.5
