@@ -6,10 +6,10 @@ matrices of the three links (source-to-UAV, UAV-to-destination, and the blocked
 source-to-destination interference path), and the near-field self-interference
 channel between the relay's transmit and receive panels.
 
-All randomness flows through :class:`EnvironmentRealization`, which derives
-every stream from ``(master_seed, trial_index)`` plus a purpose tag, so a trial
-replays bit-exactly and blockage is a property of the environment rather than
-of query order.
+Every random stream of a trial comes from :func:`trial_rng`, keyed by
+``(master_seed, trial_index)`` plus one of the purpose tags below, so a trial
+replays bit-exactly. :class:`EnvironmentRealization` holds the environment's
+share: blockage is a property of the environment rather than of query order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,18 @@ ROLE_SI = "SI"
 FARFIELD_ROLES = (ROLE_S2V, ROLE_V2D, ROLE_S2D)
 
 _ROLE_IDS = {ROLE_S2V: 1, ROLE_V2D: 2, ROLE_S2D: 3, ROLE_SI: 4}
-_TAG_NLOS = 11  # seed purpose tag for per-role multipath draws
+
+# purpose tags of the trial streams (see trial_rng)
+TAG_NLOS = 11  # per-role multipath draws, followed by the role id
+TAG_TIEBREAK = 21  # equidistant LoS candidates in the placement search
+TAG_DN = 31  # destination draw
+TAG_RANDPOS = 32  # random-position baseline
+TAG_MISALIGN = 33  # beam pointing errors
+
+
+def trial_rng(master_seed: int, trial_index: int, *tag: int) -> np.random.Generator:
+    """The trial's random stream for one purpose tag (plus any sub-keys)."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, trial_index, *tag)))
 
 
 class DegenerateGeometryError(ValueError):
@@ -235,15 +246,6 @@ def _hash_uniform(*key_parts) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
-@dataclass(frozen=True)
-class NlosDraw:
-    """Raw per-path draws; the distance-dependent factor is applied later."""
-
-    departure: AngleSet
-    arrival: AngleSet
-    gain_draw: complex
-
-
 class EnvironmentRealization:
     """Seeded, position-consistent randomness for one Monte Carlo trial.
 
@@ -267,7 +269,7 @@ class EnvironmentRealization:
         self.master_seed = int(master_seed)
         self.trial_index = int(trial_index)
         self.grid_step = tuple(float(s) for s in grid_step)
-        self._nlos_cache: dict[str, tuple[NlosDraw, ...]] = {}
+        self._nlos_cache: dict[str, tuple[PathComponent, ...]] = {}
 
     def quantize(self, position: Vec3) -> tuple[int, int, int]:
         """Snap a position to its LoS-field cell: quantize_xyz of one point."""
@@ -319,15 +321,16 @@ class EnvironmentRealization:
             out.append(u < los_probability(elevation, env))
         return out
 
-    def nlos_draws(self, role: str) -> tuple[NlosDraw, ...]:
-        """The trial's multipath draws for one link role (cached, fixed order)."""
+    def nlos_draws(self, role: str) -> tuple[PathComponent, ...]:
+        """The trial's multipath draws for one link role (cached, fixed order).
+
+        Each gain is the raw draw; build_farfield_channel applies the
+        distance-dependent factor.
+        """
         if role not in FARFIELD_ROLES:
             raise ValueError(f"no multipath draws for role {role!r}")
         if role not in self._nlos_cache:
-            ss = np.random.SeedSequence(
-                (self.master_seed, self.trial_index, _TAG_NLOS, _ROLE_IDS[role])
-            )
-            rng = np.random.default_rng(ss)
+            rng = trial_rng(self.master_seed, self.trial_index, TAG_NLOS, _ROLE_IDS[role])
             draws = []
             for _ in range(self.env.num_nlos):
                 dep_az = rng.uniform(0.0, 2.0 * math.pi)
@@ -336,10 +339,11 @@ class EnvironmentRealization:
                 arr_el = rng.uniform(0.0, math.pi / 2)
                 re, im = rng.normal(0.0, self.env.sigma_f / math.sqrt(2.0), size=2)
                 draws.append(
-                    NlosDraw(
+                    PathComponent(
+                        gain=complex(re, im),
                         departure=AngleSet(dep_el, dep_az),
                         arrival=AngleSet(arr_el, arr_az),
-                        gain_draw=complex(re, im),
+                        is_los=False,
                     )
                 )
             self._nlos_cache[role] = tuple(draws)
@@ -397,10 +401,7 @@ def build_farfield_channel(
             )
 
     for draw in env_real.nlos_draws(role):
-        gain = nlos_path_gain(dist, env, draw.gain_draw)
-        components.append(
-            PathComponent(gain=gain, departure=draw.departure, arrival=draw.arrival, is_los=False)
-        )
+        components.append(replace(draw, gain=nlos_path_gain(dist, env, draw.gain)))
 
     return channel_from_paths(role, components, tx_upa, rx_upa)
 

@@ -2,7 +2,8 @@
 
 `position`, `converge` and `trial` run the one trial named by --trial-index,
 so any trial of a sweep replays from its config, seed and trial index.
-Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration or usage error (a value that overflows
+a float included), 3 numerical failure.
 All CSV output uses ',' separators and '.' decimals; reruns with the same
 seed and arguments produce byte-identical files.
 """
@@ -13,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import stat
 import sys
@@ -104,17 +106,8 @@ _CONVERGE_FIELDS = ("iteration", "rate", "si_gain", "s2d_gain", "p_s", "p_v")
 def cmd_converge(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     result = run_trial(scenario, args.trial_index)
-    rows = [
-        (
-            k,
-            result.rate_trace[k],
-            result.si_gain_trace[k],
-            result.s2d_gain_trace[k],
-            result.power_trace[k][0],
-            result.power_trace[k][1],
-        )
-        for k in range(len(result.rate_trace))
-    ]
+    traces = zip(result.rate_trace, result.si_gain_trace, result.s2d_gain_trace, result.power_trace)
+    rows = [(k, rate, si, s2d, *powers) for k, (rate, si, s2d, powers) in enumerate(traces)]
 
     def emit(fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
@@ -138,6 +131,8 @@ def _parse_sweep_flag(flag: str) -> tuple[str, tuple[float, ...]]:
         values = tuple(float(v) for v in raw.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad sweep values in {flag!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"sweep values must be finite in {flag!r}")
     return name.strip(), values
 
 
@@ -155,7 +150,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         with out:
             rows = run_sweep(spec)
             writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(OutputRow.FIELDS)
+            writer.writerow(field.name for field in dataclasses.fields(OutputRow))
             writer.writerows(dataclasses.astuple(row) for row in rows)
     except BaseException:
         if stat.S_ISREG(os.lstat(args.out).st_mode):
@@ -177,18 +172,10 @@ def cmd_trial(args: argparse.Namespace) -> int:
     result = run_trial(scenario, args.trial_index)
     doc = {
         "trial_index": result.trial_index,
-        "dn": [result.dn.x, result.dn.y, result.dn.z],
+        "dn": list(dataclasses.astuple(result.dn)),
         "rho": result.rho,
-        "designed_position": [
-            result.designed_position.x,
-            result.designed_position.y,
-            result.designed_position.z,
-        ],
-        "random_position": [
-            result.random_position.x,
-            result.random_position.y,
-            result.random_position.z,
-        ],
+        "designed_position": list(dataclasses.astuple(result.designed_position)),
+        "random_position": list(dataclasses.astuple(result.random_position)),
         "fallback": result.fallback,
         "rates": result.rates,
         "approx_bound_s2v": result.approx_bound_s2v,
@@ -226,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
         return _DISPATCH[args.command](args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a value overflows a float ({exc})", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

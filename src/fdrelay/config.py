@@ -8,6 +8,7 @@ simulation parameters.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from .channel import EnvParams, UpaSpec
@@ -103,8 +104,17 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
+def _by_name(cls, cfg: dict) -> dict:
+    """The config entries whose keys are field names of the dataclass ``cls``."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    return {key: value for key, value in cfg.items() if key in names}
+
+
 def build_scenario(overrides: dict | None = None) -> Scenario:
-    """Turn a parsed config (plus defaults) into a runnable Scenario."""
+    """Turn a parsed config (plus defaults) into a runnable Scenario.
+
+    Keys named like a Scenario or EnvParams field pass through by name.
+    """
     cfg = dict(DEFAULTS)
     if overrides:
         for key in overrides:
@@ -112,32 +122,13 @@ def build_scenario(overrides: dict | None = None) -> Scenario:
                 raise ConfigError(f"unknown config key {key!r}")
         cfg.update(overrides)
 
-    sigma_f = cfg["sigma_f"]
-    if sigma_f is None:
+    if cfg["sigma_f"] is None:
         # any positive value passes EnvParams when there are no NLoS rays
-        sigma_f = 1.0 / math.sqrt(cfg["L"]) if cfg["L"] > 0 else 1.0
+        cfg["sigma_f"] = 1.0 / math.sqrt(cfg["L"]) if cfg["L"] > 0 else 1.0
 
     try:
-        env = EnvParams(
-            fc_hz=cfg["fc_hz"],
-            alpha_los=cfg["alpha_los"],
-            alpha_nlos=cfg["alpha_nlos"],
-            num_nlos=cfg["L"],
-            sigma_f=sigma_f,
-            los_a=cfg["los_a"],
-            los_b=cfg["los_b"],
-            panel_separation=cfg["panel_separation"],
-        )
+        env = EnvParams(num_nlos=cfg["L"], **_by_name(EnvParams, cfg))
         return Scenario(
-            dn_rule=cfg["dn_rule"],
-            dn_x=cfg["dn_x"],
-            dn_y=cfg["dn_y"],
-            dn_radius_m=cfg["dn_radius_m"],
-            h_min=cfg["h_min"],
-            h_max=cfg["h_max"],
-            eps_x=cfg["eps_x"],
-            eps_y=cfg["eps_y"],
-            eps_h=cfg["eps_h"],
             upa_s=UpaSpec(cfg["m_s"], cfg["n_s"]),
             upa_r=UpaSpec(cfg["m_r"], cfg["n_r"]),
             upa_t=UpaSpec(cfg["m_t"], cfg["n_t"]),
@@ -147,13 +138,7 @@ def build_scenario(overrides: dict | None = None) -> Scenario:
             noise1=dbm_to_watts(cfg["noise1_dbm"]),
             noise2=dbm_to_watts(cfg["noise2_dbm"]),
             env=env,
-            kappa=cfg["kappa"],
-            eps_r=cfg["eps_r"],
-            max_iters=cfg["max_iters"],
-            delta_m_deg=cfg["delta_m_deg"],
-            trials=cfg["trials"],
-            master_seed=cfg["master_seed"],
-            workers=cfg["workers"],
+            **_by_name(Scenario, cfg),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

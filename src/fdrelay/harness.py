@@ -1,10 +1,11 @@
 """Seeded Monte Carlo harness: trials, schemes, misalignment, and sweeps.
 
-Each trial derives every random stream from (master_seed, trial_index) plus a
-purpose tag, so trials are bit-reproducible and order-independent. Within a
-trial the proposed pipeline and the two baselines (steered beams at the
-designed position; alternating optimization at a random position) share one
-environment realization, giving paired comparisons.
+Each trial draws every random stream from ``channel.trial_rng``, keyed by
+(master_seed, trial_index) plus a purpose tag, so trials are bit-reproducible
+and order-independent. Within a trial the proposed pipeline and the two
+baselines (steered beams at the designed position; alternating optimization
+at a random position) share one environment realization, giving paired
+comparisons.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .beamforming import (
     run_ais,
 )
 from .channel import (
+    TAG_DN,
+    TAG_MISALIGN,
+    TAG_RANDPOS,
     AngleSet,
     EnvParams,
     EnvironmentRealization,
@@ -30,6 +34,7 @@ from .channel import (
     Vec3,
     build_links,
     channel_from_paths,
+    trial_rng,
 )
 from .positioning import (
     FeasibleBox,
@@ -42,10 +47,6 @@ from .positioning import (
 )
 from .rates import achievable_rates, effective_gains
 from .solver import SolverError
-
-_TAG_DN = 31
-_TAG_RANDPOS = 32
-_TAG_MISALIGN = 33
 
 SCHEMES = ("proposed", "randpos_ais", "despos_steer")
 SOURCE = Vec3(0.0, 0.0, 0.0)  # the ground source sits at the origin
@@ -132,19 +133,19 @@ class TrialResult:
     approx_bound_v2d: float
     strict_bound_s2v: float
     strict_bound_v2d: float
-    strict_bound_min: float
     iters: dict[str, int]
-    powers_proposed: tuple[float, float]
     rate_trace: tuple[float, ...]
     si_gain_trace: tuple[float, ...]
     s2d_gain_trace: tuple[float, ...]
     power_trace: tuple[tuple[float, float], ...]
 
+    @property
+    def strict_bound_min(self) -> float:
+        return min(self.strict_bound_s2v, self.strict_bound_v2d)
 
-def _rng(scenario: Scenario, trial_index: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence((scenario.master_seed, trial_index, tag))
-    )
+    @property
+    def powers_proposed(self) -> tuple[float, float]:
+        return self.power_trace[-1]
 
 
 def _sample_dn(scenario: Scenario, trial_index: int) -> Vec3:
@@ -157,7 +158,7 @@ def _sample_dn(scenario: Scenario, trial_index: int) -> Vec3:
     """
     if scenario.dn_rule == "fixed":
         return Vec3(scenario.dn_x, scenario.dn_y, 0.0)
-    rng = _rng(scenario, trial_index, _TAG_DN)
+    rng = trial_rng(scenario.master_seed, trial_index, TAG_DN)
     for _ in range(1000):
         if scenario.dn_rule == "disk":
             radius = scenario.dn_radius_m * math.sqrt(rng.uniform())
@@ -175,7 +176,7 @@ def _snap(value: float, step: float, lo: float, hi: float) -> float:
 
 
 def _sample_random_position(scenario: Scenario, trial_index: int, box: FeasibleBox) -> Vec3:
-    rng = _rng(scenario, trial_index, _TAG_RANDPOS)
+    rng = trial_rng(scenario.master_seed, trial_index, TAG_RANDPOS)
     x = _snap(rng.uniform(0.0, box.x_d), box.eps_x, 0.0, box.x_d)
     y = _snap(rng.uniform(0.0, box.y_d), box.eps_y, 0.0, box.y_d)
     h = _snap(rng.uniform(box.h_min, box.h_max), box.eps_h, box.h_min, box.h_max)
@@ -312,10 +313,12 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
     rand_pos = _sample_random_position(scenario, trial_index, placement.box)
     links_rand = links_at(rand_pos)
 
-    mis_rng = _rng(scenario, trial_index, _TAG_MISALIGN)
-    links_des_eval = apply_misalignment(links_des, scenario.delta_m_deg, mis_rng)
-    mis_rng_rand = _rng(scenario, trial_index, _TAG_MISALIGN)
-    links_rand_eval = apply_misalignment(links_rand, scenario.delta_m_deg, mis_rng_rand)
+    def misaligned(links: LinkSet) -> LinkSet:
+        rng = trial_rng(scenario.master_seed, trial_index, TAG_MISALIGN)
+        return apply_misalignment(links, scenario.delta_m_deg, rng)
+
+    links_des_eval = misaligned(links_des)
+    links_rand_eval = misaligned(links_rand)
 
     proposed = run_ais(links_des, budget, scenario.schedule, scenario.eps_r, scenario.max_iters)
     steer = initial_state(links_des, budget, scenario.schedule)
@@ -341,9 +344,7 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
         approx_bound_v2d=ab2,
         strict_bound_s2v=sb1,
         strict_bound_v2d=sb2,
-        strict_bound_min=min(sb1, sb2),
         iters={"proposed": proposed.k, "randpos_ais": rand_ais.k, "despos_steer": 0},
-        powers_proposed=(proposed.powers.p_s, proposed.powers.p_v),
         rate_trace=proposed.rate_trace,
         si_gain_trace=tuple(g.g_si for g in proposed.gain_trace),
         s2d_gain_trace=tuple(g.g_s2d for g in proposed.gain_trace),
@@ -385,17 +386,6 @@ class OutputRow:
     n_trials: int
     mean_iters: float
     fallback_frac: float
-
-    FIELDS = (
-        "sweep_param",
-        "sweep_value",
-        "scheme",
-        "mean_rate_bps_hz",
-        "stderr",
-        "n_trials",
-        "mean_iters",
-        "fallback_frac",
-    )
 
 
 def _mean_stderr(values: list[float]) -> tuple[float, float]:

@@ -13,9 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EnvParams, EnvironmentRealization, ROLE_S2V, ROLE_V2D, Vec3
+from .channel import (
+    ROLE_S2V,
+    ROLE_V2D,
+    TAG_TIEBREAK,
+    EnvParams,
+    EnvironmentRealization,
+    Vec3,
+    trial_rng,
+)
 
-_TAG_TIEBREAK = 21  # seed purpose tag for equidistant-candidate tie breaking
 _BLOCK = 512  # ring cells built per array pass
 _SLACK = 1e-9  # box membership tolerance, meters
 
@@ -222,11 +229,7 @@ def los_adjusted_position(
     ):
         return p_star
     if rng is None:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                (env_real.master_seed, env_real.trial_index, _TAG_TIEBREAK)
-            )
-        )
+        rng = trial_rng(env_real.master_seed, env_real.trial_index, TAG_TIEBREAK)
 
     ex, ey, eh = box.eps_x, box.eps_y, box.eps_h
     # ring index bounds that still intersect the box

@@ -46,6 +46,9 @@ GAP_TOL = 1e-6  # relative duality-gap certificate
 FEAS_TOL = 1e-8  # interference-constraint violation, normalized units
 CAP_TOL = 1e-12  # per-element magnitude violation
 _NORMAL_MIN = sys.float_info.min  # smallest normal float, np.finfo(float).tiny
+_WEISZFELD_ITERS = 200  # step cap of the geometric-median iteration
+_NEWTON_ITERS = 60  # step cap of the Newton polish
+_POLISH_ROUNDS = 12  # alternating projections of the feasibility polish
 
 
 class SolverError(RuntimeError):
@@ -77,14 +80,12 @@ def _dual_value(z: complex, s_hat: np.ndarray, i_hat: np.ndarray, eta: float, ca
     return cap * float(np.add.reduce(np.abs(s_hat - z * i_hat))) + eta * abs(z)
 
 
-def _weiszfeld(
-    points: np.ndarray, weights: np.ndarray, z0: complex, iters: int = 200
-) -> complex:
+def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
     """Modified Weiszfeld iteration for the weighted geometric median."""
     # fmin.reduce(d) < tol is any(d < tol) in one call: fmin skips NaN
     absolute, add, fmin = np.abs, np.add.reduce, np.fmin.reduce
     z = z0
-    for _ in range(iters):
+    for _ in range(_WEISZFELD_ITERS):
         d = absolute(points - z)
         if fmin(d) < 1e-15:
             # sitting on an anchor: step off along the descent direction
@@ -108,9 +109,7 @@ def _weiszfeld(
     return z
 
 
-def _newton_polish(
-    z: complex, points: np.ndarray, weights: np.ndarray, iters: int = 60
-) -> complex:
+def _newton_polish(z: complex, points: np.ndarray, weights: np.ndarray) -> complex:
     """Damped Newton on the smooth Fermat-Weber objective near the optimum."""
     absolute, add, fmin = np.abs, np.add.reduce, np.fmin.reduce
 
@@ -119,7 +118,7 @@ def _newton_polish(
 
     grad_floor = 1e-15 * add(weights)
     f = value(z)
-    for _ in range(iters):
+    for _ in range(_NEWTON_ITERS):
         d = z - points
         r = absolute(d)
         if fmin(r) < 1e-300:
@@ -232,7 +231,7 @@ def _recover_primal(
     i_hat: np.ndarray,
     eta: float,
     cap: float,
-    tol: float = 1e-12,
+    tol: float,
 ) -> np.ndarray:
     """Closed-form primal from the dual minimizer.
 
@@ -278,19 +277,17 @@ def _clip_to_cap(w: np.ndarray, cap: float, slack: float = 0.0) -> np.ndarray:
     return w
 
 
-def _feasibility_polish(
-    w: np.ndarray, i_hat: np.ndarray, eta: float, cap: float, rounds: int = 12
-) -> np.ndarray:
+def _feasibility_polish(w: np.ndarray, i_hat: np.ndarray, eta: float, cap: float) -> np.ndarray:
     """Tiny alternating projections to clear rounding-level violations.
 
-    Both callers pass the unit-norm interference direction, so ``i_hat`` is
+    The caller passes the unit-norm interference direction, so ``i_hat`` is
     never zero. When the rounds run out, the last step was an interference
     projection, which can push an element past its cap; a final clip runs
     only if the cap is then missed by more than CAP_TOL, so a solve that
     already meets it keeps its bits.
     """
     i_norm_sq = float(np.vdot(i_hat, i_hat).real)
-    for _ in range(rounds):
+    for _ in range(_POLISH_ROUNDS):
         w = _clip_to_cap(w, cap, slack=1e-15)
         s = complex(np.vdot(w, i_hat))
         if abs(s) <= eta * (1.0 + 1e-15) + 1e-15:

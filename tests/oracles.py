@@ -17,12 +17,13 @@ import numpy as np
 from fdrelay.channel import (
     ROLE_S2V,
     ROLE_V2D,
+    TAG_TIEBREAK,
     Vec3,
     _hash_uniform,
     link_geometry,
     los_probability,
 )
-from fdrelay.positioning import _TAG_TIEBREAK, NoLosPositionError
+from fdrelay.positioning import NoLosPositionError
 
 
 def rho_grid_argmax(
@@ -205,7 +206,7 @@ def los_ring_search(env_real, env, p_star, box, sn, dn, rng=None):
     if rng is None:
         rng = np.random.default_rng(
             np.random.SeedSequence(
-                (env_real.master_seed, env_real.trial_index, _TAG_TIEBREAK)
+                (env_real.master_seed, env_real.trial_index, TAG_TIEBREAK)
             )
         )
     ex, ey, eh = box.eps_x, box.eps_y, box.eps_h

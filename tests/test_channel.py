@@ -223,7 +223,7 @@ class TestEnvironmentRealization:
             re, im = rng.normal(0.0, ENV.sigma_f / math.sqrt(2.0), size=2)
             assert d.departure == AngleSet(dep_el, dep_az)
             assert d.arrival == AngleSet(arr_el, arr_az)
-            assert d.gain_draw == complex(re, im)
+            assert d.gain == complex(re, im)
 
     def test_nlos_draws_differ_between_roles(self):
         real = EnvironmentRealization(ENV, 11, 4)

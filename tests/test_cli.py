@@ -8,10 +8,50 @@ import pytest
 from fdrelay import harness
 from fdrelay.cli import main
 from fdrelay.config import ConfigError, DEFAULTS, build_scenario, load_config, parse_config
-from fdrelay.harness import OutputRow, place_relay, run_trial
+from fdrelay.harness import Scenario, place_relay, run_trial
 from fdrelay.solver import SolverError
 
 FAST_CFG = "dn_rule = fixed\ntrials = 2\nmaster_seed = 7\n"
+
+# a valid value other than the default, for every config key
+OTHER_VALUES = {
+    "h_min": 150.0,
+    "h_max": 250.0,
+    "p_s_tot_dbm": 30.0,
+    "p_v_tot_dbm": 30.0,
+    "noise1_dbm": -100.0,
+    "noise2_dbm": -100.0,
+    "fc_hz": 28e9,
+    "alpha_los": 2.0,
+    "alpha_nlos": 3.5,
+    "L": 2,
+    "sigma_f": 0.3,
+    "los_a": 9.61,
+    "los_b": 0.16,
+    "m_s": 2,
+    "n_s": 2,
+    "m_r": 2,
+    "n_r": 2,
+    "m_t": 2,
+    "n_t": 2,
+    "m_d": 2,
+    "n_d": 2,
+    "eps_x": 2.0,
+    "eps_y": 2.0,
+    "eps_h": 2.0,
+    "kappa": 5.0,
+    "eps_r": 0.001,
+    "trials": 10,
+    "master_seed": 1,
+    "delta_m_deg": 5.0,
+    "dn_rule": "fixed",
+    "dn_x": 500.0,
+    "dn_y": 200.0,
+    "dn_radius_m": 700.0,
+    "panel_separation": 5.0,
+    "max_iters": 20,
+    "workers": 2,
+}
 
 
 @pytest.fixture
@@ -29,6 +69,16 @@ class TestConfigParsing:
         assert scenario.noise1 == pytest.approx(1e-14)
         assert scenario.env.fc_hz == 38e9
         assert scenario.dn_rule == "disk"
+
+    def test_empty_config_builds_the_default_scenario(self):
+        assert build_scenario({}) == Scenario()
+
+    def test_every_key_reaches_the_scenario(self):
+        assert set(OTHER_VALUES) == set(DEFAULTS)
+        default = build_scenario({})
+        for key, value in OTHER_VALUES.items():
+            assert value != DEFAULTS[key]
+            assert build_scenario({key: value}) != default, key
 
     def test_sigma_f_default_tracks_path_count(self):
         assert build_scenario({}).env.sigma_f == pytest.approx(1.0 / math.sqrt(4))
@@ -87,6 +137,34 @@ class TestExitCodes:
         out = str(tmp_path / "o.csv")
         assert main(["sweep", "--config", fast_config, "--sweep", "bogus", "--out", out]) == 2
         assert main(["sweep", "--config", fast_config, "--sweep", "foo=1,2", "--out", out]) == 2
+
+    @pytest.mark.parametrize("flag", ["p_v_tot_dbm=nan", "p_v_tot_dbm=inf", "array=inf"])
+    def test_non_finite_sweep_value_fails_before_the_first_trial(
+        self, flag, fast_config, tmp_path, monkeypatch, capsys
+    ):
+        trials = []
+        real = harness.run_trial
+        monkeypatch.setattr(harness, "run_trial", lambda s, i: trials.append(i) or real(s, i))
+        out = tmp_path / "o.csv"
+        argv = ["sweep", "--config", fast_config, "--trials", "1", "--sweep", flag]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert trials == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p_s_tot_dbm = 4000\n",
+            "alpha_los = 300\nalpha_nlos = 300\n",
+            "h_min = 1e300\nh_max = 1e300\n",
+        ],
+    )
+    def test_overflowing_config_is_a_config_error(self, text, tmp_path, capsys):
+        path = tmp_path / "huge.cfg"
+        path.write_text(text)
+        assert main(["trial", "--config", str(path)]) == 2
+        assert "error: a value overflows a float" in capsys.readouterr().err
 
     def test_success_is_zero(self, fast_config, capsys):
         assert main(["position", "--config", fast_config]) == 0
@@ -217,7 +295,16 @@ class TestSweepCommand:
             reader = csv.reader(fh)
             header = next(reader)
             rows = list(reader)
-        assert tuple(header) == OutputRow.FIELDS
+        assert tuple(header) == (
+            "sweep_param",
+            "sweep_value",
+            "scheme",
+            "mean_rate_bps_hz",
+            "stderr",
+            "n_trials",
+            "mean_iters",
+            "fallback_frac",
+        )
         assert len(rows) == 8  # 2 sweep values x 4 schemes
         assert {r[2] for r in rows} == {
             "proposed",

@@ -6,7 +6,7 @@ import pytest
 
 import fdrelay.beamforming as beamforming
 import fdrelay.harness as harness
-from fdrelay.channel import UpaSpec, Vec3
+from fdrelay.channel import UpaSpec, Vec3, trial_rng
 from fdrelay.config import build_scenario
 from fdrelay.harness import (
     MIN_GROUND_SEPARATION,
@@ -14,7 +14,6 @@ from fdrelay.harness import (
     Scenario,
     SweepSpec,
     TrialResult,
-    _rng,
     _sample_dn,
     aggregate,
     apply_misalignment,
@@ -94,13 +93,13 @@ class TestMisalignment:
 
     def test_zero_delta_returns_same_object(self):
         links = self._raw_links()
-        rng = _rng(FAST, 0, 33)
+        rng = trial_rng(FAST.master_seed, 0, 33)
         assert apply_misalignment(links, 0.0, rng) is links
 
     def test_offsets_bounded_and_gains_kept(self):
         links = self._raw_links()
         delta = 10.0
-        out = apply_misalignment(links, delta, _rng(FAST, 0, 33))
+        out = apply_misalignment(links, delta, trial_rng(FAST.master_seed, 0, 33))
         half = math.radians(delta) / 2
         for before, after in ((links.s2v, out.s2v), (links.v2d, out.v2d)):
             assert len(before.components) == len(after.components)
@@ -112,21 +111,21 @@ class TestMisalignment:
 
     def test_untouched_channels_pass_through(self):
         links = self._raw_links()
-        out = apply_misalignment(links, 5.0, _rng(FAST, 0, 33))
+        out = apply_misalignment(links, 5.0, trial_rng(FAST.master_seed, 0, 33))
         assert out.si is links.si
         assert out.s2d is links.s2d
         assert out.s2v_angles == links.s2v_angles
 
     def test_same_rng_state_same_perturbation(self):
         links = self._raw_links()
-        out1 = apply_misalignment(links, 10.0, _rng(FAST, 0, 33))
-        out2 = apply_misalignment(links, 10.0, _rng(FAST, 0, 33))
+        out1 = apply_misalignment(links, 10.0, trial_rng(FAST.master_seed, 0, 33))
+        out2 = apply_misalignment(links, 10.0, trial_rng(FAST.master_seed, 0, 33))
         assert np.array_equal(out1.s2v.entries, out2.s2v.entries)
         assert np.array_equal(out1.v2d.entries, out2.v2d.entries)
 
     def test_entries_change_when_delta_positive(self):
         links = self._raw_links()
-        out = apply_misalignment(links, 10.0, _rng(FAST, 0, 33))
+        out = apply_misalignment(links, 10.0, trial_rng(FAST.master_seed, 0, 33))
         assert not np.array_equal(out.s2v.entries, links.s2v.entries)
 
 
