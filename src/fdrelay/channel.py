@@ -38,6 +38,11 @@ TAG_DN = 31  # destination draw
 TAG_RANDPOS = 32  # random-position baseline
 TAG_MISALIGN = 33  # beam pointing errors
 
+# los_cells decides a cell from the array estimate of its LoS probability
+# only when the uniform clears it by this relative margin times max(1, los_b)
+_LOS_MARGIN = 1e-9
+_EXP_MAX = math.log(np.finfo(float).max)  # math.exp overflows just above
+
 
 def trial_rng(master_seed: int, trial_index: int, *tag: int) -> np.random.Generator:
     """The trial's random stream for one purpose tag (plus any sub-keys)."""
@@ -246,6 +251,31 @@ def _hash_uniform(*key_parts) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
+def _digest_uniforms(digests: bytes) -> np.ndarray:
+    """_hash_uniform's conversion of each 32-byte sha256 digest in ``digests``.
+
+    The first 8 bytes are a big-endian integer over 2**64; numpy rounds the
+    uint64 to float64 to nearest, as ``int / float`` does.
+    """
+    return np.frombuffer(digests, ">u8")[::4] / 2.0**64
+
+
+def _los_probability_estimate(offsets: np.ndarray, env: EnvParams, tol: float) -> np.ndarray:
+    """los_probability at the elevation of each (dx, dy, dz) row, as arrays.
+
+    EnvironmentRealization.los_cells states the error bound. The estimate is
+    NaN where it is not trusted: a horizontal distance at or below 1e-150
+    (straight above the ground node, or a degenerate offset) and an exponent
+    within tol of math.exp's overflow edge.
+    """
+    horiz = np.hypot(offsets[:, 0], offsets[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = -env.los_b * (np.degrees(np.arctan(offsets[:, 2] / horiz)) - env.los_a)
+        p = 1.0 / (1.0 + env.los_a * np.exp(x))
+    p[(horiz <= 1e-150) | (np.abs(x - _EXP_MAX) <= tol)] = np.nan
+    return p
+
+
 class EnvironmentRealization:
     """Seeded, position-consistent randomness for one Monte Carlo trial.
 
@@ -279,47 +309,84 @@ class EnvironmentRealization:
         return tuple(int(c) for c in cell.tolist())
 
     def quantize_xyz(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Snap many positions to their LoS-field cells (absolute grid from the
-        origin): an (n, 3) array of grid cells.
+        """Snap many positions to their LoS-field cells: an (n, 3) array."""
+        return np.column_stack(self.quantize_axes(x, y, z))
 
-        np.rint rounds half to even. A position above the ground gets height
-        layer 1 or more, so it never shares the ground nodes' layer 0. The
-        cells are int64 unless one lies beyond 2**62; then they stay integral
+    def quantize_axes(
+        self, x: np.ndarray, y: np.ndarray, z: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The grid index of each x, y and z coordinate (absolute grid from
+        the origin); the three arrays may differ in length.
+
+        A cell's index on one axis depends on that coordinate alone.
+        np.rint rounds half to even. A height above the ground gets layer 1
+        or more, so it never shares the ground nodes' layer 0. The indices
+        are int64 unless one lies beyond 2**62; then all three stay integral
         floats.
         """
         ex, ey, eh = self.grid_step
         k = np.rint(z / eh)
         k = np.where((z > 0) & (k < 1), 1.0, k)
-        cells = np.column_stack((np.rint(x / ex), np.rint(y / ey), k))
-        if np.abs(cells).max(initial=0.0) < 2.0**62:
-            return cells.astype(np.int64)
-        return cells
+        axes = (np.rint(x / ex), np.rint(y / ey), k)
+        if np.abs(np.concatenate(axes)).max(initial=0.0) < 2.0**62:
+            return tuple(a.astype(np.int64) for a in axes)
+        return axes
 
     def los_indicator(self, role: str, ground: Vec3, uav: Vec3) -> bool:
         """Bernoulli LoS state of a ground-to-UAV link at the UAV's grid cell."""
-        return self.los_cells(role, ground, [self.quantize(uav)])[0]
+        return bool(self.los_cells(role, ground, [self.quantize(uav)])[0])
 
-    def los_cells(self, role: str, ground: Vec3, cells) -> list[bool]:
+    def los_cells(self, role: str, ground: Vec3, cells) -> np.ndarray:
         """LoS state of the ground-to-UAV link at each (i, j, k) grid cell.
 
-        The uniform of a cell is _hash_uniform's sha256 draw, with the key
-        formatted once per call; the probability is los_probability at the
-        elevation of the cell's center. Integral floats give the same keys
-        and centers as ints. los_indicator is this method on one cell.
+        ``cells`` is an (n, 3) array (or sequence) of int64 or integral-float
+        cells; integral floats give the same keys and centers as ints. The
+        uniform u of a cell is _hash_uniform's sha256 draw, with the key
+        formatted once per call, and the cell has LoS when
+        ``u < los_probability(elevation)`` at the elevation of its center.
+        Returns a bool array; los_indicator is this method on one cell.
+
+        Every cell is hashed, and _los_probability_estimate gives p for all
+        of them as arrays. The screen decides a cell when
+        ``|u - p| > tol * p + 2**-1022``, tol = 1e-9 * max(1, los_b). Every
+        other cell goes through the scalar formula (_offset_geometry, then
+        los_probability) one at a time: a near-tie, or a cell with no
+        estimate (straight above the ground node, degenerate, or with its
+        exponent at math.exp's overflow edge). That is the only route back.
+
+        Why the screen is exact: on numpy 2.4.6, np.hypot, np.arctan and
+        np.exp differ from libm by at most an ulp (in 0.6%, 0.06% and 4.5%
+        of 2M inputs each; np.degrees in none). So the elevation differs by
+        at most 3 ulp and its value in degrees by < 1e-13. The exponent
+        x = -b * (deg - a) then differs by < 1e-13 * b + 5e-16 * |x|, and
+        for -708 < x < 710 p differs by < 1e-12 * max(1, b) relative, a
+        thousandth of tol. Below -708 both exponentials are under 1e-307, so
+        both give p = 1.0 (for any los_a under 1e290). Above the edge band
+        both exponentials overflow and both give p = 0.0. Where a * exp(x)
+        overflows or p is subnormal, the relative bound fails, but both p
+        lie below 2**-1022, and the absolute term decides only uniforms of
+        2**-64 or more, which lie above both. The uniforms agree bit for bit
+        (_digest_uniforms).
         """
         if role not in (ROLE_S2V, ROLE_V2D):
             raise ValueError(f"LoS field only covers ground-UAV links, got {role!r}")
+        cells = np.asarray(cells).reshape(-1, 3)
         env = self.env
         ex, ey, eh = self.grid_step
         gx, gy, gz = ground.x, ground.y, ground.z
         key = f"{self.master_seed}|{self.trial_index}|{role}|%d|%d|%d".encode()
         sha = hashlib.sha256
-        out = []
-        for i, j, k in cells:
+        keys = list(map(key.__mod__, zip(*cells.T.tolist())))
+        u = _digest_uniforms(b"".join([sha(k).digest() for k in keys]))
+        tol = _LOS_MARGIN * max(1.0, env.los_b)
+        p = _los_probability_estimate(cells * self.grid_step - (gx, gy, gz), env, tol)
+        los = u < p
+        # a NaN estimate fails the comparison, so its cell falls back as well
+        for n in np.flatnonzero(~(np.abs(u - p) > tol * p + 2.0**-1022)):
+            i, j, k = cells[n].tolist()
             _, _, elevation = _offset_geometry(i * ex - gx, j * ey - gy, k * eh - gz)
-            u = int.from_bytes(sha(key % (i, j, k)).digest()[:8], "big") / 2.0**64
-            out.append(u < los_probability(elevation, env))
-        return out
+            los[n] = u[n] < los_probability(elevation, env)
+        return los
 
     def nlos_draws(self, role: str) -> tuple[PathComponent, ...]:
         """The trial's multipath draws for one link role (cached, fixed order).

@@ -455,10 +455,14 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> list[OutputRow]:
-    """Aggregated rows for every swept value, in input order."""
+    """Aggregated rows for every swept value, in input order.
+
+    Every swept scenario is built before the first trial, so a bad value
+    fails at once, wherever it stands in the list.
+    """
+    scenarios = [apply_sweep_value(spec.base, spec.param, value) for value in spec.values]
     rows: list[OutputRow] = []
-    for value in spec.values:
-        scenario = apply_sweep_value(spec.base, spec.param, value)
+    for value, scenario in zip(spec.values, scenarios):
         results = run_trials(scenario)
         rows.extend(aggregate(results, spec.param, value))
     return rows

@@ -162,41 +162,40 @@ def _ring_blocks(t, i_range, j_range, k_top):
 
     Only i in i_range, j in j_range and 0 <= k <= k_top are made. Each x-slice
     of the ring is a pattern of (j, k) pairs: the whole face for |i| == t,
-    its rim (|j| == t or k == t) otherwise. Consecutive slices with one
-    pattern are batched, and blocks hold at most _BLOCK cells, so no more
-    than one face of the ring is held at a time.
+    its rim (|j| == t or k == t) otherwise. The ring is cut into blocks of
+    _BLOCK cells that run across slices, so no more than one face of the
+    ring and its rim are held at a time.
     """
-    js = np.arange(j_range[0], j_range[1] + 1)
-    ks = np.arange(k_top + 1)
-    face_j, face_k = np.repeat(js, ks.size), np.tile(ks, js.size)
+    face_j, face_k = np.divmod(
+        np.arange((j_range[1] + 1 - j_range[0]) * (k_top + 1)), k_top + 1
+    )
+    face_j += j_range[0]
     on_rim = (np.abs(face_j) == t) | (face_k == t)
-    rim_j, rim_k = face_j[on_rim], face_k[on_rim]
-    i, i_end = i_range
-    while i <= i_end:
-        if abs(i) == t:
-            pj, pk, last = face_j, face_k, i
-        else:
-            pj, pk, last = rim_j, rim_k, min(i_end, t - 1)
-        if pj.size:
-            per = max(1, _BLOCK // pj.size)  # slices per block
-            for a in range(i, last + 1, per):
-                g = min(per, last + 1 - a)
-                bi = np.repeat(np.arange(a, a + g), pj.size)
-                bj, bk = np.tile(pj, g), np.tile(pk, g)
-                for s in range(0, bi.size, _BLOCK):
-                    yield bi[s : s + _BLOCK], bj[s : s + _BLOCK], bk[s : s + _BLOCK]
-        i = last + 1
+    # one table holds the face, then its rim; a slice reads one of the two
+    pat_j = np.concatenate((face_j, face_j[on_rim]))
+    pat_k = np.concatenate((face_k, face_k[on_rim]))
+    i = np.arange(i_range[0], i_range[1] + 1)
+    face = np.abs(i) == t
+    count = np.where(face, face_j.size, pat_j.size - face_j.size)
+    end = np.cumsum(count)
+    # cell f of the ring sits in slice s at table entry f + shift[s]
+    shift = np.where(face, 0, face_j.size) - (end - count)
+    for start in range(0, int(end[-1]), _BLOCK):
+        f = np.arange(start, min(int(end[-1]), start + _BLOCK))
+        s = np.searchsorted(end, f, side="right")
+        at = f + shift[s]
+        yield i[s], pat_j[at], pat_k[at]
 
 
-def _index_range(lo: float, hi: float, origin: float, step: float, t: int) -> tuple[int, int]:
-    """Ring indices in [-t, t] whose coordinate origin + i * step may lie in [lo, hi].
+def _index_candidates(lo, hi, origin, step, n_min, n_max) -> np.ndarray:
+    """Indices in [n_min, n_max] whose coordinate origin + n * step may lie in [lo, hi].
 
     One index of margin on each side absorbs rounding; the exact box test
     runs on the coordinates.
     """
-    return (
-        max(-t, math.floor((lo - _SLACK - origin) / step) - 1),
-        min(t, math.ceil((hi + _SLACK - origin) / step) + 1),
+    return np.arange(
+        max(n_min, math.floor((lo - _SLACK - origin) / step) - 1),
+        min(n_max, math.ceil((hi + _SLACK - origin) / step) + 1) + 1,
     )
 
 
@@ -216,11 +215,14 @@ def los_adjusted_position(
     p_star; exact distance ties are broken uniformly with the trial seed.
     Raises :class:`NoLosPositionError` once the box is exhausted.
 
-    Each ring is built block by block as arrays: candidate coordinates, the
-    box test and the grid cells. ``los_cells`` then decides the S2V link of
-    each in-box cell and the V2D link of those that pass. Every value is the
-    one the cell-by-cell loop computes (tests/oracles.py keeps that loop), so
-    the chosen point is the same to the bit.
+    The box is a product of three intervals, so each axis's in-box indices
+    form one run, found once with their coordinates and grid cells. Each
+    ring is built from those runs in blocks that run across its x-slices,
+    in (i, j, k) order. ``los_cells`` decides the S2V link of each cell and
+    the V2D link of those that pass. The coordinates and cells are the ones
+    the cell-by-cell loop computes, and los_cells's screen decides each cell
+    as that loop's scalar formula does (tests/oracles.py keeps the loop), so
+    the hits, their order and the chosen point are the same to the bit.
     """
     if not box.contains(p_star):
         raise ValueError("designed position lies outside the feasible box")
@@ -238,26 +240,37 @@ def los_adjusted_position(
     t_h = math.ceil((box.h_max - box.h_min) / eh)
     t_cap = max(t_x, t_y, t_h)
 
+    # Each axis's in-box indices, their coordinates and grid cells. p_star
+    # lies in the box, so its other two coordinates leave one axis to test;
+    # a coordinate grows with its index, so each axis keeps one run.
+    i = _index_candidates(0.0, box.x_d, p_star.x, ex, -t_cap, t_cap)
+    j = _index_candidates(0.0, box.y_d, p_star.y, ey, -t_cap, t_cap)
+    k = _index_candidates(box.h_min, box.h_max, box.h_min, eh, 0, t_cap)
+    xs, ys, zs = p_star.x + i * ex, p_star.y + j * ey, box.h_min + k * eh
+    in_x = box.contains_xyz(xs, p_star.y, p_star.z)
+    in_y = box.contains_xyz(p_star.x, ys, p_star.z)
+    in_z = box.contains_xyz(p_star.x, p_star.y, zs)
+    i0, i1 = i[in_x][[0, -1]].tolist()
+    j0, j1 = j[in_y][[0, -1]].tolist()
+    k1 = int(k[in_z][-1])
+    xs, ys, zs = xs[in_x], ys[in_y], zs[in_z]
+    ci, cj, ck = env_real.quantize_axes(xs, ys, zs)
+
     for t in range(1, t_cap + 1):
-        hits: list[tuple[float, float, float]] = []
-        blocks = _ring_blocks(
-            t,
-            _index_range(0.0, box.x_d, p_star.x, ex, t),
-            _index_range(0.0, box.y_d, p_star.y, ey, t),
-            _index_range(box.h_min, box.h_max, box.h_min, eh, t)[1],
-        )
-        for bi, bj, bk in blocks:
-            x = p_star.x + bi * ex
-            y = p_star.y + bj * ey
-            z = box.h_min + bk * eh
-            inside = box.contains_xyz(x, y, z)
-            x, y, z = x[inside], y[inside], z[inside]
-            cells = env_real.quantize_xyz(x, y, z)
-            los = np.array(env_real.los_cells(ROLE_S2V, sn, cells.tolist()), dtype=bool)
+        found = []
+        for bi, bj, bk in _ring_blocks(
+            t, (max(-t, i0), min(t, i1)), (max(-t, j0), min(t, j1)), min(t, k1)
+        ):
+            bi -= i0
+            bj -= j0
+            cells = np.column_stack((ci[bi], cj[bj], ck[bk]))
+            los = env_real.los_cells(ROLE_S2V, sn, cells)
             if los.any():
-                los[los] = env_real.los_cells(ROLE_V2D, dn, cells[los].tolist())
-            hits.extend(zip(x[los].tolist(), y[los].tolist(), z[los].tolist()))
-        if hits:
+                los[los] = env_real.los_cells(ROLE_V2D, dn, cells[los])
+                found.append((bi[los], bj[los], bk[los]))
+        if any(f[0].size for f in found):
+            bi, bj, bk = (np.concatenate(axis) for axis in zip(*found))
+            hits = list(zip(xs[bi].tolist(), ys[bj].tolist(), zs[bk].tolist()))
             origin = (p_star.x, p_star.y, p_star.z)
             dists = [math.dist(origin, h) for h in hits]
             best = min(dists)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fdrelay import channel
 from fdrelay.channel import (
     ROLE_S2D,
     ROLE_S2V,
@@ -17,6 +18,7 @@ from fdrelay.channel import (
     EnvironmentRealization,
     UpaSpec,
     Vec3,
+    _digest_uniforms,
     _hash_uniform,
     build_farfield_channel,
     build_links,
@@ -270,8 +272,8 @@ class TestLosCells:
         xyz[20:40] = np.round(xyz[20:40] / step) * step + 0.5 * np.asarray(step)
         cells = real.quantize_xyz(xyz[:, 0], xyz[:, 1], xyz[:, 2])
         ref = [los_indicator_oracle(real, role, ground, Vec3(*row)) for row in xyz.tolist()]
-        assert real.los_cells(role, ground, cells.tolist()) == ref
-        assert real.los_cells(role, ground, cells.astype(float).tolist()) == ref
+        assert real.los_cells(role, ground, cells).tolist() == ref
+        assert real.los_cells(role, ground, cells.astype(float)).tolist() == ref
         assert [real.los_indicator(role, ground, Vec3(*row)) for row in xyz.tolist()] == ref
 
     def test_cell_on_the_ground_node_is_degenerate(self):
@@ -281,7 +283,7 @@ class TestLosCells:
 
     def test_empty_and_role_check(self):
         real = EnvironmentRealization(ENV, 1, 1)
-        assert real.los_cells(ROLE_S2V, Vec3(0, 0, 0), []) == []
+        assert real.los_cells(ROLE_S2V, Vec3(0, 0, 0), []).tolist() == []
         with pytest.raises(ValueError):
             real.los_cells(ROLE_S2D, Vec3(0, 0, 0), [(1, 1, 1)])
 
@@ -295,6 +297,146 @@ class TestLosCells:
         huge = np.array([2.0**70, 3.0, -(2.0**64)])
         cells = real.quantize_xyz(huge, huge, huge)
         assert [tuple(c) for c in cells.tolist()] == [real.quantize(Vec3(v, v, v)) for v in huge]
+
+
+def _oracle_cells(real, role, ground, cells):
+    """The per-cell definition at each cell's center."""
+    ex, ey, eh = real.grid_step
+    return [
+        los_indicator_oracle(real, role, ground, Vec3(i * ex, j * ey, k * eh))
+        for i, j, k in np.asarray(cells).tolist()
+    ]
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Elevations los_cells sends down its scalar route, in call order."""
+    calls = []
+    scalar = channel.los_probability
+
+    def counted(elevation, env):
+        calls.append(elevation)
+        return scalar(elevation, env)
+
+    monkeypatch.setattr(channel, "los_probability", counted)
+    return calls
+
+
+def _near_tie(seed, trial, ground, a):
+    """A cell and a los_b that put the cell's probability on its uniform."""
+    for i in range(1, 200):
+        cell = (i, 2 * i, 50)
+        u = _hash_uniform(seed, trial, ROLE_S2V, *cell)
+        _, angles = link_geometry(ground, Vec3(*map(float, cell)))
+        deg = math.degrees(angles.elevation)
+        b = -math.log((1.0 / u - 1.0) / a) / (deg - a)
+        if b > 0:
+            return cell, b
+    raise AssertionError("no cell admits a tie")
+
+
+class TestLosScreen:
+    """los_cells's array screen and its one scalar route, against the definition."""
+
+    def test_cells_straight_above_the_ground_node(self, fallbacks):
+        # p = 0.85 at 90 deg: both states occur, every cell on the scalar route
+        real = EnvironmentRealization(EnvParams(los_a=27.23, los_b=0.08), 3, 4)
+        ground = Vec3(5.0, 7.0, 0.0)
+        cells = np.array([(5, 7, k) for k in range(1, 120)])
+        got = real.los_cells(ROLE_V2D, ground, cells).tolist()
+        assert got == _oracle_cells(real, ROLE_V2D, ground, cells)
+        assert 0 < sum(got) < len(cells)
+        assert fallbacks == [math.pi / 2] * len(cells)
+
+    def test_exp_overflow_model(self, fallbacks):
+        # los_a = 100, los_b = 10: the exponential overflows below ~29 deg
+        real = EnvironmentRealization(EnvParams(los_a=100.0, los_b=10.0), 5, 6)
+        ground = Vec3(0.0, 0.0, 0.0)
+        rng = np.random.default_rng(0)
+        cells = np.column_stack(
+            [rng.integers(1, 300, 400), rng.integers(-300, 300, 400), rng.integers(1, 200, 400)]
+        )
+        elevation = np.arctan(cells[:, 2] / np.hypot(cells[:, 0], cells[:, 1]))
+        assert (np.degrees(elevation) < 29.0).mean() > 0.5
+        got = real.los_cells(ROLE_S2V, ground, cells).tolist()
+        assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
+        assert fallbacks == []
+
+    def test_exponent_at_the_overflow_edge(self, fallbacks):
+        ground = Vec3(0.0, 0.0, 0.0)
+        cell = (40, 30, 20)
+        _, angles = link_geometry(ground, Vec3(40.0, 30.0, 20.0))
+        edge = math.log(np.finfo(float).max) / (100.0 - math.degrees(angles.elevation))
+        for step in range(-3, 4):
+            env = EnvParams(los_a=100.0, los_b=edge * (1.0 + step * 2.0**-52))
+            real = EnvironmentRealization(env, 1, 1)
+            got = real.los_cells(ROLE_S2V, ground, [cell]).tolist()
+            assert got == _oracle_cells(real, ROLE_S2V, ground, [cell])
+        assert len(fallbacks) == 7
+
+    def test_integral_float_cells_past_2_62(self):
+        real = EnvironmentRealization(ENV, 1, 2)
+        ground = Vec3(1.0, 2.0, 0.0)
+        big = 2.0**63
+        cells = np.array(
+            [
+                [big, 3.0, 5.0],
+                [-big, big, 7.0],
+                [2.0**70, -(2.0**64), 2.0**62 + 2048],
+                [5.0, 5.0, 2.0**66],
+            ]
+        )
+        got = real.los_cells(ROLE_S2V, ground, cells).tolist()
+        assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
+
+    def test_empty_input(self):
+        real = EnvironmentRealization(ENV, 1, 1)
+        for cells in ([], np.empty((0, 3), dtype=np.int64), np.empty((0, 3))):
+            out = real.los_cells(ROLE_V2D, Vec3(0.0, 0.0, 0.0), cells)
+            assert out.dtype == bool and out.shape == (0,)
+
+    @pytest.mark.parametrize("sign", [-1, 0, 1])
+    def test_near_tie_takes_the_scalar_route(self, sign, fallbacks, monkeypatch):
+        # the tie cell falls back; the others stay decided by the screen,
+        # also with every estimate moved by the bound los_cells states
+        seed, trial, ground, a = 11, 3, Vec3(0.0, 0.0, 0.0), 27.23
+        cell, b = _near_tie(seed, trial, ground, a)
+        env = EnvParams(los_a=a, los_b=b)
+        real = EnvironmentRealization(env, seed, trial)
+        u = _hash_uniform(seed, trial, ROLE_S2V, *cell)
+        _, angles = link_geometry(ground, Vec3(*map(float, cell)))
+        p = los_probability(angles.elevation, env)
+        assert abs(u - p) <= 1e-12 * p
+        estimate = channel._los_probability_estimate
+        moved = 1.0 + sign * 1e-12 * max(1.0, b)
+        monkeypatch.setattr(
+            channel, "_los_probability_estimate", lambda d, e, tol: estimate(d, e, tol) * moved
+        )
+        rng = np.random.default_rng(seed)
+        cells = np.column_stack(
+            [rng.integers(1, 80, 300), rng.integers(1, 80, 300), rng.integers(1, 120, 300)]
+        )
+        cells[150] = cell
+        got = real.los_cells(ROLE_S2V, ground, cells).tolist()
+        assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
+        assert fallbacks == [angles.elevation]
+
+
+class TestDigestUniforms:
+    def test_matches_the_int_conversion(self):
+        heads = [
+            0xFFFF_FFFF_FFFF_FFFF,  # rounds to 1.0 on both routes
+            0,
+            1,
+            2**53 + 1,
+            2**63 + 2**10 + 1,
+            2**63 + 2**11,
+            0x8000_0000_0000_0400,
+        ] + np.random.default_rng(0).integers(0, 2**63, 200).tolist()
+        digests = b"".join(h.to_bytes(8, "big") + bytes(range(24)) for h in heads)
+        got = _digest_uniforms(digests).tolist()
+        assert got == [h / 2.0**64 for h in heads]
+        assert got[0] == 1.0
 
 
 class TestFarfieldChannel:

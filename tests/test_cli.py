@@ -152,6 +152,20 @@ class TestExitCodes:
         assert trials == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["array=4,0.5", "p_v_tot_dbm=20,4000"])
+    def test_bad_later_sweep_value_fails_before_the_first_trial(
+        self, flag, fast_config, tmp_path, monkeypatch, capsys
+    ):
+        trials = []
+        real = harness.run_trial
+        monkeypatch.setattr(harness, "run_trial", lambda s, i: trials.append(i) or real(s, i))
+        out = tmp_path / "o.csv"
+        argv = ["sweep", "--config", fast_config, "--trials", "3", "--sweep", flag]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert trials == []
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdrelay.beamforming as beamforming
 import fdrelay.harness as harness
@@ -10,6 +12,7 @@ from fdrelay.channel import UpaSpec, Vec3, trial_rng
 from fdrelay.config import build_scenario
 from fdrelay.harness import (
     MIN_GROUND_SEPARATION,
+    SCHEMES,
     OutputRow,
     Scenario,
     SweepSpec,
@@ -170,6 +173,38 @@ class TestRunTrial:
         assert res.fallback is True
         # the designed position falls back to the unadjusted optimum
         assert res.designed_position == Vec3(200.0, 150.0, 100.0)
+
+    @given(
+        seed=st.integers(0, 2**31),
+        trial=st.integers(0, 1000),
+        dn=st.tuples(st.integers(0, 12), st.integers(0, 9)).filter(any),
+        h_min=st.integers(1, 4),
+        h_span=st.integers(0, 3),
+    )
+    @settings(max_examples=12)
+    def test_fallback_on_an_exhausted_real_field(self, seed, trial, dn, h_min, h_span):
+        # los_a = 100 deg, los_b = 10: no elevation draws LoS with p above
+        # 1e-45, so the search exhausts the box on the real field
+        scenario = build_scenario(
+            {
+                "los_a": 100.0,
+                "los_b": 10.0,
+                "dn_rule": "fixed",
+                "dn_x": float(dn[0]),
+                "dn_y": float(dn[1]),
+                "h_min": float(h_min),
+                "h_max": float(h_min + h_span),
+                "master_seed": seed,
+            }
+        )
+        placement = place_relay(scenario, trial)
+        assert placement.fallback is True
+        assert placement.designed == placement.p_star
+        res = run_trial(scenario, trial)
+        assert res.fallback is True
+        assert res.designed_position == placement.p_star
+        assert set(res.rates) == set(SCHEMES)
+        assert all(math.isfinite(r) for r in res.rates.values())
 
     def test_every_solve_certified_when_polish_runs_out_of_rounds(self, monkeypatch):
         # 8x8 panels, 10 deg misalignment, master_seed 8, trial 307: one dual

@@ -148,7 +148,7 @@ class _StubRealization(EnvironmentRealization):
         self._allowed = allowed_cells
 
     def los_cells(self, role, ground, cells):
-        return [tuple(c) in self._allowed for c in cells]
+        return np.array([tuple(c) in self._allowed for c in np.asarray(cells).tolist()], dtype=bool)
 
 
 class TestLosAdjustedPosition:
