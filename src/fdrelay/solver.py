@@ -10,10 +10,10 @@ a planar weighted Fermat-Weber problem whose minimizer is either one of the
 ratio points h_sig_n / h_int_n, the origin, or a smooth stationary point.
 The primal is recovered in closed form: every element saturates its cap
 except (at most) those tied to the active ratio point, and a duality-gap
-certificate is computed for every solve. If the recovery misses it, a
-second recovery with a looser residual tolerance lets elements whose
-residual is rounding noise join the free group; a solve neither certifies
-raises SolverError.
+certificate is computed for every solve. If the recovery misses it, further
+recoveries with looser residual tolerances let elements whose residual is
+rounding noise join the free group, and a smooth z* within 1e-6 of the
+origin is last tried as z = 0; a solve none certifies raises SolverError.
 
 A smooth minimizer within 1e-9 of the origin is snapped to z* = 0, since
 Newton fixes it only to the rounding of D and its phase is noise. A kink is
@@ -82,14 +82,17 @@ def _dual_value(z: complex, s_hat: np.ndarray, i_hat: np.ndarray, eta: float, ca
 
 def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
     """Modified Weiszfeld iteration for the weighted geometric median."""
-    # fmin.reduce(d) < tol is any(d < tol) in one call: fmin skips NaN
+    # fmin.reduce(d) <= tol is any(d <= tol) in one call: fmin skips NaN
     absolute, add, fmin = np.abs, np.add.reduce, np.fmin.reduce
     z = z0
     for _ in range(_WEISZFELD_ITERS):
         d = absolute(points - z)
-        if fmin(d) < 1e-15:
-            # sitting on an anchor: step off along the descent direction
-            on = d < 1e-15
+        tie = 1e-12 * (1.0 + abs(z))
+        if fmin(d) <= tie:
+            # sitting on an anchor: step off along the descent direction; the
+            # anchors within the kink test's tie tolerance count as one, else
+            # a near neighbour's 1/d weight pins the iterate to the cluster
+            on = d <= tie
             others = ~on
             if not others.any():
                 return z
@@ -363,13 +366,22 @@ def solve_bf_subproblem_report(
         # a vanishing multiplier is a slack constraint (see the module docstring)
         z_star = 0.0 + 0.0j
 
-    dual_hat = _dual_value(z_star, s_hat, i_hat, eta_hat, cap)
-    for tol in (1e-12, 1e-8):
-        # z* is fixed only to the rounding of D, so the residual phase of an
-        # element whose ratio point lies as close to z* is noise; at the
-        # looser tol such elements join the free group, at an objective cost
-        # of at most 2 * cap * their residuals
-        w = _recover_primal(z_star, s_hat, i_hat, eta_hat, cap, tol)
+    # z* is fixed only to the rounding of D, so the residual phase of an
+    # element whose ratio point lies as close to z* is noise; at a looser tol
+    # such elements join the free group, at an objective cost of at most
+    # 2 * cap * their residuals. A smooth z* at a distance r from a cluster of
+    # ratio points is fixed only to about sqrt(eps * r), a phase error of
+    # sqrt(eps / r) seen from the cluster, so the last rungs free every
+    # element within 1e-6 and, for z* that close to the origin, take the
+    # constraint's phase -arg(z*) as noise too: z = 0
+    # recovers a slack constraint, and D(0) exceeds D(z*) by at most
+    # (sum of the weights) * |z*|
+    rungs = [(z_star, 1e-12), (z_star, 1e-8), (z_star, 1e-6)]
+    if 0.0 < abs(z_star) <= 1e-6:
+        rungs.append((0j, 1e-6))
+    for z, tol in rungs:
+        dual_hat = _dual_value(z, s_hat, i_hat, eta_hat, cap)
+        w = _recover_primal(z, s_hat, i_hat, eta_hat, cap, tol)
         w = _feasibility_polish(w, i_hat, eta_hat, cap)
         w = _phase_align(w, h_sig)
         # gap and violations on the normalized problem, bounds in original scaling
@@ -381,7 +393,7 @@ def solve_bf_subproblem_report(
             max(0.0, abs(np.vdot(w, i_hat)) - eta_hat),
             max(0.0, float(np.max(np.abs(w))) - cap),
             "dual",
-            z_star,
+            z,
         )
         if _certified(info):
             return w, info

@@ -184,6 +184,37 @@ class TestCertificates:
         assert info.cap_violation <= CAP_TOL
         assert abs(np.vdot(w, h_int)) <= eta + FEAS_TOL * max(1.0, eta)
 
+    @pytest.mark.parametrize("ratios, rest_sig, h_int, eta_frac, z_min, z_max", [
+        # ratio point 1e-15 from the origin: Weiszfeld once stepped off it only
+        # by ~1e-15 a step, pinned by the origin's 1/d weight, and the
+        # recovery at that z* missed the gap by 1.4e-2
+        ([1e-15], [-0.87 + 0.67j, 0.27 - 2.05j, 0.71 - 0.39j],
+         [-1.11 + 0.1j, -1.09 - 0.69j, 0.27 - 2.64j, 0.9 + 0.79j], 0.471, 1e-3, 1.0),
+        # smooth z* 8e-8 from two ratio points at 1e-7 and 1e-11j: their
+        # residual phases are noise, freed only at tol 1e-6 (gap was 1.6e-6)
+        ([1e-7, 1e-11j], [1.83 - 1.91j],
+         [0.25 - 0.32j, 0.36 - 0.37j, 0.36 + 1.59j], 0.291, 1e-8, 1e-6),
+        # smooth z* beside a ratio point at 1e-8: -arg(z*) itself is noise,
+        # and only the slack recovery at z = 0 certifies (gap was 1.2e-5)
+        ([1e-8j], [-0.7 + 1.87j, 2.65 - 0.11j],
+         [-0.54 + 0.72j, -0.42 - 1.21j, -1.09 + 0.49j], 0.472, 0.0, 0.0),
+    ])
+    def test_smooth_minimizer_beside_a_cluster_certifies(
+        self, ratios, rest_sig, h_int, eta_frac, z_min, z_max
+    ):
+        # the first elements' ratio points h_sig_n / h_int_n sit next to the origin
+        h_int = np.array(h_int)
+        h_sig = np.array([h_int[k] * r for k, r in enumerate(ratios)] + rest_sig)
+        cap = 1.0 / math.sqrt(h_sig.size)
+        eta = eta_frac * cap * np.sum(np.abs(h_int))
+        w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
+        assert info.method == "dual"
+        assert z_min <= abs(info.z_star) <= z_max
+        assert info.gap <= GAP_TOL
+        assert info.int_violation <= FEAS_TOL
+        assert info.cap_violation <= CAP_TOL
+        assert abs(np.vdot(w, h_int)) <= eta + FEAS_TOL * max(1.0, eta)
+
     def test_validation_errors(self):
         h = np.ones(3, complex)
         with pytest.raises(ValueError):
