@@ -283,10 +283,7 @@ def initial_state(links: LinkSet, budget: LinkBudget, schedule: SuppressionSched
 def ais_iterate(state: AisState, links: LinkSet, budget: LinkBudget) -> AisState:
     """One alternating pass over the four arrays plus the power update."""
     sch = state.schedule
-    h_s2v = links.s2v.entries
-    h_v2d = links.v2d.entries
-    h_s2d = links.s2d.entries
-    h_si = links.si.entries
+    s2v, v2d, s2d, si = links.s2v, links.v2d, links.s2d, links.si
 
     def update(w: Beamformer, h_sig: np.ndarray, h_int: np.ndarray, mu: float) -> Beamformer:
         return normalize_cm(solve_bf_subproblem(h_sig, h_int, sch.eta_floor + mu, w.cap), w.cap)
@@ -295,10 +292,10 @@ def ais_iterate(state: AisState, links: LinkSet, budget: LinkBudget) -> AisState
     mu_si = mu1 / sch.kappa
     mu3 = sch.mu_s2d / sch.kappa
     mu_s2d = mu3 / sch.kappa
-    w_r = update(state.w_r, h_s2v @ state.w_s.weights, h_si @ state.w_t.weights, mu1)
-    w_t = update(state.w_t, h_v2d.conj().T @ state.w_d.weights, h_si.conj().T @ w_r.weights, mu_si)
-    w_s = update(state.w_s, h_s2v.conj().T @ w_r.weights, h_s2d.conj().T @ state.w_d.weights, mu3)
-    w_d = update(state.w_d, h_v2d @ w_t.weights, h_s2d @ w_s.weights, mu_s2d)
+    w_r = update(state.w_r, s2v.entries @ state.w_s.weights, si.entries @ state.w_t.weights, mu1)
+    w_t = update(state.w_t, v2d.conj_t @ state.w_d.weights, si.conj_t @ w_r.weights, mu_si)
+    w_s = update(state.w_s, s2v.conj_t @ w_r.weights, s2d.conj_t @ state.w_d.weights, mu3)
+    w_d = update(state.w_d, v2d.entries @ w_t.weights, s2d.entries @ w_s.weights, mu_s2d)
     schedule = replace(sch, mu_si=mu_si, mu_s2d=mu_s2d)
     return _evaluated_state(state, links, budget, schedule, w_s, w_r, w_t, w_d)
 

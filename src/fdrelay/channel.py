@@ -14,6 +14,7 @@ share: blockage is a property of the environment rather than of query order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections.abc import Sequence
@@ -149,7 +150,12 @@ class EnvParams:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Complex channel (rx_elements x tx_elements) with its path metadata."""
+    """Complex channel (rx_elements x tx_elements) with its path metadata.
+
+    ``entries`` is made read-only: the SI channel is shared by every trial
+    of a scenario and S2D by both positions of a trial, so an in-place
+    write would corrupt the channels of later trials.
+    """
 
     entries: np.ndarray
     role: str
@@ -158,20 +164,41 @@ class ChannelMatrix:
     def __post_init__(self) -> None:
         if self.role not in _ROLE_IDS:
             raise ValueError(f"unknown channel role {self.role!r}")
+        self.entries.setflags(write=False)
+
+    @functools.cached_property
+    def conj_t(self) -> np.ndarray:
+        """The conjugate transpose H^H, made on first use and kept."""
+        h = self.entries.conj()
+        h.setflags(write=False)
+        return h.T
+
+
+def steering_matrix(upa: UpaSpec, angles: Sequence[AngleSet]) -> np.ndarray:
+    """Array responses toward each (elevation, azimuth), one row each.
+
+    Row l is the response to ``angles[l]``: element (m, n), 0-based and
+    vectorized row-major with m outermost, has phase
+    2*pi*(d/lambda)*cos(el)*(m*cos(az) + n*sin(az)); element (0, 0) is the
+    phase reference. The squared norm of a row is always rows*cols. The
+    per-row scalars are Python floats and every array step is elementwise,
+    so a row does not depend on the others.
+    """
+    cos_az = np.array([math.cos(a.azimuth) for a in angles])[:, None, None]
+    sin_az = np.array([math.sin(a.azimuth) for a in angles])[:, None, None]
+    wave = np.array(
+        [2.0 * math.pi * upa.spacing_over_lambda * math.cos(a.elevation) for a in angles]
+    )[:, None, None]
+    m = np.arange(upa.rows, dtype=float)[:, None]
+    n = np.arange(upa.cols, dtype=float)[None, :]
+    phase = wave * (m * cos_az + n * sin_az)
+    return np.exp(1j * phase).reshape(len(angles), upa.n_tot)
 
 
 def steering_vector(upa: UpaSpec, angles: AngleSet) -> np.ndarray:
-    """Array response of a horizontal UPA toward (elevation, azimuth).
-
-    Element (m, n), 0-based and vectorized row-major with m outermost, has
-    phase 2*pi*(d/lambda)*cos(el)*(m*cos(az) + n*sin(az)); element (0, 0) is
-    the phase reference. The squared norm is always rows*cols.
-    """
-    m = np.arange(upa.rows, dtype=float)[:, None]
-    n = np.arange(upa.cols, dtype=float)[None, :]
-    proj = m * math.cos(angles.azimuth) + n * math.sin(angles.azimuth)
-    phase = 2.0 * math.pi * upa.spacing_over_lambda * math.cos(angles.elevation) * proj
-    return np.exp(1j * phase).ravel()
+    """Array response of a horizontal UPA toward (elevation, azimuth): one
+    row of :func:`steering_matrix`."""
+    return steering_matrix(upa, (angles,))[0]
 
 
 def _offset_geometry(dx: float, dy: float, dz: float) -> tuple[float, float, float]:
@@ -187,6 +214,16 @@ def _offset_geometry(dx: float, dy: float, dz: float) -> tuple[float, float, flo
     return dist, horiz, elevation
 
 
+def wrap_azimuth(azimuth: float) -> float:
+    """An angle mapped into [0, 2*pi).
+
+    The modulo of a tiny negative angle rounds up to exactly 2*pi, where
+    math.sin gives -2.4e-16 instead of azimuth 0's 0.0; it maps to 0.0.
+    """
+    azimuth %= 2.0 * math.pi
+    return 0.0 if azimuth >= 2.0 * math.pi else azimuth
+
+
 def link_geometry(src: Vec3, dst: Vec3) -> tuple[float, AngleSet]:
     """Distance and (elevation, azimuth) of the src -> dst line.
 
@@ -198,13 +235,7 @@ def link_geometry(src: Vec3, dst: Vec3) -> tuple[float, AngleSet]:
     dy = dst.y - src.y
     dz = dst.z - src.z
     dist, horiz, elevation = _offset_geometry(dx, dy, dz)
-    if horiz == 0.0:
-        azimuth = 0.0
-    else:
-        azimuth = math.atan2(dy, dx) % (2.0 * math.pi)
-        # the modulo of a tiny negative angle rounds up to exactly 2*pi
-        if azimuth >= 2.0 * math.pi:
-            azimuth = 0.0
+    azimuth = 0.0 if horiz == 0.0 else wrap_azimuth(math.atan2(dy, dx))
     return dist, AngleSet(elevation, azimuth)
 
 
@@ -422,15 +453,16 @@ def channel_from_paths(
 ) -> ChannelMatrix:
     """Ray sum: sum_l gain_l * a_rx(arrival_l) a_tx(departure_l)^H.
 
-    The rank-1 terms are added in component order, one at a time; a matrix
-    product would reorder the sums and change the last bits.
+    The steering vectors of each side are built as one matrix. The rank-1
+    terms are added in component order, one at a time; a matrix product
+    would reorder the sums and change the last bits.
     """
     components = tuple(components)
+    a_rx = steering_matrix(rx_upa, [comp.arrival for comp in components])
+    a_tx_conj = steering_matrix(tx_upa, [comp.departure for comp in components]).conj()
     entries = np.zeros((rx_upa.n_tot, tx_upa.n_tot), dtype=complex)
-    for comp in components:
-        a_rx = steering_vector(rx_upa, comp.arrival)
-        a_tx = steering_vector(tx_upa, comp.departure)
-        entries += comp.gain * np.outer(a_rx, a_tx.conj())
+    for comp, row_rx, row_tx in zip(components, a_rx, a_tx_conj):
+        entries += comp.gain * np.outer(row_rx, row_tx)
     return ChannelMatrix(entries=entries, role=role, components=components)
 
 
@@ -442,12 +474,14 @@ def build_farfield_channel(
     dst: Vec3,
     tx_upa: UpaSpec,
     rx_upa: UpaSpec,
+    los: bool | None = None,
 ) -> ChannelMatrix:
     """Far-field channel: LoS rank-1 term (if drawn) plus NLoS superposition.
 
     The ground-to-destination link (S2D) never carries a LoS term; for the
     two UAV links the LoS indicator comes from the position-consistent field,
-    with the UAV endpoint being dst for S2V and src for V2D. LoS amplitude,
+    with the UAV endpoint being dst for S2V and src for V2D, unless the
+    caller already knows it and passes it as ``los``. LoS amplitude,
     distance, and angles use the actual (unsnapped) positions; only the
     indicator is evaluated on the grid.
     """
@@ -458,7 +492,9 @@ def build_farfield_channel(
 
     if role != ROLE_S2D:
         ground, uav = (src, dst) if role == ROLE_S2V else (dst, src)
-        if env_real.los_indicator(role, ground, uav):
+        if los is None:
+            los = env_real.los_indicator(role, ground, uav)
+        if los:
             _, los_angles = link_geometry(ground, uav)
             beta0 = los_path_gain(dist, env)
             components.append(
@@ -504,11 +540,14 @@ def si_element_distances(env: EnvParams, tx_upa: UpaSpec, rx_upa: UpaSpec) -> np
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
+@functools.cache
 def build_si_channel(env: EnvParams, tx_upa: UpaSpec, rx_upa: UpaSpec) -> ChannelMatrix:
     """Near-field self-interference channel between the relay's panels.
 
     Entry (m, n) = (c/(4*pi*f_c)) * r_mn^(-alpha_los/2) * exp(-j*2*pi*r_mn/lambda)
     with r_mn the exact element-to-element distance; no plane-wave assumption.
+    It depends on its three (frozen, hashable) arguments alone, so it is
+    built once per scenario and the one read-only matrix is shared.
     """
     r = si_element_distances(env, tx_upa, rx_upa)
     amp = env.ref_amplitude * r ** (-env.alpha_los / 2.0)
@@ -542,11 +581,21 @@ def build_links(
     upa_r: UpaSpec,
     upa_t: UpaSpec,
     upa_d: UpaSpec,
+    los: tuple[bool, bool] | None = None,
+    s2d: ChannelMatrix | None = None,
 ) -> LinkSet:
-    """Synthesize all four channels for a UAV position within one trial."""
-    s2v = build_farfield_channel(ROLE_S2V, env_real, env, sn, uav, upa_s, upa_r)
-    v2d = build_farfield_channel(ROLE_V2D, env_real, env, uav, dn, upa_t, upa_d)
-    s2d = build_farfield_channel(ROLE_S2D, env_real, env, sn, dn, upa_s, upa_d)
+    """Synthesize all four channels for a UAV position within one trial.
+
+    ``los`` gives the S2V and V2D LoS states at the UAV's cell when the
+    caller knows them; otherwise the field is asked. S2D does not depend on
+    the UAV position, so a trial passes the first position's ``s2d`` to the
+    second call.
+    """
+    los_s2v, los_v2d = (None, None) if los is None else los
+    s2v = build_farfield_channel(ROLE_S2V, env_real, env, sn, uav, upa_s, upa_r, los_s2v)
+    v2d = build_farfield_channel(ROLE_V2D, env_real, env, uav, dn, upa_t, upa_d, los_v2d)
+    if s2d is None:
+        s2d = build_farfield_channel(ROLE_S2D, env_real, env, sn, dn, upa_s, upa_d)
     si = build_si_channel(env, upa_t, upa_r)
     _, s2v_angles = link_geometry(sn, uav)
     _, v2d_angles = link_geometry(dn, uav)

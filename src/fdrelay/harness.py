@@ -30,11 +30,13 @@ from .channel import (
     EnvParams,
     EnvironmentRealization,
     LinkSet,
+    PathComponent,
     UpaSpec,
     Vec3,
     build_links,
     channel_from_paths,
     trial_rng,
+    wrap_azimuth,
 )
 from .positioning import (
     FeasibleBox,
@@ -183,10 +185,9 @@ def _sample_random_position(scenario: Scenario, trial_index: int, box: FeasibleB
     return Vec3(x, y, h)
 
 
-def _perturbed_angles(angles: AngleSet, offsets: np.ndarray) -> AngleSet:
-    el = min(math.pi / 2, max(-math.pi / 2, angles.elevation + offsets[0]))
-    az = (angles.azimuth + offsets[1]) % (2.0 * math.pi)
-    return AngleSet(el, az)
+def _perturbed_angles(angles: AngleSet, d_el: float, d_az: float) -> AngleSet:
+    el = min(math.pi / 2, max(-math.pi / 2, angles.elevation + d_el))
+    return AngleSet(el, wrap_azimuth(angles.azimuth + d_az))
 
 
 def apply_misalignment(links: LinkSet, delta_m_deg: float, rng: np.random.Generator) -> LinkSet:
@@ -204,9 +205,11 @@ def apply_misalignment(links: LinkSet, delta_m_deg: float, rng: np.random.Genera
     block = rng.uniform(-0.5, 0.5, size=(2, n_rows, 4))
     if delta_m_deg == 0.0:
         return links
-    delta = math.radians(delta_m_deg)
+    # per link, per row (LoS first, then each NLoS path): the departure and
+    # arrival offsets (elevation, azimuth, elevation, azimuth)
+    offsets = (math.radians(delta_m_deg) * block).tolist()
 
-    def perturb(channel, upa_tx, upa_rx, link_idx):
+    def perturb(channel, upa_tx, upa_rx, rows):
         comps = []
         nlos_row = 0
         for comp in channel.components:
@@ -215,20 +218,21 @@ def apply_misalignment(links: LinkSet, delta_m_deg: float, rng: np.random.Genera
             else:
                 nlos_row += 1
                 row = nlos_row
-            offs = delta * block[link_idx, row]
+            dep_el, dep_az, arr_el, arr_az = rows[row]
             comps.append(
-                replace(
-                    comp,
-                    departure=_perturbed_angles(comp.departure, offs[0:2]),
-                    arrival=_perturbed_angles(comp.arrival, offs[2:4]),
+                PathComponent(
+                    comp.gain,
+                    _perturbed_angles(comp.departure, dep_el, dep_az),
+                    _perturbed_angles(comp.arrival, arr_el, arr_az),
+                    comp.is_los,
                 )
             )
         return channel_from_paths(channel.role, comps, upa_tx, upa_rx)
 
     return replace(
         links,
-        s2v=perturb(links.s2v, links.upa_s, links.upa_r, 0),
-        v2d=perturb(links.v2d, links.upa_t, links.upa_d, 1),
+        s2v=perturb(links.s2v, links.upa_s, links.upa_r, offsets[0]),
+        v2d=perturb(links.v2d, links.upa_t, links.upa_d, offsets[1]),
     )
 
 
@@ -255,6 +259,15 @@ class Placement:
     rho: float  # its segment fraction
     designed: Vec3  # nearest dual-LoS grid point, or p_star on fallback
     fallback: bool  # no grid point of the box has LoS on both links
+
+    @property
+    def designed_los(self) -> tuple[bool, bool] | None:
+        """S2V and V2D LoS states at the designed cell, or None when unknown.
+
+        The search returns a cell it found LoS on both links; on fallback
+        the states at p_star are left to the field.
+        """
+        return None if self.fallback else (True, True)
 
 
 def place_relay(scenario: Scenario, trial_index: int) -> Placement:
@@ -296,7 +309,7 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
     dn, designed = placement.dn, placement.designed
     budget = scenario.budget
 
-    def links_at(pos: Vec3) -> LinkSet:
+    def links_at(pos: Vec3, **known) -> LinkSet:
         return build_links(
             placement.env_real,
             scenario.env,
@@ -307,11 +320,12 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
             scenario.upa_r,
             scenario.upa_t,
             scenario.upa_d,
+            **known,
         )
 
-    links_des = links_at(designed)
+    links_des = links_at(designed, los=placement.designed_los)
     rand_pos = _sample_random_position(scenario, trial_index, placement.box)
-    links_rand = links_at(rand_pos)
+    links_rand = links_at(rand_pos, s2d=links_des.s2d)
 
     def misaligned(links: LinkSet) -> LinkSet:
         rng = trial_rng(scenario.master_seed, trial_index, TAG_MISALIGN)

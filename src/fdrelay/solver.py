@@ -26,7 +26,8 @@ Bit identity. The seeded outputs of every trial are fixed, so the loops are
 made cheaper without moving an output bit: reductions call the ufunc
 directly (np.add.reduce gives the bits of np.sum on the same contiguous 1-D
 operand), loop invariants are hoisted, and the kink test screens its
-candidates before the exact test (see _kink_point). Two facts of numpy
+candidates by the values of D at the anchors, which the smooth start needs
+anyway, before the exact test (see _kink_point). Two facts of numpy
 2.4.6 are relied on. np.abs of a complex array can differ by one ulp from
 the scalar abs(z), which is libm hypot, so an array that must reproduce a
 scalar abs(z) uses np.hypot. And a reduction along the last axis of a
@@ -160,33 +161,35 @@ def _newton_polish(z: complex, points: np.ndarray, weights: np.ndarray) -> compl
     return z
 
 
-def _kink_point(points: np.ndarray, weights: np.ndarray) -> complex | None:
+def _kink_point(
+    points: np.ndarray, weights: np.ndarray, d_vals: np.ndarray, drift: float
+) -> complex | None:
     """First candidate, in index order, at which D has its minimum, or None.
 
     Exact test at candidate p: the points tied with p (within 1e-12
     relative) must outweigh the pull of all the others,
     |sum_rest w u| <= w_same * (1 + 1e-12), u the unit vectors towards p.
-    Nearly every dual solve has no such candidate, so a screen first forms
-    the pull and the tie weight of every candidate at once, as row sums over
-    the m x m differences, and keeps only the candidates within
-    1e-9 * sum(w) of passing.
+    Nearly every dual solve has no such candidate, so a screen first drops
+    every candidate whose value of D, ``d_vals[i]``, lies more than
+    margin_i = 1e-9 * (sum(w) + drift + d_vals[k]) * (1 + |p_i| + |p_k|)
+    above the best anchor's, k = argmin(d_vals). ``drift`` is cap * N.
 
-    Why the screen is exact: its tie masks are the exact test's (the same
-    elementwise np.abs of the differences, against thresholds built with
-    hypot, which has the bits of the scalar abs(p)). Its sums then differ
-    from the exact ones only in summation order and in the order of one
-    multiply and one divide, at most about 2 (m + 3) eps sum(w) apart, far
-    inside the margin for any m below 10^6. So it never drops a candidate
-    the exact test accepts, and the exact test run on the survivors in
-    index order returns what it returns alone.
+    Why the screen is exact: let F(z) = sum_j w_j |z - p_j|. When the exact
+    test accepts p_i, moving the points tied with p_i onto it changes F by
+    at most sum(w) * tau_i, tau_i = 1e-12 (1 + |p_i|), and leaves a
+    subgradient of norm at most 1e-12 sum(w) at p_i, so convexity gives
+    F(p_i) - F(p_k) <= sum(w) * (2 tau_i + 1e-12 |p_i - p_k|). D differs
+    from F + const in two ways. The non-carrier elements (|i_n| <= 1e-14)
+    drift by at most cap * N * 1e-14 * |z|, and d_vals carries rounding of
+    about N eps (cap sqrt(N) (1 + |z|) + D). Both lie far inside the margin
+    for any N below 10^6. So the screen never drops a candidate the exact
+    test accepts, and the exact test run on the survivors in index order
+    returns what it returns alone.
     """
-    diff = points[:, None] - points[None, :]  # row i: p_i - p_j
-    dist = np.abs(diff)
-    same = dist <= 1e-12 * (1.0 + np.hypot(points.real, points.imag))[:, None]
-    tie = np.add.reduce(np.where(same, weights, 0.0), axis=1)
-    pull = np.add.reduce(np.where(same, 0.0, weights) * diff / np.where(same, 1.0, dist), axis=1)
-    margin = 1e-9 * np.add.reduce(weights)
-    for idx in np.flatnonzero(np.abs(pull) <= tie * (1.0 + 1e-12) + margin):
+    k = int(np.argmin(d_vals))
+    mags = np.hypot(points.real, points.imag)
+    margin = 1e-9 * (np.add.reduce(weights) + drift + d_vals[k]) * (1.0 + mags + mags[k])
+    for idx in np.flatnonzero(d_vals <= d_vals[k] + margin):
         p = points[idx]
         same = np.abs(points - p) <= 1e-12 * (1.0 + abs(p))
         same[idx] = True
@@ -351,14 +354,15 @@ def solve_bf_subproblem_report(
     all_points = np.concatenate([points, [0.0 + 0.0j]])
     all_weights = np.concatenate([weights, [eta_hat]])
 
-    z_star = _kink_point(all_points, all_weights)
+    # D at every anchor; hypot gives the bits of _dual_value's abs(z)
+    resid = s_hat - all_points[:, None] * i_hat
+    d_vals = cap * np.add.reduce(np.abs(resid), axis=1) + eta_hat * np.hypot(
+        all_points.real, all_points.imag
+    )
+    z_star = _kink_point(all_points, all_weights, d_vals, cap * h_sig.size)
     smooth = z_star is None
     if smooth:
-        # start from the best anchor; hypot gives the bits of _dual_value's abs(z)
-        resid = s_hat - all_points[:, None] * i_hat
-        d_vals = cap * np.add.reduce(np.abs(resid), axis=1) + eta_hat * np.hypot(
-            all_points.real, all_points.imag
-        )
+        # start from the best anchor
         z0 = all_points[int(np.argmin(d_vals))]
         z_w = _weiszfeld(all_points, all_weights, z0)
         z_star = _newton_polish(z_w, all_points, all_weights)

@@ -148,12 +148,24 @@ def n2_dense_best(h_sig: np.ndarray, h_int: np.ndarray, eta: float, cap: float) 
     return best
 
 
-def kink_point(points: np.ndarray, weights: np.ndarray):
+def steering_vector(upa, angles) -> np.ndarray:
+    """One UPA response, element by element as the formula reads: phase
+    2*pi*(d/lambda)*cos(el)*(m*cos(az) + n*sin(az)), m outermost."""
+    m = np.arange(upa.rows, dtype=float)[:, None]
+    n = np.arange(upa.cols, dtype=float)[None, :]
+    proj = m * math.cos(angles.azimuth) + n * math.sin(angles.azimuth)
+    phase = 2.0 * math.pi * upa.spacing_over_lambda * math.cos(angles.elevation) * proj
+    return np.exp(1j * phase).ravel()
+
+
+def kink_point(points: np.ndarray, weights: np.ndarray, *screen_args):
     """First candidate, in index order, at which the weighted Fermat-Weber sum has its minimum.
 
     Candidate p passes when the points tied with it (within 1e-12 relative)
     outweigh the pull of all the others. Every candidate is tested in turn,
-    with no screen; returns None when none passes.
+    with no screen; returns None when none passes. ``screen_args`` (the
+    solver's values of D at the anchors and its drift bound) are accepted
+    and ignored, so the oracle takes the solver's call.
     """
     for idx in range(points.size):
         p = points[idx]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -27,9 +28,12 @@ from fdrelay.channel import (
     los_path_gain,
     los_probability,
     nlos_path_gain,
+    steering_matrix,
     steering_vector,
+    wrap_azimuth,
 )
 from oracles import los_indicator as los_indicator_oracle
+from oracles import steering_vector as steering_vector_oracle
 
 ENV = EnvParams()
 
@@ -75,6 +79,33 @@ class TestSteeringVector:
         w = a / math.sqrt(upa.n_tot)
         gain = abs(np.vdot(w, a)) ** 2
         assert gain == pytest.approx(upa.n_tot, rel=1e-9)
+
+
+_TWO_PI_BELOW = math.nextafter(2.0 * math.pi, 0.0)
+edge_angles_st = st.tuples(
+    st.one_of(st.sampled_from([-math.pi / 2, math.pi / 2]), st.floats(-math.pi / 2, math.pi / 2)),
+    st.one_of(st.sampled_from([0.0, _TWO_PI_BELOW]),
+              st.floats(0.0, 2.0 * math.pi, exclude_max=True)),
+).map(lambda t: AngleSet(*t))
+edge_upa_st = st.builds(
+    UpaSpec,
+    st.one_of(st.just(1), st.integers(1, 9)),
+    st.one_of(st.just(1), st.integers(1, 9)),
+    st.sampled_from([0.5, 0.25, 1.3, 0.07]),
+)
+
+
+class TestSteeringMatrix:
+    @given(upa=edge_upa_st, angles=st.lists(edge_angles_st, min_size=1, max_size=6))
+    def test_every_row_is_the_steering_vector_bit_for_bit(self, upa, angles):
+        a = steering_matrix(upa, angles)
+        assert a.shape == (len(angles), upa.n_tot)
+        for row, ang in zip(a, angles):
+            assert row.tobytes() == steering_vector(upa, ang).tobytes()
+            assert row.tobytes() == steering_vector_oracle(upa, ang).tobytes()
+
+    def test_no_angles_give_an_empty_matrix(self):
+        assert steering_matrix(UpaSpec(2, 3), []).shape == (0, 6)
 
 
 class TestGeometry:
@@ -497,7 +528,47 @@ class TestFarfieldChannel:
         pytest.fail("no trial produced a LoS draw")
 
 
+class TestReadOnlyChannels:
+    def test_entries_and_their_conjugate_transpose_refuse_writes(self):
+        ch = build_si_channel(ENV, UpaSpec(2, 2), UpaSpec(2, 3))
+        with pytest.raises(ValueError, match="read-only"):
+            ch.entries[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            ch.entries *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            ch.conj_t[0, 0] = 0.0
+
+    def test_conjugate_transpose_is_made_once(self):
+        ch = build_si_channel(ENV, UpaSpec(2, 2), UpaSpec(2, 3))
+        assert ch.conj_t is ch.conj_t
+        assert ch.conj_t.tobytes() == ch.entries.conj().T.tobytes()
+        assert ch.conj_t.shape == (4, 6)
+
+
+class TestAzimuthWrap:
+    def test_tiny_negative_angle_wraps_to_zero(self):
+        assert (-1e-17) % (2.0 * math.pi) == 2.0 * math.pi
+        assert wrap_azimuth(-1e-17) == 0.0
+        assert wrap_azimuth(2.0 * math.pi) == 0.0
+        assert wrap_azimuth(-0.5) == -0.5 % (2.0 * math.pi)
+        assert wrap_azimuth(7.0) == 7.0 - 2.0 * math.pi
+
+    def test_perturbed_angle_gets_azimuth_zero_steering(self):
+        from fdrelay.harness import _perturbed_angles
+
+        ang = _perturbed_angles(AngleSet(0.3, 0.0), 0.0, -1e-17)
+        assert ang.azimuth == 0.0
+        upa = UpaSpec(3, 3)
+        assert steering_vector(upa, ang).tobytes() == steering_vector(
+            upa, AngleSet(0.3, 0.0)).tobytes()
+
+
 class TestSelfInterference:
+    def test_built_once_per_array_pair(self):
+        a = build_si_channel(ENV, UpaSpec(3, 2), UpaSpec(2, 3))
+        assert build_si_channel(EnvParams(), UpaSpec(3, 2), UpaSpec(2, 3)) is a
+        assert build_si_channel(ENV, UpaSpec(2, 3), UpaSpec(2, 3)) is not a
+
     def test_single_element_frozen(self):
         ch = build_si_channel(ENV, UpaSpec(1, 1), UpaSpec(1, 1))
         assert ch.entries.shape == (1, 1)
@@ -551,3 +622,77 @@ class TestLinkSet:
         _, ang_v2d = link_geometry(dn, uav)
         assert links.s2v_angles == ang_s2v
         assert links.v2d_angles == ang_v2d
+
+    def test_known_los_states_and_s2d_are_used(self, monkeypatch):
+        real = EnvironmentRealization(ENV, 9, 0)
+        sn, dn, uav = Vec3(0, 0, 0), Vec3(400, 300, 0), Vec3(200, 150, 100)
+        arrays = (UpaSpec(2, 2), UpaSpec(3, 3), UpaSpec(4, 4), UpaSpec(5, 5))
+        asked = build_links(real, ENV, sn, dn, uav, *arrays)
+        states = (real.los_indicator(ROLE_S2V, sn, uav), real.los_indicator(ROLE_V2D, dn, uav))
+
+        def no_field(*args):
+            raise AssertionError("the LoS field was asked")
+
+        monkeypatch.setattr(real, "los_indicator", no_field)
+        known = build_links(real, ENV, sn, dn, uav, *arrays, los=states, s2d=asked.s2d)
+        assert known.s2d is asked.s2d
+        assert known.si is asked.si
+        for a, b in ((asked.s2v, known.s2v), (asked.v2d, known.v2d)):
+            assert a.entries.tobytes() == b.entries.tobytes()
+            assert a.components == b.components
+        flipped = build_links(real, ENV, sn, dn, uav, *arrays, los=(not states[0], states[1]))
+        assert sum(c.is_los for c in flipped.s2v.components) == (not states[0])
+
+
+class TestChannelPin:
+    """Every channel a trial builds, to the bit: the designed and random
+    positions' links and both misaligned evaluation sets, trials 0-5 of the
+    three trialbench workloads' configs (copied, so the pin stays put if a
+    workload changes) and of one mixed-shape config."""
+
+    DIGESTS = {
+        "paper_default": "85bd8bfef280dd817ce7699d59ffff5ad244ab4236374a9c30c033a7d552e408",
+        "large_array_misaligned":
+            "377bc40a14284e7a91431146e765b8db91df0863996c608ee6b8b83e5311cadd",
+        "los_starved": "286277ca8979305a0d7826fdd701e3137f73574b4326650861ba44f18a3fad6d",
+        "mixed_shapes": "b3f8f3582ace9681e070e25a549ab3b9b12d59e6b40c24c12382a90ee7beda67",
+    }
+    CONFIGS = {
+        "paper_default": {},
+        "large_array_misaligned": {
+            **{key: 8 for key in ("m_s", "n_s", "m_r", "n_r", "m_t", "n_t", "m_d", "n_d")},
+            "delta_m_deg": 10.0,
+        },
+        "los_starved": {
+            "los_a": 27.23, "los_b": 0.08, "dn_rule": "fixed", "dn_x": 560.0, "dn_y": 420.0,
+        },
+        "mixed_shapes": {"m_s": 3, "n_s": 2, "m_r": 2, "n_r": 3, "m_t": 3, "n_t": 2,
+                         "m_d": 2, "n_d": 3, "delta_m_deg": 5.0},
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_trial_channels_keep_their_bits(self, name, monkeypatch):
+        from fdrelay import config, harness
+
+        overrides, expected = self.CONFIGS[name], self.DIGESTS[name]
+        built = []
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                links = fn(*args, **kwargs)
+                built.append(links)
+                return links
+
+            return wrapper
+
+        monkeypatch.setattr(harness, "build_links", spy(harness.build_links))
+        monkeypatch.setattr(harness, "apply_misalignment", spy(harness.apply_misalignment))
+        scenario = config.build_scenario(overrides)
+        for trial in range(6):
+            harness.run_trial(scenario, trial)
+        assert len(built) == 4 * 6
+        digest = hashlib.sha256()
+        for links in built:
+            for ch in (links.s2v, links.v2d, links.s2d, links.si):
+                digest.update(ch.entries.tobytes())
+        assert digest.hexdigest() == expected

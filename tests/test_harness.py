@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fdrelay.beamforming as beamforming
 import fdrelay.harness as harness
-from fdrelay.channel import UpaSpec, Vec3, trial_rng
+from fdrelay.channel import ROLE_S2V, ROLE_V2D, UpaSpec, Vec3, trial_rng
 from fdrelay.config import build_scenario
 from fdrelay.harness import (
     MIN_GROUND_SEPARATION,
@@ -287,6 +287,30 @@ class TestPlacementPin:
         # every config moves some relays off the closed-form optimum
         assert min(moved) > 0
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestDesignedLos:
+    @pytest.mark.parametrize("overrides", TestPlacementPin.CONFIGS)
+    def test_handed_over_states_are_the_fields(self, overrides):
+        # the designed cell's states reach build_links without asking the
+        # field again; they must be what the field says there
+        scenario = build_scenario(overrides)
+        for trial in range(12):
+            pl = place_relay(scenario, trial)
+            field = (
+                pl.env_real.los_indicator(ROLE_S2V, harness.SOURCE, pl.designed),
+                pl.env_real.los_indicator(ROLE_V2D, pl.dn, pl.designed),
+            )
+            assert pl.designed_los == (None if pl.fallback else field)
+
+    def test_fallback_leaves_the_states_to_the_field(self, monkeypatch):
+        from fdrelay.positioning import NoLosPositionError
+
+        def always_blocked(*args, **kwargs):
+            raise NoLosPositionError("no LoS position found")
+
+        monkeypatch.setattr(harness, "los_adjusted_position", always_blocked)
+        assert place_relay(FAST, 0).designed_los is None
 
 
 class TestRunTrials:

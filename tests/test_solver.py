@@ -429,7 +429,49 @@ def _bits(z):
     return None if z is None else (float(z.real).hex(), float(z.imag).hex())
 
 
+def _margin_case(h_sig, h_int, eta_frac):
+    h_sig, h_int = np.array(h_sig, complex), np.array(h_int, complex)
+    cap = 1.0 / math.sqrt(h_sig.size)
+    leak = abs(np.vdot(cap * np.exp(1j * np.angle(h_sig)), h_int))
+    return h_sig, h_int, eta_frac * leak, cap
+
+
+_DIAG, _ANTI = 1 + 1j, -1 + 1j  # two ratio points of equal modulus
+_THIRD = complex(-0.5, math.sqrt(3) / 2)  # exp(2j*pi/3)
+_CLUSTER_INT = [complex(math.cos(math.pi * k / 12), math.sin(math.pi * k / 12)) * (1 + k / 24)
+                for k in range(24)]
+_CLUSTER_OFF = [1.2e-13] + [(k - 12) * 1e-14 for k in range(1, 24)]
+
+
 class TestKinkScreen:
+    @pytest.mark.parametrize("case", [
+        # F is flat between the two ratio points; a non-carrier element
+        # (|i_hat| = 7e-15) makes D lower at the second, so D != F + const
+        _margin_case([_ANTI, _DIAG, 1.0], [1, 1, 1e-14 * (1 - 1j) / math.sqrt(2)], 1e-300),
+        # F falls by 1e-12 relative from the first ratio point to the second,
+        # far away, and the exact test's tolerance still accepts the first
+        _margin_case([_ANTI, _DIAG * (1 + 0.5e-12)], [1, 1 + 0.5e-12], 1e-300),
+        # N = 24 ratio points within 2e-13 of each other, the first at the
+        # cluster's edge: D's argmin is another member
+        _margin_case([(0.6 + 0.8j) * (1 + d) * h for d, h in zip(_CLUSTER_OFF, _CLUSTER_INT)],
+                     _CLUSTER_INT, 1e-300),
+        # a ratio point 1e-13 from the origin, tied with it, beside one at
+        # 1e10: D is lowest at the origin itself
+        _margin_case([2e-13, _THIRD, 0.5 * _THIRD], [2, 1e-10, 1], 0.95),
+    ], ids=["non_carrier_drift", "kink_far_from_best_anchor", "n24_cluster",
+            "origin_tie_beside_large_p"])
+    def test_kink_above_the_best_anchor_survives_the_screen(self, case):
+        args, z_star = _solve_spied(case, solver._kink_point)
+        _, z_star_reference = _solve_spied(case, kink_point)
+        points, _, d_vals, _ = args
+        kink = kink_point(*args)
+        assert kink is not None
+        # the exact test accepts a candidate whose value of D lies above the
+        # best anchor's: only the margin keeps it
+        assert d_vals[np.flatnonzero(points == kink)[0]] > d_vals.min()
+        assert _bits(solver._kink_point(*args)) == _bits(kink)
+        assert _bits(z_star) == _bits(z_star_reference)
+
     @given(case=_fuzz_subproblems())
     @settings(max_examples=150)
     def test_screened_kink_test_matches_unscreened_reference(self, case):
