@@ -206,7 +206,6 @@ def los_adjusted_position(
     box: FeasibleBox,
     sn: Vec3,
     dn: Vec3,
-    rng: np.random.Generator | None = None,
 ) -> Vec3:
     """Nearest dual-LoS grid point around the closed-form optimum.
 
@@ -230,8 +229,7 @@ def los_adjusted_position(
         ROLE_V2D, dn, p_star
     ):
         return p_star
-    if rng is None:
-        rng = trial_rng(env_real.master_seed, env_real.trial_index, TAG_TIEBREAK)
+    rng = trial_rng(env_real.master_seed, env_real.trial_index, TAG_TIEBREAK)
 
     ex, ey, eh = box.eps_x, box.eps_y, box.eps_h
     # ring index bounds that still intersect the box

@@ -25,10 +25,16 @@ along a noise phase, which can miss the interference cap.
 Bit identity. The seeded outputs of every trial are fixed, so the loops are
 made cheaper without moving an output bit: reductions call the ufunc
 directly (np.add.reduce gives the bits of np.sum on the same contiguous 1-D
-operand), loop invariants are hoisted, and the kink test screens its
-candidates by the values of D at the anchors, which the smooth start needs
-anyway, before the exact test (see _kink_point). Two facts of numpy
-2.4.6 are relied on. np.abs of a complex array can differ by one ulp from
+operand), loop invariants are hoisted, numpy's Python wrappers are
+replaced by the expressions they evaluate (np.linalg.norm of a complex
+vector is sqrt(re.re + im.im), np.max is np.maximum.reduce), the kink
+test screens its candidates by the values of D at the anchors, which the
+smooth start needs anyway, before the exact test (see _kink_point), and
+each Weiszfeld step skips its exact anchor test when the step's own
+reciprocal sum rules an anchor out (see _weiszfeld). That screen rests on
+monotone rounding alone, so it holds for every input, and it switches
+itself off where a weight is zero or NaN. Two facts of numpy 2.4.6 are
+relied on. np.abs of a complex array can differ by one ulp from
 the scalar abs(z), which is libm hypot, so an array that must reproduce a
 scalar abs(z) uses np.hypot. And a reduction along the last axis of a
 contiguous 2-D array gives each row the bits of np.sum on that row.
@@ -38,6 +44,7 @@ tests/test_solver.py pins the outputs of a seeded battery by sha256.
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 from dataclasses import dataclass
 
@@ -82,34 +89,56 @@ def _dual_value(z: complex, s_hat: np.ndarray, i_hat: np.ndarray, eta: float, ca
 
 
 def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
-    """Modified Weiszfeld iteration for the weighted geometric median."""
+    """Modified Weiszfeld iteration for the weighted geometric median.
+
+    A step whose iterate lies within tie = 1e-12 (1 + |z|) of an anchor steps
+    off it; any other step is the weighted mean with weights w / d. The
+    exact anchor test, fmin(d) <= tie, runs only on a step that the sum
+    s = sum(w / d), which the mean needs anyway, does not rule out: a step
+    with s < w_min / tie has no anchor within tie. Why: the weights are
+    nonnegative, and division and addition round monotonically. If
+    d_i <= tie, then fl(w_i / d_i) >= fl(w_i / tie) >= fl(w_min / tie), and
+    a sum of nonnegative terms is at least each term, so
+    s >= fl(w_min / tie). No error bound enters, so subnormal quotients
+    and weights cannot break it. The screen is off, and every step takes
+    the exact test, where a weight is zero (the threshold is 0) or NaN, or
+    the iterate is NaN (the threshold is NaN). An anchor on the iterate
+    puts inf or 0/0 into s and a NaN point puts NaN, so such a step takes
+    the exact test too. The warnings of those divisions are silenced, since
+    every smooth start sits on an anchor (d = 0). tests/oracles.py keeps the
+    unscreened loop.
+    """
     # fmin.reduce(d) <= tol is any(d <= tol) in one call: fmin skips NaN
     absolute, add, fmin = np.abs, np.add.reduce, np.fmin.reduce
+    w_min = float(np.minimum.reduce(weights))
     z = z0
-    for _ in range(_WEISZFELD_ITERS):
-        d = absolute(points - z)
-        tie = 1e-12 * (1.0 + abs(z))
-        if fmin(d) <= tie:
-            # sitting on an anchor: step off along the descent direction; the
-            # anchors within the kink test's tie tolerance count as one, else
-            # a near neighbour's 1/d weight pins the iterate to the cluster
-            on = d <= tie
-            others = ~on
-            if not others.any():
-                return z
-            u = (z - points[others]) / d[others]
-            r = complex(add(weights[others] * u))
-            w_on = add(weights[on])
-            if abs(r) <= w_on:
-                return z
-            step = (abs(r) - w_on) / add(weights[others] / d[others])
-            z = z - (r / abs(r)) * step
-            continue
-        inv = weights / d
-        z_new = complex(add(points * inv) / add(inv))
-        if abs(z_new - z) <= 1e-15 * (1.0 + abs(z)):
-            return z_new
-        z = z_new
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_WEISZFELD_ITERS):
+            d = absolute(points - z)
+            tie = 1e-12 * (1.0 + abs(z))
+            inv = weights / d
+            s = add(inv)
+            if not s < w_min / tie and fmin(d) <= tie:
+                # sitting on an anchor: step off along the descent direction;
+                # the anchors within the kink test's tie tolerance count as
+                # one, else a near neighbour's 1/d weight pins the iterate to
+                # the cluster
+                on = d <= tie
+                others = ~on
+                if not others.any():
+                    return z
+                u = (z - points[others]) / d[others]
+                r = complex(add(weights[others] * u))
+                w_on = add(weights[on])
+                if abs(r) <= w_on:
+                    return z
+                step = (abs(r) - w_on) / add(inv[others])
+                z = z - (r / abs(r)) * step
+                continue
+            z_new = complex(add(points * inv) / s)
+            if abs(z_new - z) <= 1e-15 * (1.0 + abs(z)):
+                return z_new
+            z = z_new
     return z
 
 
@@ -162,7 +191,7 @@ def _newton_polish(z: complex, points: np.ndarray, weights: np.ndarray) -> compl
 
 
 def _kink_point(
-    points: np.ndarray, weights: np.ndarray, d_vals: np.ndarray, drift: float
+    points: np.ndarray, weights: np.ndarray, mags: np.ndarray, d_vals: np.ndarray, drift: float
 ) -> complex | None:
     """First candidate, in index order, at which D has its minimum, or None.
 
@@ -172,7 +201,8 @@ def _kink_point(
     Nearly every dual solve has no such candidate, so a screen first drops
     every candidate whose value of D, ``d_vals[i]``, lies more than
     margin_i = 1e-9 * (sum(w) + drift + d_vals[k]) * (1 + |p_i| + |p_k|)
-    above the best anchor's, k = argmin(d_vals). ``drift`` is cap * N.
+    above the best anchor's, k = argmin(d_vals). ``mags`` holds the |p_i|
+    (np.hypot, shared with d_vals) and ``drift`` is cap * N.
 
     Why the screen is exact: let F(z) = sum_j w_j |z - p_j|. When the exact
     test accepts p_i, moving the points tied with p_i onto it changes F by
@@ -187,7 +217,6 @@ def _kink_point(
     returns what it returns alone.
     """
     k = int(np.argmin(d_vals))
-    mags = np.hypot(points.real, points.imag)
     margin = 1e-9 * (np.add.reduce(weights) + drift + d_vals[k]) * (1.0 + mags + mags[k])
     for idx in np.flatnonzero(d_vals <= d_vals[k] + margin):
         p = points[idx]
@@ -300,7 +329,7 @@ def _feasibility_polish(w: np.ndarray, i_hat: np.ndarray, eta: float, cap: float
             return w
         gamma = s.conjugate() * (eta / abs(s) - 1.0) / i_norm_sq
         w = w + gamma * i_hat
-    if float(np.max(np.abs(w))) - cap > CAP_TOL:
+    if float(np.maximum.reduce(np.abs(w))) - cap > CAP_TOL:
         w = _clip_to_cap(w, cap)
     return w
 
@@ -322,8 +351,9 @@ def solve_bf_subproblem_report(
     if cap <= 0:
         raise ValueError("element magnitude cap must be positive")
 
-    sig_norm = float(np.linalg.norm(h_sig))
-    int_norm = float(np.linalg.norm(h_int))
+    # np.linalg.norm's own expression for a complex vector, without its wrapper
+    sig_norm = math.sqrt(h_sig.real.dot(h_sig.real) + h_sig.imag.dot(h_sig.imag))
+    int_norm = math.sqrt(h_int.real.dot(h_int.real) + h_int.imag.dot(h_int.imag))
     if sig_norm == 0.0:
         w = np.zeros_like(h_sig)
         return w, SolveInfo(0.0, 0.0, 0.0, 0.0, 0.0, "shortcut", 0j)
@@ -335,7 +365,7 @@ def solve_bf_subproblem_report(
     mag = np.abs(h_sig)
     nz = mag > 0
     h_nz = h_sig[nz]
-    if mag.min() < _NORMAL_MIN:
+    if np.minimum.reduce(mag) < _NORMAL_MIN:
         # a subnormal element would underflow cap * h to 0 (or overflow the
         # division); an exact power of two lifts it and leaves its phase alone
         h_nz[mag[nz] < _NORMAL_MIN] *= 2.0**512
@@ -355,11 +385,10 @@ def solve_bf_subproblem_report(
     all_weights = np.concatenate([weights, [eta_hat]])
 
     # D at every anchor; hypot gives the bits of _dual_value's abs(z)
+    mags = np.hypot(all_points.real, all_points.imag)
     resid = s_hat - all_points[:, None] * i_hat
-    d_vals = cap * np.add.reduce(np.abs(resid), axis=1) + eta_hat * np.hypot(
-        all_points.real, all_points.imag
-    )
-    z_star = _kink_point(all_points, all_weights, d_vals, cap * h_sig.size)
+    d_vals = cap * np.add.reduce(np.abs(resid), axis=1) + eta_hat * mags
+    z_star = _kink_point(all_points, all_weights, mags, d_vals, cap * h_sig.size)
     smooth = z_star is None
     if smooth:
         # start from the best anchor
@@ -395,7 +424,7 @@ def solve_bf_subproblem_report(
             dual_hat * sig_norm,
             (dual_hat - primal) / max(1.0, dual_hat),
             max(0.0, abs(np.vdot(w, i_hat)) - eta_hat),
-            max(0.0, float(np.max(np.abs(w))) - cap),
+            max(0.0, float(np.maximum.reduce(np.abs(w))) - cap),
             "dual",
             z,
         )

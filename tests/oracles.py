@@ -2,10 +2,11 @@
 
 Each oracle recomputes an answer from the raw problem statement with dense
 search instead of the library's algebra, so agreement is evidence rather
-than tautology. ``kink_point``, ``los_indicator`` and ``los_ring_search``
-are the exceptions: they are the plain per-candidate and per-cell loops that
-the solver's screened kink test, ``EnvironmentRealization.los_cells`` and
-the array LoS ring search must reproduce bit for bit.
+than tautology. ``weiszfeld``, ``kink_point``, ``los_indicator`` and
+``los_ring_search`` are the exceptions: they are the plain loops that the
+solver's screened Weiszfeld step and kink test,
+``EnvironmentRealization.los_cells`` and the array LoS ring search must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from fdrelay.channel import (
     los_probability,
 )
 from fdrelay.positioning import NoLosPositionError
+from fdrelay.solver import _WEISZFELD_ITERS
 
 
 def rho_grid_argmax(
@@ -158,6 +160,42 @@ def steering_vector(upa, angles) -> np.ndarray:
     return np.exp(1j * phase).ravel()
 
 
+def weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
+    """Modified Weiszfeld iteration, testing every step for an anchor with fmin.
+
+    The solver's loop skips that test on a step whose reciprocal sum rules
+    an anchor out; this one runs it on every step.
+    """
+    # fmin.reduce(d) <= tol is any(d <= tol) in one call: fmin skips NaN
+    absolute, add, fmin = np.abs, np.add.reduce, np.fmin.reduce
+    z = z0
+    for _ in range(_WEISZFELD_ITERS):
+        d = absolute(points - z)
+        tie = 1e-12 * (1.0 + abs(z))
+        if fmin(d) <= tie:
+            # sitting on an anchor: step off along the descent direction; the
+            # anchors within the kink test's tie tolerance count as one, else
+            # a near neighbour's 1/d weight pins the iterate to the cluster
+            on = d <= tie
+            others = ~on
+            if not others.any():
+                return z
+            u = (z - points[others]) / d[others]
+            r = complex(add(weights[others] * u))
+            w_on = add(weights[on])
+            if abs(r) <= w_on:
+                return z
+            step = (abs(r) - w_on) / add(weights[others] / d[others])
+            z = z - (r / abs(r)) * step
+            continue
+        inv = weights / d
+        z_new = complex(add(points * inv) / add(inv))
+        if abs(z_new - z) <= 1e-15 * (1.0 + abs(z)):
+            return z_new
+        z = z_new
+    return z
+
+
 def kink_point(points: np.ndarray, weights: np.ndarray, *screen_args):
     """First candidate, in index order, at which the weighted Fermat-Weber sum has its minimum.
 
@@ -196,7 +234,7 @@ def los_indicator(env_real, role, ground, uav):
     return _hash_uniform(env_real.master_seed, env_real.trial_index, role, *cell) < p
 
 
-def los_ring_search(env_real, env, p_star, box, sn, dn, rng=None):
+def los_ring_search(env_real, env, p_star, box, sn, dn):
     """Nearest dual-LoS grid point around p_star, one cell at a time.
 
     Takes ``los_adjusted_position``'s arguments (``env`` is unused there too).
@@ -215,12 +253,9 @@ def los_ring_search(env_real, env, p_star, box, sn, dn, rng=None):
         raise ValueError("designed position lies outside the feasible box")
     if both_los(p_star):
         return p_star
-    if rng is None:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                (env_real.master_seed, env_real.trial_index, TAG_TIEBREAK)
-            )
-        )
+    rng = np.random.default_rng(
+        np.random.SeedSequence((env_real.master_seed, env_real.trial_index, TAG_TIEBREAK))
+    )
     ex, ey, eh = box.eps_x, box.eps_y, box.eps_h
     t_x = max(math.ceil((box.x_d - p_star.x) / ex), math.ceil(p_star.x / ex))
     t_y = max(math.ceil((box.y_d - p_star.y) / ey), math.ceil(p_star.y / ey))

@@ -269,26 +269,31 @@ class TestRingSearchMatchesScalarLoop:
         new, ref = _search_both(env, seed, trial, box, Vec3(px, py, pz))
         assert new == ref
 
-    def test_distance_ties_draw_the_same_member(self):
+    def test_distance_ties_draw_the_same_member(self, monkeypatch):
         # p_star on a grid point: equidistant hits are common, and both
-        # searches must hand the same tied list to the same draws
+        # searches must hand the same tied list to the same draws of the
+        # tie-break stream each builds
+        sizes = []
+        build = np.random.default_rng
+
         class Draws:
-            def __init__(self):
-                self.gen, self.sizes = np.random.default_rng(0), []
+            def __init__(self, seed):
+                self.gen = build(seed)
 
             def integers(self, n):
-                self.sizes.append(n)
+                sizes.append(n)
                 return self.gen.integers(n)
 
+        monkeypatch.setattr(np.random, "default_rng", Draws)
         box = FeasibleBox(12.0, 9.0, 3.0, 6.0, 1.0, 1.0, 1.0)
         p_star, dn = Vec3(6.0, 4.0, 3.0), Vec3(12.0, 9.0, 0.0)
         tied = 0
         for seed in range(40):
             outs = []
             for search in (los_adjusted_position, los_ring_search):
-                draws = Draws()
-                out = search(EnvironmentRealization(ENV, seed, 0), ENV, p_star, box, SN, dn, draws)
-                outs.append((out, draws.sizes))
+                sizes.clear()
+                out = search(EnvironmentRealization(ENV, seed, 0), ENV, p_star, box, SN, dn)
+                outs.append((out, list(sizes)))
             assert outs[0] == outs[1]
             tied += bool(outs[0][1])
         assert tied >= 5

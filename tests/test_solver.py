@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdrelay.solver as solver
+from fdrelay import config, harness
 from fdrelay.solver import (
     CAP_TOL,
     FEAS_TOL,
@@ -17,7 +18,7 @@ from fdrelay.solver import (
     solve_bf_subproblem,
     solve_bf_subproblem_report,
 )
-from oracles import kink_point, n2_dense_best
+from oracles import kink_point, n2_dense_best, weiszfeld
 
 
 def _instance(rng, n):
@@ -463,7 +464,7 @@ class TestKinkScreen:
     def test_kink_above_the_best_anchor_survives_the_screen(self, case):
         args, z_star = _solve_spied(case, solver._kink_point)
         _, z_star_reference = _solve_spied(case, kink_point)
-        points, _, d_vals, _ = args
+        points, _, _, d_vals, _ = args
         kink = kink_point(*args)
         assert kink is not None
         # the exact test accepts a candidate whose value of D lies above the
@@ -480,3 +481,109 @@ class TestKinkScreen:
         assert _bits(z_star) == _bits(z_star_reference)
         if args is not None:
             assert _bits(solver._kink_point(*args)) == _bits(kink_point(*args))
+
+
+@st.composite
+def _weiszfeld_cases(draw):
+    """Weiszfeld inputs at the edges of the anchor screen: starts on an anchor
+    or about the tie tolerance 1e-12 (1 + |z|) from one, anchor clusters
+    within that tolerance, a zero origin weight, subnormal weights, weights
+    over 10^-150..10^150, a NaN point, and N from 1 to 65."""
+    n = draw(st.integers(1, 65))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10 ** rng.uniform(-3, 3, n)
+    kind = draw(st.sampled_from(["plain", "wide", "subnormal", "zero_origin"]))
+    weights = rng.uniform(0.01, 1.0, n)
+    if kind == "wide":
+        weights = 10 ** rng.uniform(-150, 150, n)
+    elif kind == "subnormal" and n > 1:
+        # one weight stays normal, as every carrier's does in the solver: with
+        # only subnormal weights numpy's complex division of the mean by s
+        # overflows (it forms 1 / s), in the reference loop too
+        weights[rng.integers(1, n, size=1 + n // 4)] = 5e-324 * rng.integers(1, 2**20, 1 + n // 4)
+    elif kind == "zero_origin":
+        points[-1], weights[-1] = 0j, 0.0
+    for _ in range(draw(st.integers(0, n // 2))):
+        # a cluster member within the tie tolerance of another point, or a copy
+        src, dst = rng.integers(n, size=2)
+        spread = draw(st.sampled_from([0.0, 1e-13, 1e-12]))
+        points[dst] = points[src] + spread * (1 + abs(points[src])) * np.exp(
+            2j * np.pi * rng.uniform()
+        ) * rng.uniform()
+    if draw(st.integers(0, 9)) == 0:
+        points[rng.integers(n)] = complex("nan+nanj")
+    anchor = points[rng.integers(n)]
+    start = draw(st.sampled_from(["anchor", "tie", "exact_tie", "free"]))
+    factor = draw(st.sampled_from([0.5, 1.0 - 2**-52, 1.0, 1.0 + 2**-52, 2.0]))
+    if start == "anchor":
+        z0 = anchor
+    elif start == "tie":
+        # a start whose distance to the anchor rounds near the tolerance
+        z0 = anchor + factor * 1e-12 * (1.0 + abs(anchor)) * np.exp(2j * np.pi * rng.uniform())
+    elif start == "exact_tie":
+        # from the origin the tolerance is 1e-12 exactly, and a point on an
+        # axis lies exactly factor times that far away
+        points[0], z0 = factor * 1e-12 * (1, 1j, -1, -1j)[rng.integers(4)], 0j
+    else:
+        z0 = complex(rng.normal(), rng.normal())
+    return points, weights, z0
+
+
+class TestWeiszfeldScreen:
+    """The screened Weiszfeld loop returns the bits of the loop that tests
+    every step for an anchor (tests/oracles.py), and warns nowhere."""
+
+    @staticmethod
+    def _both(points, weights, z0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = _bits(solver._weiszfeld(points, weights, z0))
+        # the reference warns where a NaN point meets an anchor step
+        with np.errstate(invalid="ignore"):
+            return new, _bits(weiszfeld(points, weights, z0))
+
+    @pytest.mark.parametrize("points, weights, z0", [
+        # the start lies exactly the tolerance 1e-12 from the only anchor:
+        # the reciprocal sum equals the screen's threshold to the bit
+        ([1e-12], [1.0], 0j),
+        ([1e-12, 1e6], [1.0, 1e-300], 0j),
+        # a normal weight over a tie of 3e12 underflows w / d; a screen that
+        # rescales s by tie and allows for relative rounding would skip the
+        # anchor here
+        ([3e24], [2.44e-308], complex(3e24 + 2999300000000.0)),
+        # a zero origin weight with the iterate on the origin: 0 / 0 in s
+        ([1.0, 1j, 0.0], [1.0, 1.0, 0.0], 0j),
+        ([1.0, float("nan"), 2.0], [1.0, 1.0, 1.0], 1.0 + 0j),
+    ], ids=["exact_tie", "exact_tie_far_neighbour", "underflowing_quotient",
+            "zero_weight_on_origin", "nan_point"])
+    def test_edge_cases_match_unscreened_loop(self, points, weights, z0):
+        new, ref = self._both(np.array(points, complex), np.array(weights, float), z0)
+        assert new == ref
+
+    @given(case=_weiszfeld_cases())
+    @settings(max_examples=300)
+    def test_matches_unscreened_loop(self, case):
+        new, ref = self._both(*case)
+        assert new == ref
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {**{key: 8 for key in ("m_s", "n_s", "m_r", "n_r", "m_t", "n_t", "m_d", "n_d")},
+         "delta_m_deg": 10.0},
+    ], ids=["paper_default", "large_array_misaligned"])
+    def test_trial_calls_match_unscreened_loop(self, overrides, monkeypatch):
+        calls = []
+        screened = solver._weiszfeld
+
+        def spy(points, weights, z0):
+            z = screened(points, weights, z0)
+            calls.append((points.copy(), weights.copy(), z0, z))
+            return z
+
+        monkeypatch.setattr(solver, "_weiszfeld", spy)
+        scenario = config.build_scenario(overrides)
+        for trial in (0, 1):
+            harness.run_trial(scenario, trial)
+        assert len(calls) > 10
+        for points, weights, z0, z in calls:
+            assert _bits(z) == _bits(weiszfeld(points, weights, z0))
