@@ -34,10 +34,6 @@ class Beamformer:
         if np.max(np.abs(self.weights)) > self.cap + CM_TOL:
             raise ValueError("beamformer exceeds its element magnitude cap")
 
-    @property
-    def cm_flag(self) -> bool:
-        return bool(np.all(np.abs(np.abs(self.weights) - self.cap) <= CM_TOL))
-
 
 @dataclass(frozen=True)
 class SuppressionSchedule:
@@ -97,10 +93,6 @@ class AisState:
     @property
     def powers(self) -> PowerPair:
         return self.power_trace[-1]
-
-    @property
-    def gains(self) -> EffectiveGains:
-        return self.gain_trace[-1]
 
 
 def init_beamformers(

@@ -271,22 +271,11 @@ def los_probability(elevation: float, env: EnvParams) -> float:
     return 1.0 / (1.0 + env.los_a * decay)
 
 
-def _hash_uniform(*key_parts) -> float:
-    """Deterministic uniform in [0, 1) keyed by the given integers/strings.
-
-    EnvironmentRealization.los_cells draws the LoS field's uniforms with this
-    key format and conversion, the key formatted once per call.
-    """
-    text = "|".join(str(p) for p in key_parts)
-    digest = hashlib.sha256(text.encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0**64
-
-
 def _digest_uniforms(digests: bytes) -> np.ndarray:
-    """_hash_uniform's conversion of each 32-byte sha256 digest in ``digests``.
+    """The LoS field's uniform in [0, 1) of each 32-byte sha256 digest in
+    ``digests``: its first 8 bytes as a big-endian integer over 2**64.
 
-    The first 8 bytes are a big-endian integer over 2**64; numpy rounds the
-    uint64 to float64 to nearest, as ``int / float`` does.
+    numpy rounds the uint64 to float64 to nearest, as ``int / float`` does.
     """
     return np.frombuffer(digests, ">u8")[::4] / 2.0**64
 
@@ -332,17 +321,6 @@ class EnvironmentRealization:
         self.grid_step = tuple(float(s) for s in grid_step)
         self._nlos_cache: dict[str, tuple[PathComponent, ...]] = {}
 
-    def quantize(self, position: Vec3) -> tuple[int, int, int]:
-        """Snap a position to its LoS-field cell: quantize_xyz of one point."""
-        cell = self.quantize_xyz(
-            np.array([position.x]), np.array([position.y]), np.array([position.z])
-        )[0]
-        return tuple(int(c) for c in cell.tolist())
-
-    def quantize_xyz(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Snap many positions to their LoS-field cells: an (n, 3) array."""
-        return np.column_stack(self.quantize_axes(x, y, z))
-
     def quantize_axes(
         self, x: np.ndarray, y: np.ndarray, z: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -365,14 +343,16 @@ class EnvironmentRealization:
 
     def los_indicator(self, role: str, ground: Vec3, uav: Vec3) -> bool:
         """Bernoulli LoS state of a ground-to-UAV link at the UAV's grid cell."""
-        return bool(self.los_cells(role, ground, [self.quantize(uav)])[0])
+        axes = self.quantize_axes(np.array([uav.x]), np.array([uav.y]), np.array([uav.z]))
+        return bool(self.los_cells(role, ground, np.column_stack(axes))[0])
 
     def los_cells(self, role: str, ground: Vec3, cells) -> np.ndarray:
         """LoS state of the ground-to-UAV link at each (i, j, k) grid cell.
 
         ``cells`` is an (n, 3) array (or sequence) of int64 or integral-float
         cells; integral floats give the same keys and centers as ints. The
-        uniform u of a cell is _hash_uniform's sha256 draw, with the key
+        uniform u of a cell comes from the sha256 digest of the key
+        ``"master_seed|trial_index|role|i|j|k"`` (_digest_uniforms), the key
         formatted once per call, and the cell has LoS when
         ``u < los_probability(elevation)`` at the elevation of its center.
         Returns a bool array; los_indicator is this method on one cell.

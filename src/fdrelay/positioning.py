@@ -15,6 +15,7 @@ import numpy as np
 
 from .channel import (
     ROLE_S2V,
+    ROLE_SI,
     ROLE_V2D,
     TAG_TIEBREAK,
     EnvParams,
@@ -148,7 +149,7 @@ def approx_upper_bounds(
 def strict_upper_bounds(h_s2v, h_v2d, budget: LinkBudget) -> tuple[float, float]:
     """All-path ideal-beamforming rate bounds from the channels' path lists."""
     for ch in (h_s2v, h_v2d):
-        if ch.role == "SI":
+        if ch.role == ROLE_SI:
             raise ValueError("self-interference channel carries no path metadata")
     s1 = sum(abs(c.gain) ** 2 for c in h_s2v.components)
     s2 = sum(abs(c.gain) ** 2 for c in h_v2d.components)

@@ -6,11 +6,13 @@ than tautology. ``weiszfeld``, ``kink_point``, ``los_indicator`` and
 ``los_ring_search`` are the exceptions: they are the plain loops that the
 solver's screened Weiszfeld step and kink test,
 ``EnvironmentRealization.los_cells`` and the array LoS ring search must
-reproduce bit for bit.
+reproduce bit for bit. ``quantize`` and ``hash_uniform`` define the LoS
+field's grid snap and uniform draw, one point at a time.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +22,6 @@ from fdrelay.channel import (
     ROLE_V2D,
     TAG_TIEBREAK,
     Vec3,
-    _hash_uniform,
     link_geometry,
     los_probability,
 )
@@ -221,17 +222,43 @@ def kink_point(points: np.ndarray, weights: np.ndarray, *screen_args):
     return None
 
 
+def quantize(env_real, position):
+    """The LoS-field cell of one position, one axis at a time.
+
+    Each coordinate over its grid step rounds half to even (Python's
+    ``round``); a height above the ground gets layer 1 or more, so it never
+    shares the ground nodes' layer 0.
+    """
+    ex, ey, eh = env_real.grid_step
+    k = round(position.z / eh)
+    if position.z > 0 and k < 1:
+        k = 1
+    return round(position.x / ex), round(position.y / ey), k
+
+
+def hash_uniform(*key_parts) -> float:
+    """The LoS field's uniform in [0, 1) for the given key parts.
+
+    The parts are joined by "|" into a sha256 key; the digest's first 8 bytes
+    are a big-endian integer over 2**64.
+    """
+    text = "|".join(str(p) for p in key_parts)
+    digest = hashlib.sha256(text.encode("ascii")).digest()
+    return int.from_bytes(digest[:8], "big") / 2.0**64
+
+
 def los_indicator(env_real, role, ground, uav):
     """LoS state of one ground-to-UAV link, straight from its definition.
 
-    The UAV snaps to its grid cell; the cell's sha256 uniform falls below the
-    logistic LoS probability at the elevation of the cell's center.
+    The UAV snaps to its grid cell (``quantize`` above); the cell's sha256
+    uniform falls below the logistic LoS probability at the elevation of the
+    cell's center.
     """
-    cell = env_real.quantize(uav)
+    cell = quantize(env_real, uav)
     ex, ey, eh = env_real.grid_step
     _, angles = link_geometry(ground, Vec3(cell[0] * ex, cell[1] * ey, cell[2] * eh))
     p = los_probability(angles.elevation, env_real.env)
-    return _hash_uniform(env_real.master_seed, env_real.trial_index, role, *cell) < p
+    return hash_uniform(env_real.master_seed, env_real.trial_index, role, *cell) < p
 
 
 def los_ring_search(env_real, env, p_star, box, sn, dn):

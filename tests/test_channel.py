@@ -20,7 +20,6 @@ from fdrelay.channel import (
     UpaSpec,
     Vec3,
     _digest_uniforms,
-    _hash_uniform,
     build_farfield_channel,
     build_links,
     build_si_channel,
@@ -32,10 +31,20 @@ from fdrelay.channel import (
     steering_vector,
     wrap_azimuth,
 )
+from oracles import hash_uniform
 from oracles import los_indicator as los_indicator_oracle
+from oracles import quantize as quantize_oracle
 from oracles import steering_vector as steering_vector_oracle
 
 ENV = EnvParams()
+
+
+def _snap(real, x, y, z):
+    """quantize_axes on one point, checked against the oracle's snap."""
+    cell = tuple(c.item() for c in real.quantize_axes(np.array([x]), np.array([y]), np.array([z])))
+    assert cell == quantize_oracle(real, Vec3(x, y, z))
+    return cell
+
 
 angles_st = st.tuples(
     st.floats(-math.pi / 2, math.pi / 2),
@@ -199,20 +208,20 @@ class TestLosProbability:
 
 class TestHashUniform:
     def test_deterministic(self):
-        a = _hash_uniform(7, 3, "S2V", 10, 20, 100)
-        b = _hash_uniform(7, 3, "S2V", 10, 20, 100)
+        a = hash_uniform(7, 3, "S2V", 10, 20, 100)
+        b = hash_uniform(7, 3, "S2V", 10, 20, 100)
         assert a == b
 
     def test_sensitive_to_every_part(self):
-        base = _hash_uniform(7, 3, "S2V", 10, 20, 100)
-        assert base != _hash_uniform(8, 3, "S2V", 10, 20, 100)
-        assert base != _hash_uniform(7, 4, "S2V", 10, 20, 100)
-        assert base != _hash_uniform(7, 3, "V2D", 10, 20, 100)
-        assert base != _hash_uniform(7, 3, "S2V", 11, 20, 100)
+        base = hash_uniform(7, 3, "S2V", 10, 20, 100)
+        assert base != hash_uniform(8, 3, "S2V", 10, 20, 100)
+        assert base != hash_uniform(7, 4, "S2V", 10, 20, 100)
+        assert base != hash_uniform(7, 3, "V2D", 10, 20, 100)
+        assert base != hash_uniform(7, 3, "S2V", 11, 20, 100)
 
     @given(seed=st.integers(0, 2**32), trial=st.integers(0, 10**6))
     def test_uniform_range(self, seed, trial):
-        u = _hash_uniform(seed, trial, "S2V", 0, 0, 0)
+        u = hash_uniform(seed, trial, "S2V", 0, 0, 0)
         assert 0.0 <= u < 1.0
 
 
@@ -264,16 +273,16 @@ class TestEnvironmentRealization:
 
     def test_quantize_uses_grid_step(self):
         real = EnvironmentRealization(ENV, 0, 0, grid_step=(2.0, 1.0, 0.5))
-        assert real.quantize(Vec3(3.1, 3.1, 3.1)) == (2, 3, 6)
+        assert _snap(real, 3.1, 3.1, 3.1) == (2, 3, 6)
 
     def test_positions_above_ground_skip_the_ground_layer(self):
         # a relay below half a height step used to share layer 0 with the
         # ground nodes, where a cell over a node has no elevation
         real = EnvironmentRealization(ENV, 0, 0, grid_step=(1.0, 1.0, 2.5))
-        assert real.quantize(Vec3(3.0, 4.0, 0.4)) == (3, 4, 1)
-        assert real.quantize(Vec3(3.0, 4.0, 1.25)) == (3, 4, 1)
-        assert real.quantize(Vec3(3.0, 4.0, 0.0)) == (3, 4, 0)
-        assert real.quantize(Vec3(3.0, 4.0, 3.8)) == (3, 4, 2)
+        assert _snap(real, 3.0, 4.0, 0.4) == (3, 4, 1)
+        assert _snap(real, 3.0, 4.0, 1.25) == (3, 4, 1)
+        assert _snap(real, 3.0, 4.0, 0.0) == (3, 4, 0)
+        assert _snap(real, 3.0, 4.0, 3.8) == (3, 4, 2)
 
 
 LOS_MODELS = ((11.95, 0.14), (27.23, 0.08), (100.0, 10.0))
@@ -301,7 +310,7 @@ class TestLosCells:
         # cells straight above the ground node and on half-step rounding ties
         xyz[:20, :2] = ground.x, ground.y
         xyz[20:40] = np.round(xyz[20:40] / step) * step + 0.5 * np.asarray(step)
-        cells = real.quantize_xyz(xyz[:, 0], xyz[:, 1], xyz[:, 2])
+        cells = np.column_stack(real.quantize_axes(xyz[:, 0], xyz[:, 1], xyz[:, 2]))
         ref = [los_indicator_oracle(real, role, ground, Vec3(*row)) for row in xyz.tolist()]
         assert real.los_cells(role, ground, cells).tolist() == ref
         assert real.los_cells(role, ground, cells.astype(float)).tolist() == ref
@@ -318,16 +327,26 @@ class TestLosCells:
         with pytest.raises(ValueError):
             real.los_cells(ROLE_S2D, Vec3(0, 0, 0), [(1, 1, 1)])
 
-    def test_quantize_xyz_matches_quantize(self):
+    def test_quantize_axes_matches_oracle(self):
         real = EnvironmentRealization(ENV, 0, 0, grid_step=(2.0, 1.0, 0.5))
         xyz = np.array([[3.1, 3.1, 3.1], [1.0, 0.5, 0.25], [3.0, 2.5, 0.75], [-1.0, -0.5, 5.0]])
-        cells = real.quantize_xyz(xyz[:, 0], xyz[:, 1], xyz[:, 2])
+        cells = np.column_stack(real.quantize_axes(xyz[:, 0], xyz[:, 1], xyz[:, 2]))
         assert cells.dtype == np.int64
-        assert [tuple(c) for c in cells.tolist()] == [real.quantize(Vec3(*r)) for r in xyz.tolist()]
+        assert [tuple(c) for c in cells.tolist()] == [quantize_oracle(real, Vec3(*r)) for r in xyz.tolist()]
         # cells past the int64 range stay integral floats
         huge = np.array([2.0**70, 3.0, -(2.0**64)])
-        cells = real.quantize_xyz(huge, huge, huge)
-        assert [tuple(c) for c in cells.tolist()] == [real.quantize(Vec3(v, v, v)) for v in huge]
+        cells = np.column_stack(real.quantize_axes(huge, huge, huge))
+        assert cells.dtype == np.float64
+        assert [tuple(c) for c in cells.tolist()] == [quantize_oracle(real, Vec3(v, v, v)) for v in huge]
+
+    def test_los_indicator_past_the_int64_range(self):
+        # a cell past 2**62 stays an integral float; the one-point route used
+        # to turn it into a Python int, which numpy held as an object array
+        real = EnvironmentRealization(ENV, 3, 1)
+        ground, uav = Vec3(0.0, 0.0, 0.0), Vec3(2.0**70, 3.0, 100.0)
+        want = real.los_cells(ROLE_S2V, ground, [(2.0**70, 3.0, 100.0)])[0]
+        assert real.los_indicator(ROLE_S2V, ground, uav) == want
+        assert want == los_indicator_oracle(real, ROLE_S2V, ground, uav)
 
 
 def _oracle_cells(real, role, ground, cells):
@@ -357,7 +376,7 @@ def _near_tie(seed, trial, ground, a):
     """A cell and a los_b that put the cell's probability on its uniform."""
     for i in range(1, 200):
         cell = (i, 2 * i, 50)
-        u = _hash_uniform(seed, trial, ROLE_S2V, *cell)
+        u = hash_uniform(seed, trial, ROLE_S2V, *cell)
         _, angles = link_geometry(ground, Vec3(*map(float, cell)))
         deg = math.degrees(angles.elevation)
         b = -math.log((1.0 / u - 1.0) / a) / (deg - a)
@@ -434,7 +453,7 @@ class TestLosScreen:
         cell, b = _near_tie(seed, trial, ground, a)
         env = EnvParams(los_a=a, los_b=b)
         real = EnvironmentRealization(env, seed, trial)
-        u = _hash_uniform(seed, trial, ROLE_S2V, *cell)
+        u = hash_uniform(seed, trial, ROLE_S2V, *cell)
         _, angles = link_geometry(ground, Vec3(*map(float, cell)))
         p = los_probability(angles.elevation, env)
         assert abs(u - p) <= 1e-12 * p

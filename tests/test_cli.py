@@ -180,6 +180,21 @@ class TestExitCodes:
         assert main(["trial", "--config", str(path)]) == 2
         assert "error: a value overflows a float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["position", "trial"])
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ("eps_x = 1e-300\n", 0),
+            ("dn_rule = fixed\ndn_x = 1e20\ndn_y = 1e20\n", 2),
+            ("dn_radius_m = 1e300\n", 2),
+        ],
+    )
+    def test_cells_past_the_int64_range_run_or_exit_cleanly(self, command, text, code, tmp_path, capsys):
+        # the relay's LoS cell lies beyond 2**62 on some axis
+        path = tmp_path / "far.cfg"
+        path.write_text(text)
+        assert main([command, "--config", str(path)]) == code
+
     def test_success_is_zero(self, fast_config, capsys):
         assert main(["position", "--config", fast_config]) == 0
 
