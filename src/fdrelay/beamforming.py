@@ -293,18 +293,18 @@ def ais_iterate(state: AisState, links: LinkSet, budget: LinkBudget) -> AisState
 
 
 def run_ais(
+    state: AisState,
     links: LinkSet,
     budget: LinkBudget,
-    schedule: SuppressionSchedule,
-    eps_r: float = 0.01,
-    max_iters: int = 50,
+    eps_r: float,
+    max_iters: int,
 ) -> AisState:
-    """Iterate to convergence: stop once the rate gain drops to eps_r or less."""
+    """Iterate from ``state`` (usually :func:`initial_state`) until the rate
+    gain of a pass drops to eps_r or less, or the traces hold max_iters passes."""
     if eps_r <= 0:
         raise ValueError("rate tolerance must be positive")
     if max_iters < 1:
         raise ValueError("need at least one iteration")
-    state = initial_state(links, budget, schedule)
     while state.k < max_iters:
         new_state = ais_iterate(state, links, budget)
         improved = new_state.rate_trace[-1] - state.rate_trace[-1]

@@ -70,6 +70,9 @@ class Vec3:
         return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
 
 
+SOURCE = Vec3(0.0, 0.0, 0.0)  # the ground source; the box and closed form assume it
+
+
 @dataclass(frozen=True)
 class UpaSpec:
     """Uniform planar array: ``rows x cols`` elements, spacing in wavelengths."""
@@ -449,7 +452,6 @@ def channel_from_paths(
 def build_farfield_channel(
     role: str,
     env_real: EnvironmentRealization,
-    env: EnvParams,
     src: Vec3,
     dst: Vec3,
     tx_upa: UpaSpec,
@@ -476,7 +478,7 @@ def build_farfield_channel(
             los = env_real.los_indicator(role, ground, uav)
         if los:
             _, los_angles = link_geometry(ground, uav)
-            beta0 = los_path_gain(dist, env)
+            beta0 = los_path_gain(dist, env_real.env)
             components.append(
                 PathComponent(
                     gain=complex(beta0), departure=los_angles, arrival=los_angles, is_los=True
@@ -484,7 +486,7 @@ def build_farfield_channel(
             )
 
     for draw in env_real.nlos_draws(role):
-        components.append(replace(draw, gain=nlos_path_gain(dist, env, draw.gain)))
+        components.append(replace(draw, gain=nlos_path_gain(dist, env_real.env, draw.gain)))
 
     return channel_from_paths(role, components, tx_upa, rx_upa)
 
@@ -553,8 +555,6 @@ class LinkSet:
 
 def build_links(
     env_real: EnvironmentRealization,
-    env: EnvParams,
-    sn: Vec3,
     dn: Vec3,
     uav: Vec3,
     upa_s: UpaSpec,
@@ -566,18 +566,19 @@ def build_links(
 ) -> LinkSet:
     """Synthesize all four channels for a UAV position within one trial.
 
+    The source is :data:`SOURCE`, and the environment is ``env_real.env``.
     ``los`` gives the S2V and V2D LoS states at the UAV's cell when the
     caller knows them; otherwise the field is asked. S2D does not depend on
     the UAV position, so a trial passes the first position's ``s2d`` to the
     second call.
     """
     los_s2v, los_v2d = (None, None) if los is None else los
-    s2v = build_farfield_channel(ROLE_S2V, env_real, env, sn, uav, upa_s, upa_r, los_s2v)
-    v2d = build_farfield_channel(ROLE_V2D, env_real, env, uav, dn, upa_t, upa_d, los_v2d)
+    s2v = build_farfield_channel(ROLE_S2V, env_real, SOURCE, uav, upa_s, upa_r, los_s2v)
+    v2d = build_farfield_channel(ROLE_V2D, env_real, uav, dn, upa_t, upa_d, los_v2d)
     if s2d is None:
-        s2d = build_farfield_channel(ROLE_S2D, env_real, env, sn, dn, upa_s, upa_d)
-    si = build_si_channel(env, upa_t, upa_r)
-    _, s2v_angles = link_geometry(sn, uav)
+        s2d = build_farfield_channel(ROLE_S2D, env_real, SOURCE, dn, upa_s, upa_d)
+    si = build_si_channel(env_real.env, upa_t, upa_r)
+    _, s2v_angles = link_geometry(SOURCE, uav)
     _, v2d_angles = link_geometry(dn, uav)
     return LinkSet(
         s2v=s2v,

@@ -11,6 +11,7 @@ seed and arguments produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -21,7 +22,7 @@ import sys
 
 from .channel import Vec3
 from .config import ConfigError, build_scenario, load_config
-from .harness import SOURCE, OutputRow, Scenario, SweepSpec, place_relay, run_sweep, run_trial
+from .harness import OutputRow, Scenario, SweepSpec, place_relay, run_sweep, run_trial
 from .positioning import approx_upper_bounds
 from .solver import SolverError
 
@@ -80,6 +81,24 @@ def _scenario_from_args(args: argparse.Namespace, **flags: int | None) -> Scenar
     return build_scenario(overrides)
 
 
+@contextlib.contextmanager
+def _open_out(path: str | None):
+    """``--out`` (or stdout), opened before the first trial so a bad path
+    fails at once; a failed command removes the file, but never a link or a
+    device such as /dev/stdout."""
+    if path is None:
+        yield sys.stdout
+        return
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+        raise
+
+
 def _fmt_vec(v: Vec3) -> str:
     return f"({v.x!r}, {v.y!r}, {v.z!r})"
 
@@ -88,7 +107,7 @@ def cmd_position(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     placement = place_relay(scenario, args.trial_index)
     dn, adjusted = placement.dn, placement.designed
-    b_s2v, b_v2d = approx_upper_bounds(adjusted, scenario.budget, scenario.env, SOURCE, dn)
+    b_s2v, b_v2d = approx_upper_bounds(adjusted, scenario.budget, scenario.env, dn)
 
     print(f"dn = {_fmt_vec(dn)}")
     print(f"rho_star = {placement.rho!r}")
@@ -105,21 +124,15 @@ _CONVERGE_FIELDS = ("iteration", "rate", "si_gain", "s2d_gain", "p_s", "p_v")
 
 def cmd_converge(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    result = run_trial(scenario, args.trial_index)
-    traces = zip(result.rate_trace, result.si_gain_trace, result.s2d_gain_trace, result.power_trace)
-    rows = [(k, rate, si, s2d, *powers) for k, (rate, si, s2d, powers) in enumerate(traces)]
-
-    def emit(fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _open_out(args.out) as out:
+        result = run_trial(scenario, args.trial_index)
+        traces = zip(result.rate_trace, result.si_gain_trace, result.s2d_gain_trace, result.power_trace)
+        rows = [(k, rate, si, s2d, *powers) for k, (rate, si, s2d, powers) in enumerate(traces)]
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_CONVERGE_FIELDS)
         writer.writerows(rows)
-
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
         print(f"wrote {len(rows)} iterations to {args.out}")
-    else:
-        emit(sys.stdout)
     return 0
 
 
@@ -143,19 +156,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec = SweepSpec(param=name, values=values, base=scenario)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # opened before the first trial, so a bad path fails at once; a failed
-    # sweep removes the file, but never a link or a device such as /dev/stdout
-    out = open(args.out, "w", encoding="utf-8", newline="")
-    try:
-        with out:
-            rows = run_sweep(spec)
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(field.name for field in dataclasses.fields(OutputRow))
-            writer.writerows(dataclasses.astuple(row) for row in rows)
-    except BaseException:
-        if stat.S_ISREG(os.lstat(args.out).st_mode):
-            os.remove(args.out)
-        raise
+    with _open_out(args.out) as out:
+        rows = run_sweep(spec)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(field.name for field in dataclasses.fields(OutputRow))
+        writer.writerows(dataclasses.astuple(row) for row in rows)
     for row in rows:
         if row.scheme == "proposed":
             print(
@@ -169,28 +174,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_trial(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    result = run_trial(scenario, args.trial_index)
-    doc = {
-        "trial_index": result.trial_index,
-        "dn": list(dataclasses.astuple(result.dn)),
-        "rho": result.rho,
-        "designed_position": list(dataclasses.astuple(result.designed_position)),
-        "random_position": list(dataclasses.astuple(result.random_position)),
-        "fallback": result.fallback,
-        "rates": result.rates,
-        "approx_bound_s2v": result.approx_bound_s2v,
-        "approx_bound_v2d": result.approx_bound_v2d,
-        "strict_bound_min": result.strict_bound_min,
-        "iters": result.iters,
-        "powers_proposed": list(result.powers_proposed),
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    with _open_out(args.out) as out:
+        result = run_trial(scenario, args.trial_index)
+        doc = {
+            "trial_index": result.trial_index,
+            "dn": list(dataclasses.astuple(result.dn)),
+            "rho": result.rho,
+            "designed_position": list(dataclasses.astuple(result.designed_position)),
+            "random_position": list(dataclasses.astuple(result.random_position)),
+            "fallback": result.fallback,
+            "rates": result.rates,
+            "approx_bound_s2v": result.approx_bound_s2v,
+            "approx_bound_v2d": result.approx_bound_v2d,
+            "strict_bound_min": result.strict_bound_min,
+            "iters": result.iters,
+            "powers_proposed": list(result.powers_proposed),
+        }
+        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
         print(f"wrote trial report to {args.out}")
-    else:
-        print(text)
     return 0
 
 

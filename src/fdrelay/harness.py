@@ -51,7 +51,6 @@ from .rates import achievable_rates, effective_gains
 from .solver import SolverError
 
 SCHEMES = ("proposed", "randpos_ais", "despos_steer")
-SOURCE = Vec3(0.0, 0.0, 0.0)  # the ground source sits at the origin
 MIN_GROUND_SEPARATION = 10.0  # meters; closer DN draws are resampled
 
 
@@ -177,11 +176,14 @@ def _snap(value: float, step: float, lo: float, hi: float) -> float:
     return min(hi, max(lo, round(value / step) * step))
 
 
-def _sample_random_position(scenario: Scenario, trial_index: int, box: FeasibleBox) -> Vec3:
-    rng = trial_rng(scenario.master_seed, trial_index, TAG_RANDPOS)
-    x = _snap(rng.uniform(0.0, box.x_d), box.eps_x, 0.0, box.x_d)
-    y = _snap(rng.uniform(0.0, box.y_d), box.eps_y, 0.0, box.y_d)
-    h = _snap(rng.uniform(box.h_min, box.h_max), box.eps_h, box.h_min, box.h_max)
+def _sample_random_position(placement: Placement) -> Vec3:
+    """A uniform point of the trial's box, snapped by its grid step."""
+    box, env_real = placement.box, placement.env_real
+    rng = trial_rng(env_real.master_seed, env_real.trial_index, TAG_RANDPOS)
+    ex, ey, eh = env_real.grid_step
+    x = _snap(rng.uniform(0.0, box.x_d), ex, 0.0, box.x_d)
+    y = _snap(rng.uniform(0.0, box.y_d), ey, 0.0, box.y_d)
+    h = _snap(rng.uniform(box.h_min, box.h_max), eh, box.h_min, box.h_max)
     return Vec3(x, y, h)
 
 
@@ -193,18 +195,18 @@ def _perturbed_angles(angles: AngleSet, d_el: float, d_az: float) -> AngleSet:
 def apply_misalignment(links: LinkSet, delta_m_deg: float, rng: np.random.Generator) -> LinkSet:
     """Perturb every departure/arrival angle of the two relay links.
 
-    Offsets are uniform on [-delta/2, +delta/2]; the underlying uniform block
-    is drawn once regardless of delta, so sweeps over delta with the same
-    trial seed are paired (common random numbers). With delta 0 the original
-    links object is returned unchanged.
+    Offsets are delta times one block of uniforms on [-1/2, 1/2], the first
+    draw of the fresh stream ``rng``, so sweeps over delta with the same
+    trial seed are paired (common random numbers). With delta 0 nothing is
+    drawn and the original links object is returned unchanged.
     """
+    if delta_m_deg == 0.0:
+        return links
     n_rows = 1 + max(
         sum(1 for c in links.s2v.components if not c.is_los),
         sum(1 for c in links.v2d.components if not c.is_los),
     )
     block = rng.uniform(-0.5, 0.5, size=(2, n_rows, 4))
-    if delta_m_deg == 0.0:
-        return links
     # per link, per row (LoS first, then each NLoS path): the departure and
     # arrival offsets (elevation, azimuth, elevation, azimuth)
     offsets = (math.radians(delta_m_deg) * block).tolist()
@@ -273,20 +275,14 @@ class Placement:
 def place_relay(scenario: Scenario, trial_index: int) -> Placement:
     """Destination draw, closed-form position and LoS adjustment of one trial.
 
-    The positioning functions are looked up in this module's namespace, so a
+    The scenario's grid steps go to the trial's LoS field alone; the ring
+    search and the random position step by its ``grid_step``. The
+    positioning functions are looked up in this module's namespace, so a
     test or a profiler that replaces ``harness.los_adjusted_position`` (or
     the closed form) sees every placement.
     """
     dn = _sample_dn(scenario, trial_index)
-    box = FeasibleBox(
-        x_d=dn.x,
-        y_d=dn.y,
-        h_min=scenario.h_min,
-        h_max=scenario.h_max,
-        eps_x=scenario.eps_x,
-        eps_y=scenario.eps_y,
-        eps_h=scenario.eps_h,
-    )
+    box = FeasibleBox(x_d=dn.x, y_d=dn.y, h_min=scenario.h_min, h_max=scenario.h_max)
     env_real = EnvironmentRealization(
         scenario.env,
         scenario.master_seed,
@@ -295,7 +291,7 @@ def place_relay(scenario: Scenario, trial_index: int) -> Placement:
     )
     p_star, rho = conditional_optimal_position(scenario.budget, box, scenario.env, dn)
     try:
-        designed = los_adjusted_position(env_real, scenario.env, p_star, box, SOURCE, dn)
+        designed = los_adjusted_position(env_real, p_star, box, dn)
         fallback = False
     except NoLosPositionError:
         designed = p_star
@@ -312,8 +308,6 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
     def links_at(pos: Vec3, **known) -> LinkSet:
         return build_links(
             placement.env_real,
-            scenario.env,
-            SOURCE,
             dn,
             pos,
             scenario.upa_s,
@@ -324,7 +318,7 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
         )
 
     links_des = links_at(designed, los=placement.designed_los)
-    rand_pos = _sample_random_position(scenario, trial_index, placement.box)
+    rand_pos = _sample_random_position(placement)
     links_rand = links_at(rand_pos, s2d=links_des.s2d)
 
     def misaligned(links: LinkSet) -> LinkSet:
@@ -334,16 +328,19 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
     links_des_eval = misaligned(links_des)
     links_rand_eval = misaligned(links_rand)
 
-    proposed = run_ais(links_des, budget, scenario.schedule, scenario.eps_r, scenario.max_iters)
-    steer = initial_state(links_des, budget, scenario.schedule)
-    rand_ais = run_ais(links_rand, budget, scenario.schedule, scenario.eps_r, scenario.max_iters)
+    # the steered-beam baseline is the proposed loop's start
+    schedule = scenario.schedule
+    steer = initial_state(links_des, budget, schedule)
+    proposed = run_ais(steer, links_des, budget, scenario.eps_r, scenario.max_iters)
+    rand_start = initial_state(links_rand, budget, schedule)
+    rand_ais = run_ais(rand_start, links_rand, budget, scenario.eps_r, scenario.max_iters)
 
     rates = {
         "proposed": _evaluate_rate(proposed, links_des_eval, scenario),
         "despos_steer": _evaluate_rate(steer, links_des_eval, scenario),
         "randpos_ais": _evaluate_rate(rand_ais, links_rand_eval, scenario),
     }
-    ab1, ab2 = approx_upper_bounds(designed, budget, scenario.env, SOURCE, dn)
+    ab1, ab2 = approx_upper_bounds(designed, budget, scenario.env, dn)
     sb1, sb2 = strict_upper_bounds(links_des.s2v, links_des.v2d, budget)
 
     return TrialResult(

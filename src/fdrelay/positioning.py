@@ -17,6 +17,7 @@ from .channel import (
     ROLE_S2V,
     ROLE_SI,
     ROLE_V2D,
+    SOURCE,
     TAG_TIEBREAK,
     EnvParams,
     EnvironmentRealization,
@@ -34,23 +35,20 @@ class NoLosPositionError(RuntimeError):
 
 @dataclass(frozen=True)
 class FeasibleBox:
-    """Deployment region x in [0, x_d], y in [0, y_d], h in [h_min, h_max]."""
+    """Deployment region x in [0, x_d], y in [0, y_d], h in [h_min, h_max]
+    between SOURCE at the origin and the destination; its grid is the LoS
+    field's ``grid_step``."""
 
     x_d: float
     y_d: float
     h_min: float
     h_max: float
-    eps_x: float = 1.0
-    eps_y: float = 1.0
-    eps_h: float = 1.0
 
     def __post_init__(self) -> None:
         if self.x_d < 0 or self.y_d < 0:
             raise ValueError("box extents must be nonnegative")
         if not (0 < self.h_min <= self.h_max):
             raise ValueError("need 0 < h_min <= h_max")
-        if min(self.eps_x, self.eps_y, self.eps_h) <= 0:
-            raise ValueError("grid steps must be positive")
 
     def contains(self, p: Vec3, slack: float = _SLACK) -> bool:
         return bool(self.contains_xyz(p.x, p.y, p.z, slack))
@@ -92,7 +90,7 @@ class DegenerateEndpointsError(ValueError):
 def conditional_optimal_position(
     budget: LinkBudget, box: FeasibleBox, env: EnvParams, dn: Vec3
 ) -> tuple[Vec3, float]:
-    """Closed-form relay position on the SN-DN segment at height h_min.
+    """Closed-form relay position on the SOURCE-DN segment at height h_min.
 
     Returns the position and the segment fraction rho in [0, 1]. rho pins to
     0 (above the source) or 1 (above the destination) when one link's budget
@@ -133,13 +131,13 @@ def conditional_optimal_position(
 
 
 def approx_upper_bounds(
-    position: Vec3, budget: LinkBudget, env: EnvParams, sn: Vec3, dn: Vec3
+    position: Vec3, budget: LinkBudget, env: EnvParams, dn: Vec3
 ) -> tuple[float, float]:
-    """Ideal-beamforming LoS-only rate bounds of the two hops, bps/Hz."""
+    """Ideal-beamforming LoS-only rate bounds of the hops SOURCE-relay-dn, bps/Hz."""
     if position.z <= 0:
         raise ValueError("relay must be above ground")
     g_ref = env.ref_amplitude**2
-    d1 = sn.distance_to(position)
+    d1 = SOURCE.distance_to(position)
     d2 = dn.distance_to(position)
     snr1 = g_ref * budget.n_s2v * budget.p_s_tot / (d1**env.alpha_los * budget.noise1)
     snr2 = g_ref * budget.n_v2d * budget.p_v_tot / (d2**env.alpha_los * budget.noise2)
@@ -202,18 +200,18 @@ def _index_candidates(lo, hi, origin, step, n_min, n_max) -> np.ndarray:
 
 def los_adjusted_position(
     env_real: EnvironmentRealization,
-    env: EnvParams,
     p_star: Vec3,
     box: FeasibleBox,
-    sn: Vec3,
     dn: Vec3,
 ) -> Vec3:
     """Nearest dual-LoS grid point around the closed-form optimum.
 
-    Expands cubic neighborhood rings around p_star (heights only upward from
-    h_min), fully evaluating each ring before choosing the member closest to
-    p_star; exact distance ties are broken uniformly with the trial seed.
-    Raises :class:`NoLosPositionError` once the box is exhausted.
+    The S2V link starts at SOURCE and the V2D link ends at ``dn``. Expands
+    cubic neighborhood rings around p_star by the field's ``grid_step``
+    (heights only upward from h_min), fully evaluating each ring before
+    choosing the member closest to p_star; exact distance ties are broken
+    uniformly with the trial seed. Raises :class:`NoLosPositionError` once
+    the box is exhausted.
 
     The box is a product of three intervals, so each axis's in-box indices
     form one run, found once with their coordinates and grid cells. Each
@@ -226,13 +224,13 @@ def los_adjusted_position(
     """
     if not box.contains(p_star):
         raise ValueError("designed position lies outside the feasible box")
-    if env_real.los_indicator(ROLE_S2V, sn, p_star) and env_real.los_indicator(
+    if env_real.los_indicator(ROLE_S2V, SOURCE, p_star) and env_real.los_indicator(
         ROLE_V2D, dn, p_star
     ):
         return p_star
     rng = trial_rng(env_real.master_seed, env_real.trial_index, TAG_TIEBREAK)
 
-    ex, ey, eh = box.eps_x, box.eps_y, box.eps_h
+    ex, ey, eh = env_real.grid_step
     # ring index bounds that still intersect the box
     t_x = max(math.ceil((box.x_d - p_star.x) / ex), math.ceil(p_star.x / ex))
     t_y = max(math.ceil((box.y_d - p_star.y) / ey), math.ceil(p_star.y / ey))
@@ -263,7 +261,7 @@ def los_adjusted_position(
             bi -= i0
             bj -= j0
             cells = np.column_stack((ci[bi], cj[bj], ck[bk]))
-            los = env_real.los_cells(ROLE_S2V, sn, cells)
+            los = env_real.los_cells(ROLE_S2V, SOURCE, cells)
             if los.any():
                 los[los] = env_real.los_cells(ROLE_V2D, dn, cells[los])
                 found.append((bi[los], bj[los], bk[los]))

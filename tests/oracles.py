@@ -20,6 +20,7 @@ import numpy as np
 from fdrelay.channel import (
     ROLE_S2V,
     ROLE_V2D,
+    SOURCE,
     TAG_TIEBREAK,
     Vec3,
     link_geometry,
@@ -261,10 +262,10 @@ def los_indicator(env_real, role, ground, uav):
     return hash_uniform(env_real.master_seed, env_real.trial_index, role, *cell) < p
 
 
-def los_ring_search(env_real, env, p_star, box, sn, dn):
+def los_ring_search(env_real, p_star, box, dn):
     """Nearest dual-LoS grid point around p_star, one cell at a time.
 
-    Takes ``los_adjusted_position``'s arguments (``env`` is unused there too).
+    Takes ``los_adjusted_position``'s arguments.
 
     Walks each cubic ring max(|i|, |j|, k) == t in (i, j, k) order, asks
     ``los_indicator`` above about every in-box member, and picks the hit
@@ -272,7 +273,7 @@ def los_ring_search(env_real, env, p_star, box, sn, dn):
     """
 
     def both_los(cand):
-        return los_indicator(env_real, ROLE_S2V, sn, cand) and los_indicator(
+        return los_indicator(env_real, ROLE_S2V, SOURCE, cand) and los_indicator(
             env_real, ROLE_V2D, dn, cand
         )
 
@@ -283,7 +284,7 @@ def los_ring_search(env_real, env, p_star, box, sn, dn):
     rng = np.random.default_rng(
         np.random.SeedSequence((env_real.master_seed, env_real.trial_index, TAG_TIEBREAK))
     )
-    ex, ey, eh = box.eps_x, box.eps_y, box.eps_h
+    ex, ey, eh = env_real.grid_step
     t_x = max(math.ceil((box.x_d - p_star.x) / ex), math.ceil(p_star.x / ex))
     t_y = max(math.ceil((box.y_d - p_star.y) / ey), math.ceil(p_star.y / ey))
     t_h = math.ceil((box.h_max - box.h_min) / eh)

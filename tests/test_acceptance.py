@@ -245,7 +245,7 @@ def test_acceptance_10_invariant_suites():
     real = _AlwaysLos(env, master_seed=0, trial_index=0)
     sn, dn, uav = Vec3(0, 0, 0), Vec3(400, 300, 0), Vec3(200, 150, 100)
     upa = UpaSpec(4, 4)
-    links = build_links(real, env, sn, dn, uav, upa, upa, upa, upa)
+    links = build_links(real, dn, uav, upa, upa, upa, upa)
     n = upa.n_tot
     a_dep = steering_vector(upa, links.s2v_angles) / math.sqrt(n)
     a_arr = steering_vector(upa, links.s2v_angles) / math.sqrt(n)

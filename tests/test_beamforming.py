@@ -61,7 +61,13 @@ def _schedule():
 
 def _links(master_seed=7, trial=0, realization_cls=EnvironmentRealization, env=ENV):
     real = realization_cls(env, master_seed=master_seed, trial_index=trial)
-    return build_links(real, env, SN, DN, UAV, UPA4, UPA4, UPA4, UPA4)
+    return build_links(real, DN, UAV, UPA4, UPA4, UPA4, UPA4)
+
+
+def _run_ais(links, eps_r=0.01, max_iters=50):
+    """run_ais from the steering-vector start."""
+    start = initial_state(links, _budget(), _schedule())
+    return run_ais(start, links, _budget(), eps_r, max_iters)
 
 
 class TestBeamformer:
@@ -296,7 +302,7 @@ class TestAisIterate:
 class TestRunAis:
     def test_stop_rule_and_monotone_tail(self):
         links = _links()
-        state = run_ais(links, _budget(), _schedule(), eps_r=0.01, max_iters=50)
+        state = _run_ais(links, eps_r=0.01, max_iters=50)
         assert 1 <= state.k <= 50
         if state.k < 50:
             assert state.rate_trace[-1] - state.rate_trace[-2] <= 0.01
@@ -307,17 +313,17 @@ class TestRunAis:
 
     def test_converged_rate_beats_start(self):
         links = _links()
-        state = run_ais(links, _budget(), _schedule())
+        state = _run_ais(links)
         assert state.rate_trace[-1] >= state.rate_trace[0]
 
     def test_max_iters_respected(self):
         links = _links()
-        state = run_ais(links, _budget(), _schedule(), eps_r=1e-12, max_iters=3)
+        state = _run_ais(links, eps_r=1e-12, max_iters=3)
         assert state.k == 3
 
     def test_validation(self):
         links = _links()
         with pytest.raises(ValueError):
-            run_ais(links, _budget(), _schedule(), eps_r=0.0)
+            _run_ais(links, eps_r=0.0)
         with pytest.raises(ValueError):
-            run_ais(links, _budget(), _schedule(), max_iters=0)
+            _run_ais(links, max_iters=0)

@@ -26,3 +26,5 @@ def test_traced_trial_calls_every_binding_and_four_solves_per_pass():
     assert passes > 0
     assert calls["beamforming.ais_iterate"] == passes
     assert calls["solver.solve_bf_subproblem"] == 4 * passes
+    # one start per position; the steered baseline is the proposed loop's start
+    assert calls["beamforming.initial_state"] == 2

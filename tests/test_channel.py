@@ -271,6 +271,11 @@ class TestEnvironmentRealization:
         real = EnvironmentRealization(ENV, 11, 4)
         assert real.nlos_draws(ROLE_S2V) != real.nlos_draws(ROLE_V2D)
 
+    @pytest.mark.parametrize("step", [(0.0, 1.0, 1.0), (1.0, 1.0, -1.0)])
+    def test_non_positive_grid_step_rejected(self, step):
+        with pytest.raises(ValueError, match="grid steps must be positive"):
+            EnvironmentRealization(ENV, 0, 0, grid_step=step)
+
     def test_quantize_uses_grid_step(self):
         real = EnvironmentRealization(ENV, 0, 0, grid_step=(2.0, 1.0, 0.5))
         assert _snap(real, 3.1, 3.1, 3.1) == (2, 3, 6)
@@ -495,7 +500,7 @@ class TestFarfieldChannel:
         src = Vec3(0, 0, 0)
         dst = Vec3(120, 90, 130)
         return build_farfield_channel(
-            role, real, ENV, src, dst, UpaSpec(2, 2), UpaSpec(3, 2)
+            role, real, src, dst, UpaSpec(2, 2), UpaSpec(3, 2)
         )
 
     def test_matrix_equals_component_sum(self):
@@ -521,7 +526,7 @@ class TestFarfieldChannel:
         real = EnvironmentRealization(ENV, 3, 0)
         src, dst = Vec3(0, 0, 0), Vec3(120, 90, 130)
         ch = build_farfield_channel(
-            ROLE_S2V, real, ENV, src, dst, UpaSpec(2, 2), UpaSpec(3, 2)
+            ROLE_S2V, real, src, dst, UpaSpec(2, 2), UpaSpec(3, 2)
         )
         los = [c for c in ch.components if c.is_los]
         if real.los_indicator(ROLE_S2V, src, dst):
@@ -538,7 +543,7 @@ class TestFarfieldChannel:
             real = EnvironmentRealization(ENV, seed, 0)
             src, dst = Vec3(0, 0, 0), Vec3(200, 50, 110)
             ch = build_farfield_channel(
-                ROLE_S2V, real, ENV, src, dst, UpaSpec(2, 2), UpaSpec(2, 2)
+                ROLE_S2V, real, src, dst, UpaSpec(2, 2), UpaSpec(2, 2)
             )
             los = [c for c in ch.components if c.is_los]
             if los:
@@ -629,7 +634,7 @@ class TestLinkSet:
         real = EnvironmentRealization(ENV, 9, 0)
         sn, dn, uav = Vec3(0, 0, 0), Vec3(400, 300, 0), Vec3(200, 150, 100)
         links = build_links(
-            real, ENV, sn, dn, uav, UpaSpec(2, 2), UpaSpec(3, 3), UpaSpec(4, 4), UpaSpec(5, 5)
+            real, dn, uav, UpaSpec(2, 2), UpaSpec(3, 3), UpaSpec(4, 4), UpaSpec(5, 5)
         )
         assert links.s2v.entries.shape == (9, 4)
         assert links.si.entries.shape == (9, 16)
@@ -646,20 +651,20 @@ class TestLinkSet:
         real = EnvironmentRealization(ENV, 9, 0)
         sn, dn, uav = Vec3(0, 0, 0), Vec3(400, 300, 0), Vec3(200, 150, 100)
         arrays = (UpaSpec(2, 2), UpaSpec(3, 3), UpaSpec(4, 4), UpaSpec(5, 5))
-        asked = build_links(real, ENV, sn, dn, uav, *arrays)
+        asked = build_links(real, dn, uav, *arrays)
         states = (real.los_indicator(ROLE_S2V, sn, uav), real.los_indicator(ROLE_V2D, dn, uav))
 
         def no_field(*args):
             raise AssertionError("the LoS field was asked")
 
         monkeypatch.setattr(real, "los_indicator", no_field)
-        known = build_links(real, ENV, sn, dn, uav, *arrays, los=states, s2d=asked.s2d)
+        known = build_links(real, dn, uav, *arrays, los=states, s2d=asked.s2d)
         assert known.s2d is asked.s2d
         assert known.si is asked.si
         for a, b in ((asked.s2v, known.s2v), (asked.v2d, known.v2d)):
             assert a.entries.tobytes() == b.entries.tobytes()
             assert a.components == b.components
-        flipped = build_links(real, ENV, sn, dn, uav, *arrays, los=(not states[0], states[1]))
+        flipped = build_links(real, dn, uav, *arrays, los=(not states[0], states[1]))
         assert sum(c.is_los for c in flipped.s2v.components) == (not states[0])
 
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from fdrelay import harness
+from fdrelay import cli, harness
 from fdrelay.cli import main
 from fdrelay.config import ConfigError, DEFAULTS, build_scenario, load_config, parse_config
 from fdrelay.harness import Scenario, place_relay, run_trial
@@ -208,8 +208,11 @@ class TestExitCodes:
         trials = []
         real = harness.run_trial
         monkeypatch.setattr(harness, "run_trial", lambda s, i: trials.append(i) or real(s, i))
+        # converge and trial call the CLI's own binding
+        monkeypatch.setattr(cli, "run_trial", harness.run_trial)
         out = str(tmp_path / "missing" / "o.csv")
-        assert main(["sweep", "--config", fast_config, "--sweep", "array=2,4", "--out", out]) == 2
+        for argv in (["sweep", "--sweep", "array=2,4"], ["converge"], ["trial"]):
+            assert main([*argv, "--config", fast_config, "--out", out]) == 2, argv
         assert trials == []
 
     def test_failed_sweep_leaves_no_csv(self, fast_config, tmp_path, monkeypatch, capsys):
@@ -277,6 +280,13 @@ class TestPositionCommand:
         assert lines["fallback"] == "1"
         assert lines["adjusted"] == lines["p_star"]
 
+
+    @pytest.mark.parametrize("text", ["eps_x = 0\n", "eps_h = -1\n"])
+    def test_non_positive_grid_step_is_a_config_error(self, text, tmp_path, capsys):
+        path = tmp_path / "grid.cfg"
+        path.write_text(text)
+        assert main(["position", "--config", str(path)]) == 2
+        assert "grid steps must be positive" in capsys.readouterr().err
 
     def test_floor_below_half_a_height_step(self, tmp_path, capsys):
         # h_min < eps_h / 2 used to put the relay's LoS cell on the ground

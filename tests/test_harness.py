@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fdrelay.beamforming as beamforming
 import fdrelay.harness as harness
-from fdrelay.channel import ROLE_S2V, ROLE_V2D, UpaSpec, Vec3, trial_rng
+from fdrelay.channel import ROLE_S2V, ROLE_V2D, SOURCE, UpaSpec, Vec3, trial_rng
 from fdrelay.config import build_scenario
 from fdrelay.harness import (
     MIN_GROUND_SEPARATION,
@@ -84,8 +84,6 @@ class TestMisalignment:
         real = EnvironmentRealization(FAST.env, FAST.master_seed, 0)
         return build_links(
             real,
-            FAST.env,
-            Vec3(0, 0, 0),
             Vec3(400, 300, 0),
             Vec3(200, 150, 100),
             FAST.upa_s,
@@ -97,7 +95,9 @@ class TestMisalignment:
     def test_zero_delta_returns_same_object(self):
         links = self._raw_links()
         rng = trial_rng(FAST.master_seed, 0, 33)
+        state = rng.bit_generator.state
         assert apply_misalignment(links, 0.0, rng) is links
+        assert rng.bit_generator.state == state  # nothing drawn
 
     def test_offsets_bounded_and_gains_kept(self):
         links = self._raw_links()
@@ -145,6 +145,12 @@ class TestRunTrial:
         res = run_trial(FAST, 0)
         assert res.rates["proposed"] == res.rate_trace[-1]
         assert res.rates["despos_steer"] == res.rate_trace[0]
+
+    def test_steered_baseline_is_the_loop_start_to_the_bit(self):
+        scenario = Scenario(trials=4, master_seed=7)
+        for trial in range(4):
+            res = run_trial(scenario, trial)
+            assert res.rates["despos_steer"].hex() == res.rate_trace[0].hex()
 
     def test_perturbed_evaluation_departs_from_trace(self):
         res = run_trial(Scenario(dn_rule="fixed", trials=1, master_seed=7, delta_m_deg=10.0), 0)
@@ -298,7 +304,7 @@ class TestDesignedLos:
         for trial in range(12):
             pl = place_relay(scenario, trial)
             field = (
-                pl.env_real.los_indicator(ROLE_S2V, harness.SOURCE, pl.designed),
+                pl.env_real.los_indicator(ROLE_S2V, SOURCE, pl.designed),
                 pl.env_real.los_indicator(ROLE_V2D, pl.dn, pl.designed),
             )
             assert pl.designed_los == (None if pl.fallback else field)

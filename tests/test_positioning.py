@@ -36,7 +36,7 @@ def _budget(n1=256, n2=256, p_s=0.1, p_v=0.1, s1=1e-14, s2=1e-14):
 
 
 def _box(x, y, h_min=100.0, h_max=300.0):
-    return FeasibleBox(x_d=x, y_d=y, h_min=h_min, h_max=h_max, eps_x=1, eps_y=1, eps_h=1)
+    return FeasibleBox(x_d=x, y_d=y, h_min=h_min, h_max=h_max)
 
 
 class TestConditionalOptimalPosition:
@@ -93,7 +93,7 @@ class TestBounds:
     def test_approx_bound_matches_direct_formula(self):
         pos = Vec3(200, 150, 100)
         sn, dn = Vec3(0, 0, 0), Vec3(400, 300, 0)
-        b1, b2 = approx_upper_bounds(pos, _budget(), ENV, sn, dn)
+        b1, b2 = approx_upper_bounds(pos, _budget(), ENV, dn)
         for bound, a, b in ((b1, sn, pos), (b2, dn, pos)):
             d = math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
             snr = (
@@ -108,7 +108,7 @@ class TestBounds:
         real = EnvironmentRealization(ENV, 21, 0)
         sn, uav = Vec3(0, 0, 0), Vec3(180, 140, 120)
         upa = UpaSpec(4, 4)
-        ch = build_farfield_channel(ROLE_S2V, real, ENV, sn, uav, upa, upa)
+        ch = build_farfield_channel(ROLE_S2V, real, sn, uav, upa, upa)
         budget = _budget()
         b1, _ = strict_upper_bounds(ch, ch, budget)
         power_sum = sum(abs(c.gain) ** 2 for c in ch.components)
@@ -129,14 +129,14 @@ class TestBounds:
             sn, dn = Vec3(0, 0, 0), Vec3(400, 300, 0)
             uav = Vec3(200, 150, 100)
             upa = UpaSpec(4, 4)
-            s2v = build_farfield_channel(ROLE_S2V, real, ENV, sn, uav, upa, upa)
+            s2v = build_farfield_channel(ROLE_S2V, real, sn, uav, upa, upa)
             if not any(c.is_los for c in s2v.components):
                 continue
             v2d = build_farfield_channel(
-                "V2D", real, ENV, uav, dn, upa, upa
+                "V2D", real, uav, dn, upa, upa
             )
             b1, _ = strict_upper_bounds(s2v, v2d, _budget())
-            a1, _ = approx_upper_bounds(uav, _budget(), ENV, sn, dn)
+            a1, _ = approx_upper_bounds(uav, _budget(), ENV, dn)
             assert b1 >= a1 - 1e-9
 
 
@@ -152,7 +152,6 @@ class _StubRealization(EnvironmentRealization):
 
 
 class TestLosAdjustedPosition:
-    SN = Vec3(0, 0, 0)
     DN = Vec3(40, 30, 0)
 
     def _box(self):
@@ -162,20 +161,20 @@ class TestLosAdjustedPosition:
         p_star = Vec3(20, 15, 100)
         cell = (20, 15, 100)
         real = _StubRealization(ENV, {cell})
-        out = los_adjusted_position(real, ENV, p_star, self._box(), self.SN, self.DN)
+        out = los_adjusted_position(real, p_star, self._box(), self.DN)
         assert out == p_star
 
     def test_moves_to_nearest_clear_cell(self):
         p_star = Vec3(20, 15, 100)
         real = _StubRealization(ENV, {(22, 15, 100)})
-        out = los_adjusted_position(real, ENV, p_star, self._box(), self.SN, self.DN)
+        out = los_adjusted_position(real, p_star, self._box(), self.DN)
         assert (out.x, out.y, out.z) == (22.0, 15.0, 100.0)
 
     def test_prefers_smaller_euclidean_distance(self):
         p_star = Vec3(20, 15, 100)
         # (21,15,100) at distance 1 beats (20,15,102) at distance 2
         real = _StubRealization(ENV, {(21, 15, 100), (20, 15, 102)})
-        out = los_adjusted_position(real, ENV, p_star, self._box(), self.SN, self.DN)
+        out = los_adjusted_position(real, p_star, self._box(), self.DN)
         assert (out.x, out.y, out.z) == (21.0, 15.0, 100.0)
 
     def test_tie_break_is_seeded_and_valid(self):
@@ -183,7 +182,7 @@ class TestLosAdjustedPosition:
         ties = {(21, 15, 100), (19, 16, 100), (20, 16, 100), (20, 14, 100)}
         real = _StubRealization(ENV, ties)
         outs = [
-            los_adjusted_position(real, ENV, p_star, self._box(), self.SN, self.DN)
+            los_adjusted_position(real, p_star, self._box(), self.DN)
             for _ in range(3)
         ]
         assert outs[0] == outs[1] == outs[2]  # deterministic under one seed
@@ -193,13 +192,13 @@ class TestLosAdjustedPosition:
         p_star = Vec3(20, 15, 100)
         real = _StubRealization(ENV, set())
         with pytest.raises(NoLosPositionError, match="no LoS position found"):
-            los_adjusted_position(real, ENV, p_star, self._box(), self.SN, self.DN)
+            los_adjusted_position(real, p_star, self._box(), self.DN)
 
     def test_result_stays_inside_box(self):
         p_star = Vec3(39, 29, 110)
         real = _StubRealization(ENV, {(30, 25, 105)})
         box = self._box()
-        out = los_adjusted_position(real, ENV, p_star, box, self.SN, self.DN)
+        out = los_adjusted_position(real, p_star, box, self.DN)
         assert box.contains(out)
 
     def test_reaches_the_box_corners(self):
@@ -207,31 +206,28 @@ class TestLosAdjustedPosition:
         p_star = Vec3(20, 15, 100)
         for corner in ((40, 30, 110), (0, 0, 110), (0, 30, 100), (40, 0, 105)):
             real = _StubRealization(ENV, {corner})
-            out = los_adjusted_position(real, ENV, p_star, self._box(), self.SN, self.DN)
+            out = los_adjusted_position(real, p_star, self._box(), self.DN)
             assert quantize(real, out) == corner
 
     def test_altitude_candidates_start_at_h_min(self):
         # candidate altitudes are h_min + k*eps_h, never below the floor
         p_star = Vec3(20, 15, 100)
         real = _StubRealization(ENV, {(20, 15, 101), (20, 15, 99)})
-        out = los_adjusted_position(real, ENV, p_star, self._box(), self.SN, self.DN)
+        out = los_adjusted_position(real, p_star, self._box(), self.DN)
         assert out.z == 101.0
 
 
 LOS_MODELS = ((11.95, 0.14), (27.23, 0.08), (100.0, 10.0))
-SN = Vec3(0.0, 0.0, 0.0)
 
 
-def _search_both(env, seed, trial, box, p_star):
+def _search_both(env, seed, trial, box, p_star, grid_step=(1.0, 1.0, 1.0)):
     """The array search and the scalar oracle on one real LoS field."""
     dn = Vec3(box.x_d, box.y_d, 0.0)
     outs = []
     for search in (los_adjusted_position, los_ring_search):
-        real = EnvironmentRealization(
-            env, seed, trial, grid_step=(box.eps_x, box.eps_y, box.eps_h)
-        )
+        real = EnvironmentRealization(env, seed, trial, grid_step=grid_step)
         try:
-            out = search(real, env, p_star, box, SN, dn)
+            out = search(real, p_star, box, dn)
         except NoLosPositionError:
             outs.append(None)
         except DegenerateGeometryError:
@@ -260,13 +256,13 @@ class TestRingSearchMatchesScalarLoop:
     def test_matches_oracle(self, seed, trial, model, eps_xy, eps_h, halves, where):
         # extents, floor and p_star all on the half-integer lattice
         x_d, y_d, h_min, h_span = (n / 2 for n in halves)
-        box = FeasibleBox(x_d, y_d, h_min, h_min + h_span, eps_xy, eps_xy, eps_h)
+        box = FeasibleBox(x_d, y_d, h_min, h_min + h_span)
         px, py, pz = (
             math.floor(f * 2 * hi) / 2 + lo
             for f, lo, hi in zip(where, (0, 0, h_min), (x_d, y_d, h_span))
         )
         env = EnvParams(los_a=model[0], los_b=model[1])
-        new, ref = _search_both(env, seed, trial, box, Vec3(px, py, pz))
+        new, ref = _search_both(env, seed, trial, box, Vec3(px, py, pz), (eps_xy, eps_xy, eps_h))
         assert new == ref
 
     def test_distance_ties_draw_the_same_member(self, monkeypatch):
@@ -285,14 +281,14 @@ class TestRingSearchMatchesScalarLoop:
                 return self.gen.integers(n)
 
         monkeypatch.setattr(np.random, "default_rng", Draws)
-        box = FeasibleBox(12.0, 9.0, 3.0, 6.0, 1.0, 1.0, 1.0)
+        box = FeasibleBox(12.0, 9.0, 3.0, 6.0)
         p_star, dn = Vec3(6.0, 4.0, 3.0), Vec3(12.0, 9.0, 0.0)
         tied = 0
         for seed in range(40):
             outs = []
             for search in (los_adjusted_position, los_ring_search):
                 sizes.clear()
-                out = search(EnvironmentRealization(ENV, seed, 0), ENV, p_star, box, SN, dn)
+                out = search(EnvironmentRealization(ENV, seed, 0), p_star, box, dn)
                 outs.append((out, list(sizes)))
             assert outs[0] == outs[1]
             tied += bool(outs[0][1])
@@ -301,7 +297,7 @@ class TestRingSearchMatchesScalarLoop:
     def test_destination_on_an_axis(self):
         env = EnvParams(los_a=27.23, los_b=0.08)
         for x_d, y_d in ((0.0, 30.0), (30.0, 0.0)):
-            box = FeasibleBox(x_d, y_d, 5.0, 15.0, 1.0, 1.0, 1.0)
+            box = FeasibleBox(x_d, y_d, 5.0, 15.0)
             found = 0
             for seed in range(15):
                 new, ref = _search_both(env, seed, 0, box, Vec3(x_d / 2, y_d / 2, 5.0))
@@ -311,23 +307,23 @@ class TestRingSearchMatchesScalarLoop:
 
     def test_flat_box(self):
         env = EnvParams(los_a=27.23, los_b=0.08)
-        box = FeasibleBox(20.0, 15.0, 8.0, 8.0, 0.5, 0.5, 0.5)
+        box = FeasibleBox(20.0, 15.0, 8.0, 8.0)
         for seed in range(15):
-            new, ref = _search_both(env, seed, 2, box, Vec3(10.0, 7.5, 8.0))
+            new, ref = _search_both(env, seed, 2, box, Vec3(10.0, 7.5, 8.0), (0.5, 0.5, 0.5))
             assert new == ref
             assert new is None or new[2] == (8.0).hex()
 
     def test_exhausted_box_raises(self):
         # los_a = 100 deg: every elevation has probability near 0
         env = EnvParams(los_a=100.0, los_b=10.0)
-        box = FeasibleBox(6.0, 4.0, 2.0, 5.0, 1.0, 1.0, 1.0)
+        box = FeasibleBox(6.0, 4.0, 2.0, 5.0)
         for seed in range(3):
             assert _search_both(env, seed, 0, box, Vec3(3.0, 2.0, 2.0)) == [None, None]
 
     def test_cells_straight_above_a_ground_node(self):
         # p_star above the source; the rings sweep the cells above both nodes
         env = EnvParams(los_a=27.23, los_b=0.08)
-        box = FeasibleBox(3.0, 2.0, 1.0, 6.0, 1.0, 1.0, 1.0)
+        box = FeasibleBox(3.0, 2.0, 1.0, 6.0)
         for seed in range(20):
             for p_star in (Vec3(0.0, 0.0, 1.0), Vec3(3.0, 2.0, 1.0)):
                 new, ref = _search_both(env, seed, 1, box, p_star)
@@ -343,11 +339,11 @@ class TestValidation:
 
     def test_box_validation(self):
         with pytest.raises(ValueError):
-            FeasibleBox(x_d=10, y_d=10, h_min=0.0, h_max=100, eps_x=1, eps_y=1, eps_h=1)
+            FeasibleBox(x_d=10, y_d=10, h_min=0.0, h_max=100)
         with pytest.raises(ValueError):
-            FeasibleBox(x_d=10, y_d=10, h_min=200, h_max=100, eps_x=1, eps_y=1, eps_h=1)
+            FeasibleBox(x_d=10, y_d=10, h_min=200, h_max=100)
         with pytest.raises(ValueError):
-            FeasibleBox(x_d=-5, y_d=10, h_min=100, h_max=200, eps_x=1, eps_y=1, eps_h=1)
+            FeasibleBox(x_d=-5, y_d=10, h_min=100, h_max=200)
 
     def test_contains_uses_slack(self):
         box = _box(40, 30)

@@ -1,5 +1,6 @@
 """Every function in src/fdrelay runs in a trial or a CLI command, or a test
-calls it directly and it is allow-listed here with its reason.
+calls it directly and it is allow-listed here with its reason; and its body
+reads every parameter it takes.
 
 The probe records each fdrelay function entered (``sys.setprofile`` call
 events) while it runs the benchmark's workload trials and each CLI command,
@@ -45,23 +46,29 @@ ALLOWED = {
 CLI_CFG = "dn_rule = fixed\ntrials = 2\nmaster_seed = 7\n"
 
 
-def _defined() -> dict[tuple[str, int], str]:
-    """module.qualname of every function in src/fdrelay, by (file, first line)."""
-    names = {}
+def _functions():
+    """(file, module.qualname, node) of every function in src/fdrelay."""
 
     def visit(node, path, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = child.decorator_list[0].lineno if child.decorator_list else child.lineno
-                names[(str(path), first)] = f"{path.stem}.{prefix}{child.name}"
-                visit(child, path, f"{prefix}{child.name}.<locals>.")
+                yield path, f"{path.stem}.{prefix}{child.name}", child
+                yield from visit(child, path, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
-                visit(child, path, f"{prefix}{child.name}.")
+                yield from visit(child, path, f"{prefix}{child.name}.")
             else:
-                visit(child, path, prefix)
+                yield from visit(child, path, prefix)
 
     for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+        yield from visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+
+
+def _defined() -> dict[tuple[str, int], str]:
+    """module.qualname of every function in src/fdrelay, by (file, first line)."""
+    names = {}
+    for path, name, node in _functions():
+        first = node.decorator_list[0].lineno if node.decorator_list else node.lineno
+        names[(str(path), first)] = name
     return names
 
 
@@ -120,3 +127,19 @@ def test_every_function_runs_or_is_allow_listed(unreached):
 def test_allow_list_names_only_unreached_functions(unreached):
     stale = sorted(ALLOWED - unreached)
     assert not stale, f"allow-listed but reached or not defined: {stale}"
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for _, name, node in _functions():
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [f"{name}: {p}" for p in params if p not in read | {"self", "cls"}]
+    assert not unread, f"parameters no body reads: {unread}"
