@@ -31,7 +31,7 @@ class Beamformer:
     cap: float
 
     def __post_init__(self) -> None:
-        if np.max(np.abs(self.weights)) > self.cap + CM_TOL:
+        if np.maximum.reduce(np.abs(self.weights), axis=None) > self.cap + CM_TOL:
             raise ValueError("beamformer exceeds its element magnitude cap")
 
 
@@ -125,8 +125,7 @@ def normalize_cm(w: np.ndarray, cap: float) -> Beamformer:
     w = np.asarray(w, dtype=complex)
     mags = np.abs(w)
     out = np.full(w.shape, cap + 0j)
-    nz = mags > 0
-    out[nz] = cap * w[nz] / mags[nz]
+    np.divide(cap * w, mags, out=out, where=mags > 0)
     return Beamformer(out, cap=cap)
 
 
@@ -288,7 +287,7 @@ def ais_iterate(state: AisState, links: LinkSet, budget: LinkBudget) -> AisState
     w_t = update(state.w_t, v2d.conj_t @ state.w_d.weights, si.conj_t @ w_r.weights, mu_si)
     w_s = update(state.w_s, s2v.conj_t @ w_r.weights, s2d.conj_t @ state.w_d.weights, mu3)
     w_d = update(state.w_d, v2d.entries @ w_t.weights, s2d.entries @ w_s.weights, mu_s2d)
-    schedule = replace(sch, mu_si=mu_si, mu_s2d=mu_s2d)
+    schedule = SuppressionSchedule(sch.eta_floor, sch.kappa, mu_si, mu_s2d)
     return _evaluated_state(state, links, budget, schedule, w_s, w_r, w_t, w_d)
 
 

@@ -27,6 +27,10 @@ from .channel import (
 
 _BLOCK = 512  # ring cells built per array pass
 _SLACK = 1e-9  # box membership tolerance, meters
+# grid steps one axis of the box may span (the default box spans 400): the
+# search builds each axis's run of indices before its first ring, and a
+# longer run only grows toward memory no search could finish with
+MAX_AXIS_STEPS = 2**20
 
 
 class NoLosPositionError(RuntimeError):
@@ -211,7 +215,8 @@ def los_adjusted_position(
     (heights only upward from h_min), fully evaluating each ring before
     choosing the member closest to p_star; exact distance ties are broken
     uniformly with the trial seed. Raises :class:`NoLosPositionError` once
-    the box is exhausted.
+    the box is exhausted, and ValueError when p_star lacks LoS and an axis
+    of the box spans more than MAX_AXIS_STEPS grid steps.
 
     The box is a product of three intervals, so each axis's in-box indices
     form one run, found once with their coordinates and grid cells. Each
@@ -228,9 +233,16 @@ def los_adjusted_position(
         ROLE_V2D, dn, p_star
     ):
         return p_star
-    rng = trial_rng(env_real.master_seed, env_real.trial_index, TAG_TIEBREAK)
 
     ex, ey, eh = env_real.grid_step
+    for axis, key, extent, step in (
+        ("x", "eps_x", box.x_d, ex), ("y", "eps_y", box.y_d, ey), ("h", "eps_h", box.h_max - box.h_min, eh)
+    ):
+        if extent / step > MAX_AXIS_STEPS:
+            raise ValueError(
+                f"the LoS search box spans {extent / step:.4g} grid steps along {axis}, "
+                f"more than {MAX_AXIS_STEPS}: raise {key} or shrink the box"
+            )
     # ring index bounds that still intersect the box
     t_x = max(math.ceil((box.x_d - p_star.x) / ex), math.ceil(p_star.x / ex))
     t_y = max(math.ceil((box.y_d - p_star.y) / ey), math.ceil(p_star.y / ey))
@@ -274,5 +286,6 @@ def los_adjusted_position(
             tied = [Vec3(*h) for d, h in zip(dists, hits) if d == best]
             if len(tied) == 1:
                 return tied[0]
+            rng = trial_rng(env_real.master_seed, env_real.trial_index, TAG_TIEBREAK)
             return tied[int(rng.integers(len(tied)))]
     raise NoLosPositionError("no LoS position found")

@@ -33,11 +33,20 @@ smooth start needs anyway, before the exact test (see _kink_point), and
 each Weiszfeld step skips its exact anchor test when the step's own
 reciprocal sum rules an anchor out (see _weiszfeld). That screen rests on
 monotone rounding alone, so it holds for every input, and it switches
-itself off where a weight is zero or NaN. Two facts of numpy 2.4.6 are
+itself off where a weight is zero or NaN. A magnitude needed twice (|i_hat|
+per solve, |resid| and |i_hat| per recovery rung) is taken once. The
+Weiszfeld loop allocates its four step arrays (diff = points - z, d = |diff|,
+inv = w / d and moment = points * inv) once per call, and each step writes
+into them through a ufunc's positional output argument, such as
+np.subtract(points, z, diff). A ufunc given an output array runs the same
+inner loop over the same operands as the expression that allocates its
+result, so only the allocation goes. Three facts of numpy 2.4.6 are
 relied on. np.abs of a complex array can differ by one ulp from
 the scalar abs(z), which is libm hypot, so an array that must reproduce a
-scalar abs(z) uses np.hypot. And a reduction along the last axis of a
-contiguous 2-D array gives each row the bits of np.sum on that row.
+scalar abs(z) uses np.hypot. An elementwise ufunc gives an element the
+same bits over a whole array as over a masked part of it, so
+np.abs(x)[mask] stands for np.abs(x[mask]). And a reduction along the last
+axis of a contiguous 2-D array gives each row the bits of np.sum on that row.
 tests/test_solver.py pins the outputs of a seeded battery by sha256.
 """
 
@@ -110,13 +119,19 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
     """
     # fmin.reduce(d) <= tol is any(d <= tol) in one call: fmin skips NaN
     absolute, add, fmin = np.abs, np.add.reduce, np.fmin.reduce
+    subtract, divide, multiply = np.subtract, np.divide, np.multiply
     w_min = float(np.minimum.reduce(weights))
+    # each step writes into these (see "Bit identity" in the module docstring)
+    diff, moment = np.empty_like(points), np.empty_like(points)
+    d, inv = np.empty(points.shape), np.empty(points.shape)
     z = z0
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_WEISZFELD_ITERS):
-            d = absolute(points - z)
-            tie = 1e-12 * (1.0 + abs(z))
-            inv = weights / d
+            subtract(points, z, diff)
+            absolute(diff, d)
+            scale = 1.0 + abs(z)
+            tie = 1e-12 * scale
+            divide(weights, d, inv)
             s = add(inv)
             if not s < w_min / tie and fmin(d) <= tie:
                 # sitting on an anchor: step off along the descent direction;
@@ -135,8 +150,15 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
                 step = (abs(r) - w_on) / add(inv[others])
                 z = z - (r / abs(r)) * step
                 continue
-            z_new = complex(add(points * inv) / s)
-            if abs(z_new - z) <= 1e-15 * (1.0 + abs(z)):
+            if s < _NORMAL_MIN:
+                # complex / float division forms 1 / s, which overflows for a
+                # subnormal s; the mean does not depend on the weights' scale,
+                # and w / d <= s < 2**-1022 with d < 2**1024 keeps 2**512 w finite
+                divide(weights * 2.0**512, d, inv)
+                s = add(inv)
+            multiply(points, inv, moment)
+            z_new = complex(add(moment) / s)
+            if abs(z_new - z) <= 1e-15 * scale:
                 return z_new
             z = z_new
     return z
@@ -281,14 +303,15 @@ def _recover_primal(
     n = s_hat.size
     w = np.zeros(n, dtype=complex)
     resid = s_hat - z_star * i_hat
+    resid_mag, i_mag = np.abs(resid), np.abs(i_hat)
     # the absolute floor matters: on the normalized problem an element whose
     # residual is below tol contributes nothing to the objective but may
     # carry full interference-cancellation capacity
-    scale = np.abs(s_hat) + abs(z_star) * np.abs(i_hat)
-    active = np.abs(resid) <= tol * np.maximum(scale, 1.0)
+    scale = np.abs(s_hat) + abs(z_star) * i_mag
+    active = resid_mag <= tol * np.maximum(scale, 1.0)
     outside = ~active
-    nz = outside & (np.abs(resid) > 0)
-    w[nz] = cap * resid[nz] / np.abs(resid[nz])
+    nz = outside & (resid_mag > 0)
+    w[nz] = cap * resid[nz] / resid_mag[nz]
 
     rest = complex(np.vdot(w, i_hat))
     if abs(z_star) == 0.0:
@@ -297,7 +320,7 @@ def _recover_primal(
         target = eta * cmath.exp(1j * cmath.phase(rest))
     else:
         target = eta * cmath.exp(-1j * cmath.phase(z_star))
-    idx = np.flatnonzero(active & (np.abs(i_hat) > 0))
+    idx = np.flatnonzero(active & (i_mag > 0))
     _fill_free_elements(w, idx, i_hat, target - rest, cap)
     return w
 
@@ -378,9 +401,10 @@ def solve_bf_subproblem_report(
     eta_hat = eta / int_norm
 
     # dual route: minimize D over the ratio points, the origin, and the plane
-    carriers = np.abs(i_hat) > 1e-14
+    i_mag = np.abs(i_hat)
+    carriers = i_mag > 1e-14
     points = s_hat[carriers] / i_hat[carriers]
-    weights = cap * np.abs(i_hat[carriers])
+    weights = cap * i_mag[carriers]
     all_points = np.concatenate([points, [0.0 + 0.0j]])
     all_weights = np.concatenate([weights, [eta_hat]])
 

@@ -27,7 +27,7 @@ from fdrelay.channel import (
     los_probability,
 )
 from fdrelay.positioning import NoLosPositionError
-from fdrelay.solver import _WEISZFELD_ITERS
+from fdrelay.solver import _NORMAL_MIN, _WEISZFELD_ITERS
 
 
 def rho_grid_argmax(
@@ -166,7 +166,8 @@ def weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
     """Modified Weiszfeld iteration, testing every step for an anchor with fmin.
 
     The solver's loop skips that test on a step whose reciprocal sum rules
-    an anchor out; this one runs it on every step.
+    an anchor out; this one runs it on every step. Both rescale the weights
+    of a mean step whose sum s = sum(w / d) is subnormal by 2**512.
     """
     # fmin.reduce(d) <= tol is any(d <= tol) in one call: fmin skips NaN
     absolute, add, fmin = np.abs, np.add.reduce, np.fmin.reduce
@@ -191,6 +192,9 @@ def weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
             z = z - (r / abs(r)) * step
             continue
         inv = weights / d
+        if add(inv) < _NORMAL_MIN:
+            # a subnormal s overflows 1 / s in the complex division: rescale
+            inv = weights * 2.0**512 / d
         z_new = complex(add(points * inv) / add(inv))
         if abs(z_new - z) <= 1e-15 * (1.0 + abs(z)):
             return z_new

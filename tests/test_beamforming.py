@@ -146,6 +146,21 @@ class TestNormalizeCm:
         out = normalize_cm(w, cap)
         assert np.allclose(out.weights, w, rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("w", [
+        [0j, 1j, -0.0 + 0j, 3 - 4j],
+        # subnormal magnitudes down to 2**-1023, where 1 / |w| is still finite
+        [1e-308 + 0j, 6e-309 + 8e-309j, -1.5e-308j, 2.0**-1023 + 0j],
+        [complex("nan+1j"), complex(1.0, float("nan")), complex("nan"), 1 + 1j],
+    ], ids=["zero", "subnormal", "nan"])
+    def test_matches_the_mask_formula(self, w):
+        # the bits of writing cap * w / |w| through a mask, |w| > 0, over a cap fill
+        w, cap = np.array(w), 0.5
+        mags = np.abs(w)
+        ref = np.full(w.shape, cap + 0j)
+        nz = mags > 0
+        ref[nz] = cap * w[nz] / mags[nz]
+        assert normalize_cm(w, cap).weights.tobytes() == ref.tobytes()
+
 
 class TestInteriorCensus:
     def test_counts_strict_interior(self):

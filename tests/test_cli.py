@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -185,6 +186,8 @@ class TestExitCodes:
         "text, code",
         [
             ("eps_x = 1e-300\n", 0),
+            # too many grid steps to search, though every cell fits an int64
+            ("dn_rule = fixed\ndn_x = 1e12\ndn_y = 1e12\n", 2),
             ("dn_rule = fixed\ndn_x = 1e20\ndn_y = 1e20\n", 2),
             ("dn_radius_m = 1e300\n", 2),
         ],
@@ -194,6 +197,15 @@ class TestExitCodes:
         path = tmp_path / "far.cfg"
         path.write_text(text)
         assert main([command, "--config", str(path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            # the box is too large to search: the message names the axis, its
+            # step count and its grid key
+            assert re.search(r"error: the LoS search box spans \S+ grid steps along x, "
+                             r"more than 1048576: raise eps_x or shrink the box", err)
+            dn_x = re.search(r"dn_x = (\S+)", text)
+            if dn_x:  # a fixed DN spans dn_x steps of the default eps_x = 1
+                assert f"spans {float(dn_x[1]):.4g} grid steps" in err
 
     def test_success_is_zero(self, fast_config, capsys):
         assert main(["position", "--config", fast_config]) == 0

@@ -496,11 +496,11 @@ def _weiszfeld_cases(draw):
     weights = rng.uniform(0.01, 1.0, n)
     if kind == "wide":
         weights = 10 ** rng.uniform(-150, 150, n)
-    elif kind == "subnormal" and n > 1:
-        # one weight stays normal, as every carrier's does in the solver: with
-        # only subnormal weights numpy's complex division of the mean by s
-        # overflows (it forms 1 / s), in the reference loop too
-        weights[rng.integers(1, n, size=1 + n // 4)] = 5e-324 * rng.integers(1, 2**20, 1 + n // 4)
+    elif kind == "subnormal":
+        # some weights, or all: then s = sum(w / d) is subnormal and the mean
+        # step rescales the weights
+        count = n if draw(st.booleans()) else 1 + n // 4
+        weights[rng.choice(n, size=min(n, count), replace=False)] = 5e-324 * rng.integers(1, 2**20, min(n, count))
     elif kind == "zero_origin":
         points[-1], weights[-1] = 0j, 0.0
     for _ in range(draw(st.integers(0, n // 2))):
@@ -554,11 +554,16 @@ class TestWeiszfeldScreen:
         # a zero origin weight with the iterate on the origin: 0 / 0 in s
         ([1.0, 1j, 0.0], [1.0, 1.0, 0.0], 0j),
         ([1.0, float("nan"), 2.0], [1.0, 1.0, 1.0], 1.0 + 0j),
+        # s = w / d is subnormal: complex / float division forms 1 / s, which
+        # overflows unless the mean step rescales the weights
+        ([2.2145e-4 - 2.3268e-4j], [9.08e-319], 0.3616 + 1.3040j),
     ], ids=["exact_tie", "exact_tie_far_neighbour", "underflowing_quotient",
-            "zero_weight_on_origin", "nan_point"])
+            "zero_weight_on_origin", "nan_point", "subnormal_reciprocal_sum"])
     def test_edge_cases_match_unscreened_loop(self, points, weights, z0):
         new, ref = self._both(np.array(points, complex), np.array(weights, float), z0)
         assert new == ref
+        if all(np.isfinite(points)):
+            assert all(math.isfinite(part) for part in (float.fromhex(h) for h in new))
 
     @given(case=_weiszfeld_cases())
     @settings(max_examples=300)
