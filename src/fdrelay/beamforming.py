@@ -121,9 +121,16 @@ def normalize_cm(w: np.ndarray, cap: float) -> Beamformer:
     """Push every element onto the constant-modulus circle of radius cap.
 
     Zero elements have no phase; they map to cap * exp(j0) by convention.
+    The division forms 1 / |w|, which overflows for |w| <= 2**-1024, so such
+    an element is first lifted by an exact power of two, as in the matched
+    filter; that leaves its phase alone.
     """
     w = np.asarray(w, dtype=complex)
     mags = np.abs(w)
+    if np.fmin.reduce(mags) <= 2.0**-1024:
+        w = w.copy()
+        w[mags <= 2.0**-1024] *= 2.0**512
+        mags = np.abs(w)
     out = np.full(w.shape, cap + 0j)
     np.divide(cap * w, mags, out=out, where=mags > 0)
     return Beamformer(out, cap=cap)

@@ -19,44 +19,24 @@ class ConfigError(ValueError):
     """Raised for unknown keys, malformed lines, or values of the wrong type."""
 
 
-# a config value parses to the type of its default (see _convert)
+# a config value parses to the type of its default (see _convert). A key named
+# like a Scenario or EnvParams field takes that field's default; the keys that
+# build_scenario converts are spelled out here.
+_CONVERTED_FIELDS = {"p_s_tot", "p_v_tot", "noise1", "noise2", "num_nlos", "sigma_f"}
 DEFAULTS: dict = {
-    "h_min": 100.0,
-    "h_max": 300.0,
+    **{
+        field.name: field.default
+        for cls in (Scenario, EnvParams)
+        for field in dataclasses.fields(cls)
+        if field.default is not dataclasses.MISSING and field.name not in _CONVERTED_FIELDS
+    },
     "p_s_tot_dbm": 20.0,
     "p_v_tot_dbm": 20.0,
     "noise1_dbm": -110.0,
     "noise2_dbm": -110.0,
-    "fc_hz": 38e9,
-    "alpha_los": 1.9,
-    "alpha_nlos": 3.3,
     "L": 4,
     "sigma_f": None,  # None: use 1/sqrt(L); unused when L = 0
-    "los_a": 11.95,
-    "los_b": 0.14,
-    "m_s": 4,
-    "n_s": 4,
-    "m_r": 4,
-    "n_r": 4,
-    "m_t": 4,
-    "n_t": 4,
-    "m_d": 4,
-    "n_d": 4,
-    "eps_x": 1.0,
-    "eps_y": 1.0,
-    "eps_h": 1.0,
-    "kappa": 10.0,
-    "eps_r": 0.01,
-    "trials": 200,
-    "master_seed": 0,
-    "delta_m_deg": 0.0,
-    "dn_rule": "disk",
-    "dn_x": 400.0,
-    "dn_y": 300.0,
-    "dn_radius_m": 500.0,
-    "panel_separation": 10.0,
-    "max_iters": 50,
-    "workers": 1,
+    **{f"{dim}_{panel}": 4 for panel in "srtd" for dim in "mn"},
 }
 
 

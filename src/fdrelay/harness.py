@@ -213,13 +213,10 @@ def apply_misalignment(links: LinkSet, delta_m_deg: float, rng: np.random.Genera
 
     def perturb(channel, upa_tx, upa_rx, rows):
         comps = []
-        nlos_row = 0
-        for comp in channel.components:
-            if comp.is_los:
-                row = 0
-            else:
-                nlos_row += 1
-                row = nlos_row
+        # a far-field channel lists its LoS path first: path n takes row n,
+        # or row n + 1 when the channel has no LoS path
+        first = 0 if channel.components and channel.components[0].is_los else 1
+        for row, comp in enumerate(channel.components, start=first):
             dep_el, dep_az, arr_el, arr_az = rows[row]
             comps.append(
                 PathComponent(
@@ -373,10 +370,9 @@ def _run_trial_tuple(args: tuple[Scenario, int]) -> TrialResult:
         ) from exc
 
 
-def run_trials(scenario: Scenario, trials: int | None = None) -> list[TrialResult]:
+def run_trials(scenario: Scenario) -> list[TrialResult]:
     """All trials of a scenario in trial-index order, whatever the worker count."""
-    n = scenario.trials if trials is None else trials
-    jobs = [(scenario, i) for i in range(n)]
+    jobs = [(scenario, i) for i in range(scenario.trials)]
     if scenario.workers > 1:
         import concurrent.futures
 
@@ -424,30 +420,33 @@ def aggregate(results: list[TrialResult], sweep_param: str, sweep_value: float) 
     return rows
 
 
-SWEEPABLE = ("p_s_tot_dbm", "p_v_tot_dbm", "distance_m", "array", "delta_m_deg")
-
-
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+def _sweep_array(scenario: Scenario, value: float) -> Scenario:
+    n = int(value)
+    if n != value or n < 1:
+        raise ValueError("array size must be a positive integer")
+    upa = UpaSpec(n, n)
+    return replace(scenario, upa_s=upa, upa_r=upa, upa_t=upa, upa_d=upa)
+
+
+# each sweepable parameter and the scenario change one of its values makes
+SWEEPS = {
+    "p_s_tot_dbm": lambda scenario, value: replace(scenario, p_s_tot=dbm_to_watts(value)),
+    "p_v_tot_dbm": lambda scenario, value: replace(scenario, p_v_tot=dbm_to_watts(value)),
+    "distance_m": lambda scenario, value: replace(scenario, dn_rule="circle", dn_radius_m=value),
+    "array": _sweep_array,
+    "delta_m_deg": lambda scenario, value: replace(scenario, delta_m_deg=value),
+}
+
+
 def apply_sweep_value(scenario: Scenario, name: str, value: float) -> Scenario:
     """Scenario variant with one swept parameter replaced."""
-    if name == "p_s_tot_dbm":
-        return replace(scenario, p_s_tot=dbm_to_watts(value))
-    if name == "p_v_tot_dbm":
-        return replace(scenario, p_v_tot=dbm_to_watts(value))
-    if name == "distance_m":
-        return replace(scenario, dn_rule="circle", dn_radius_m=value)
-    if name == "array":
-        n = int(value)
-        if n != value or n < 1:
-            raise ValueError("array size must be a positive integer")
-        upa = UpaSpec(n, n)
-        return replace(scenario, upa_s=upa, upa_r=upa, upa_t=upa, upa_d=upa)
-    if name == "delta_m_deg":
-        return replace(scenario, delta_m_deg=value)
-    raise ValueError(f"unknown sweep parameter {name!r}")
+    if name not in SWEEPS:
+        raise ValueError(f"unknown sweep parameter {name!r}")
+    return SWEEPS[name](scenario, value)
 
 
 @dataclass(frozen=True)
@@ -459,7 +458,7 @@ class SweepSpec:
     base: Scenario
 
     def __post_init__(self) -> None:
-        if self.param not in SWEEPABLE:
+        if self.param not in SWEEPS:
             raise ValueError(f"unknown sweep parameter {self.param!r}")
         if not self.values:
             raise ValueError("sweep needs at least one value")

@@ -54,18 +54,18 @@ class FeasibleBox:
         if not (0 < self.h_min <= self.h_max):
             raise ValueError("need 0 < h_min <= h_max")
 
-    def contains(self, p: Vec3, slack: float = _SLACK) -> bool:
-        return bool(self.contains_xyz(p.x, p.y, p.z, slack))
+    def contains(self, p: Vec3) -> bool:
+        return bool(self.contains_xyz(p.x, p.y, p.z))
 
-    def contains_xyz(self, x, y, z, slack: float = _SLACK):
+    def contains_xyz(self, x, y, z):
         """contains() on coordinates: floats, or numpy arrays elementwise."""
         return (
-            (-slack <= x)
-            & (x <= self.x_d + slack)
-            & (-slack <= y)
-            & (y <= self.y_d + slack)
-            & (self.h_min - slack <= z)
-            & (z <= self.h_max + slack)
+            (-_SLACK <= x)
+            & (x <= self.x_d + _SLACK)
+            & (-_SLACK <= y)
+            & (y <= self.y_d + _SLACK)
+            & (self.h_min - _SLACK <= z)
+            & (z <= self.h_max + _SLACK)
         )
 
 

@@ -18,9 +18,9 @@ origin is last tried as z = 0; a solve none certifies raises SolverError.
 A smooth minimizer within 1e-9 of the origin is snapped to z* = 0, since
 Newton fixes it only to the rounding of D and its phase is noise. A kink is
 an exact ratio point, so it is snapped only inside the kink test's tie
-tolerance (1e-12), where it is the origin's kink. One further out, even
-within 1e-9, is a real multiplier: zeroing it saturates that point's element
-along a noise phase, which can miss the interference cap.
+tolerance (_TIE = 1e-12), where it is the origin's kink. One further out,
+even within 1e-9, is a real multiplier: zeroing it saturates that point's
+element along a noise phase, which can miss the interference cap.
 
 Bit identity. The seeded outputs of every trial are fixed, so the loops are
 made cheaper without moving an output bit: reductions call the ufunc
@@ -63,6 +63,7 @@ GAP_TOL = 1e-6  # relative duality-gap certificate
 FEAS_TOL = 1e-8  # interference-constraint violation, normalized units
 CAP_TOL = 1e-12  # per-element magnitude violation
 _NORMAL_MIN = sys.float_info.min  # smallest normal float, np.finfo(float).tiny
+_TIE = 1e-12  # relative distance at which two points, or a kink and the origin, tie
 _WEISZFELD_ITERS = 200  # step cap of the geometric-median iteration
 _NEWTON_ITERS = 60  # step cap of the Newton polish
 _POLISH_ROUNDS = 12  # alternating projections of the feasibility polish
@@ -100,7 +101,7 @@ def _dual_value(z: complex, s_hat: np.ndarray, i_hat: np.ndarray, eta: float, ca
 def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
     """Modified Weiszfeld iteration for the weighted geometric median.
 
-    A step whose iterate lies within tie = 1e-12 (1 + |z|) of an anchor steps
+    A step whose iterate lies within tie = _TIE (1 + |z|) of an anchor steps
     off it; any other step is the weighted mean with weights w / d. The
     exact anchor test, fmin(d) <= tie, runs only on a step that the sum
     s = sum(w / d), which the mean needs anyway, does not rule out: a step
@@ -114,8 +115,9 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
     the iterate is NaN (the threshold is NaN). An anchor on the iterate
     puts inf or 0/0 into s and a NaN point puts NaN, so such a step takes
     the exact test too. The warnings of those divisions are silenced, since
-    every smooth start sits on an anchor (d = 0). tests/oracles.py keeps the
-    unscreened loop.
+    every smooth start sits on an anchor (d = 0). A mean step whose sum is
+    still below 2**-1022 with the weights lifted by 2**512 cannot form its
+    mean and raises SolverError. tests/oracles.py keeps the unscreened loop.
     """
     # fmin.reduce(d) <= tol is any(d <= tol) in one call: fmin skips NaN
     absolute, add, fmin = np.abs, np.add.reduce, np.fmin.reduce
@@ -130,7 +132,7 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
             subtract(points, z, diff)
             absolute(diff, d)
             scale = 1.0 + abs(z)
-            tie = 1e-12 * scale
+            tie = _TIE * scale
             divide(weights, d, inv)
             s = add(inv)
             if not s < w_min / tie and fmin(d) <= tie:
@@ -156,6 +158,8 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
                 # and w / d <= s < 2**-1022 with d < 2**1024 keeps 2**512 w finite
                 divide(weights * 2.0**512, d, inv)
                 s = add(inv)
+                if s < _NORMAL_MIN:
+                    raise SolverError("Weiszfeld reciprocal sum underflows past the 2**512 rescale")
             multiply(points, inv, moment)
             z_new = complex(add(moment) / s)
             if abs(z_new - z) <= 1e-15 * scale:
@@ -217,7 +221,7 @@ def _kink_point(
 ) -> complex | None:
     """First candidate, in index order, at which D has its minimum, or None.
 
-    Exact test at candidate p: the points tied with p (within 1e-12
+    Exact test at candidate p: the points tied with p (within _TIE
     relative) must outweigh the pull of all the others,
     |sum_rest w u| <= w_same * (1 + 1e-12), u the unit vectors towards p.
     Nearly every dual solve has no such candidate, so a screen first drops
@@ -242,7 +246,7 @@ def _kink_point(
     margin = 1e-9 * (np.add.reduce(weights) + drift + d_vals[k]) * (1.0 + mags + mags[k])
     for idx in np.flatnonzero(d_vals <= d_vals[k] + margin):
         p = points[idx]
-        same = np.abs(points - p) <= 1e-12 * (1.0 + abs(p))
+        same = np.abs(points - p) <= _TIE * (1.0 + abs(p))
         same[idx] = True
         rest_p = points[~same]
         rest_w = weights[~same]
@@ -419,7 +423,7 @@ def solve_bf_subproblem_report(
         z0 = all_points[int(np.argmin(d_vals))]
         z_w = _weiszfeld(all_points, all_weights, z0)
         z_star = _newton_polish(z_w, all_points, all_weights)
-    if abs(z_star) <= (1e-9 if smooth else 1e-12):
+    if abs(z_star) <= (1e-9 if smooth else _TIE):
         # a vanishing multiplier is a slack constraint (see the module docstring)
         z_star = 0.0 + 0.0j
 

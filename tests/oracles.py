@@ -27,7 +27,7 @@ from fdrelay.channel import (
     los_probability,
 )
 from fdrelay.positioning import NoLosPositionError
-from fdrelay.solver import _NORMAL_MIN, _WEISZFELD_ITERS
+from fdrelay.solver import _NORMAL_MIN, _WEISZFELD_ITERS, SolverError
 
 
 def rho_grid_argmax(
@@ -167,7 +167,8 @@ def weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
 
     The solver's loop skips that test on a step whose reciprocal sum rules
     an anchor out; this one runs it on every step. Both rescale the weights
-    of a mean step whose sum s = sum(w / d) is subnormal by 2**512.
+    of a mean step whose sum s = sum(w / d) is subnormal by 2**512, and
+    raise SolverError when the rescaled sum is still subnormal.
     """
     # fmin.reduce(d) <= tol is any(d <= tol) in one call: fmin skips NaN
     absolute, add, fmin = np.abs, np.add.reduce, np.fmin.reduce
@@ -195,6 +196,8 @@ def weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
         if add(inv) < _NORMAL_MIN:
             # a subnormal s overflows 1 / s in the complex division: rescale
             inv = weights * 2.0**512 / d
+            if add(inv) < _NORMAL_MIN:
+                raise SolverError("Weiszfeld reciprocal sum underflows past the 2**512 rescale")
         z_new = complex(add(points * inv) / add(inv))
         if abs(z_new - z) <= 1e-15 * (1.0 + abs(z)):
             return z_new

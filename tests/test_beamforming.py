@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -160,6 +161,22 @@ class TestNormalizeCm:
         nz = mags > 0
         ref[nz] = cap * w[nz] / mags[nz]
         assert normalize_cm(w, cap).weights.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("w", [
+        [1e-320 + 0j],
+        # 1 / |w| overflows from 2**-1024 down; the element above keeps the
+        # mask formula's bits
+        [2.0**-1024 * 1j, 5e-324 - 5e-324j, -(2.0**-1023) + 0j],
+    ], ids=["single", "mixed"])
+    def test_elements_whose_division_overflows_land_on_cap(self, w):
+        w, cap = np.array(w), 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize_cm(w, cap).weights
+        assert np.max(np.abs(np.abs(out) - cap)) <= 1e-15
+        assert np.array_equal(np.angle(out), np.angle(w))
+        keep = np.abs(w) > 2.0**-1024
+        assert out[keep].tobytes() == (cap * w[keep] / np.abs(w[keep])).tobytes()
 
 
 class TestInteriorCensus:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +122,32 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/path.cfg")
+
+
+class TestReadme:
+    TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_config_table_shows_every_default(self):
+        shown = {}
+        for line in self.TEXT.splitlines():
+            if line.startswith("| `"):
+                cells = [cell.strip() for cell in line.strip("|").split("|")]
+                keys = re.findall(r"`(\w+)`", cells[0])
+                values = [value.strip() for value in cells[1].split(",")]
+                assert len(values) in (1, len(keys)), line
+                shown.update(zip(keys, values * len(keys) if len(values) == 1 else values))
+        assert set(shown) == set(DEFAULTS)
+        for key, default in DEFAULTS.items():
+            if default is None:
+                assert shown[key] == "1/sqrt(L)", key
+            elif isinstance(default, str):
+                assert shown[key] == default, key
+            else:
+                assert float(shown[key]) == default, key
+
+    def test_sweepable_line_names_the_sweep_table(self):
+        line = re.search(r"Sweepable parameters: ([^.]*)\.", self.TEXT).group(1)
+        assert re.findall(r"`(\w+)`", line) == list(harness.SWEEPS)
 
 
 class TestExitCodes:

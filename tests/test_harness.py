@@ -324,9 +324,6 @@ class TestRunTrials:
         results = run_trials(FAST)
         assert [r.trial_index for r in results] == [0, 1, 2, 3]
 
-    def test_explicit_count_overrides_scenario(self):
-        assert len(run_trials(FAST, trials=2)) == 2
-
     def test_worker_pool_matches_serial(self):
         serial = run_trials(FAST)
         parallel = run_trials(Scenario(dn_rule="fixed", trials=4, master_seed=7, workers=2))

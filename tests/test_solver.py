@@ -535,12 +535,18 @@ class TestWeiszfeldScreen:
 
     @staticmethod
     def _both(points, weights, z0):
+        def run(loop):
+            try:
+                return _bits(loop(points, weights, z0))
+            except SolverError as exc:
+                return str(exc)
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            new = _bits(solver._weiszfeld(points, weights, z0))
+            new = run(solver._weiszfeld)
         # the reference warns where a NaN point meets an anchor step
         with np.errstate(invalid="ignore"):
-            return new, _bits(weiszfeld(points, weights, z0))
+            return new, run(weiszfeld)
 
     @pytest.mark.parametrize("points, weights, z0", [
         # the start lies exactly the tolerance 1e-12 from the only anchor:
@@ -557,12 +563,17 @@ class TestWeiszfeldScreen:
         # s = w / d is subnormal: complex / float division forms 1 / s, which
         # overflows unless the mean step rescales the weights
         ([2.2145e-4 - 2.3268e-4j], [9.08e-319], 0.3616 + 1.3040j),
+        # every w / d underflows even with the weights lifted by 2**512
+        ([1e300, 2e300], [5e-324, 5e-324], 0j),
     ], ids=["exact_tie", "exact_tie_far_neighbour", "underflowing_quotient",
-            "zero_weight_on_origin", "nan_point", "subnormal_reciprocal_sum"])
+            "zero_weight_on_origin", "nan_point", "subnormal_reciprocal_sum",
+            "reciprocal_sum_underflow"])
     def test_edge_cases_match_unscreened_loop(self, points, weights, z0):
         new, ref = self._both(np.array(points, complex), np.array(weights, float), z0)
         assert new == ref
-        if all(np.isfinite(points)):
+        if isinstance(new, str):
+            assert "underflows" in new
+        elif all(np.isfinite(points)):
             assert all(math.isfinite(part) for part in (float.fromhex(h) for h in new))
 
     @given(case=_weiszfeld_cases())
