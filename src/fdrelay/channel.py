@@ -39,7 +39,7 @@ TAG_DN = 31  # destination draw
 TAG_RANDPOS = 32  # random-position baseline
 TAG_MISALIGN = 33  # beam pointing errors
 
-# los_cells decides a cell from the array estimate of its LoS probability
+# LosRoute decides a cell from the array estimate of its LoS probability
 # only when the uniform clears it by this relative margin times max(1, los_b)
 _LOS_MARGIN = 1e-9
 _EXP_MAX = math.log(np.finfo(float).max)  # math.exp overflows just above
@@ -283,30 +283,43 @@ def _digest_uniforms(digests: bytes) -> np.ndarray:
     return np.frombuffer(digests, ">u8")[::4] / 2.0**64
 
 
-def _los_probability_estimate(offsets: np.ndarray, env: EnvParams, tol: float) -> np.ndarray:
-    """los_probability at the elevation of each (dx, dy, dz) row, as arrays.
+def _los_probability_estimate(dx, dy, dz, env: EnvParams, tol: float) -> np.ndarray:
+    """los_probability at the elevation of each offset (dx, dy, dz), as arrays.
 
-    EnvironmentRealization.los_cells states the error bound. The estimate is
-    NaN where it is not trusted: a horizontal distance at or below 1e-150
-    (straight above the ground node, or a degenerate offset) and an exponent
-    within tol of math.exp's overflow edge.
+    LosRoute states the error bound. The estimate is NaN where it is not
+    trusted: a horizontal distance at or below 1e-150 (straight above the
+    ground node, or a degenerate offset) and an exponent within tol of
+    math.exp's overflow edge.
     """
-    horiz = np.hypot(offsets[:, 0], offsets[:, 1])
+    horiz = np.hypot(dx, dy)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = -env.los_b * (np.degrees(np.arctan(offsets[:, 2] / horiz)) - env.los_a)
+        x = -env.los_b * (np.degrees(np.arctan(dz / horiz)) - env.los_a)
         p = 1.0 / (1.0 + env.los_a * np.exp(x))
     p[(horiz <= 1e-150) | (np.abs(x - _EXP_MAX) <= tol)] = np.nan
     return p
 
 
+def _cell_los(u, dx: float, dy: float, dz: float, env: EnvParams) -> bool:
+    """The LoS field's rule at one cell: its uniform u lies below
+    los_probability at the elevation of the cell center's offset
+    (dx, dy, dz) from the ground node."""
+    _, _, elevation = _offset_geometry(dx, dy, dz)
+    return bool(u < los_probability(elevation, env))
+
+
 class EnvironmentRealization:
     """Seeded, position-consistent randomness for one Monte Carlo trial.
 
-    The LoS indicator at a query position is a pure function of
-    (master_seed, trial_index, link role, grid cell): a sha256-derived uniform
-    compared against the logistic LoS probability evaluated at the snapped
-    position. Multipath draws are made once per (trial, role) in a fixed
-    order and are position-independent.
+    The LoS field: the state of a ground-to-UAV link at grid cell (i, j, k)
+    is a pure function of (master_seed, trial_index, link role, cell). The
+    cell's uniform u comes from the sha256 digest of the key
+    ``"master_seed|trial_index|role|i|j|k"`` (_digest_uniforms), and the
+    link has LoS when u lies below the logistic LoS probability at the
+    elevation of the cell's center (_cell_los). :meth:`los_indicator`
+    decides the one cell of a position in scalar arithmetic; a search over
+    many cells asks :meth:`los_route` for each role's :class:`LosRoute`.
+    Multipath draws are made once per (trial, role) in a fixed order and
+    are position-independent.
     """
 
     def __init__(
@@ -344,63 +357,31 @@ class EnvironmentRealization:
             return tuple(a.astype(np.int64) for a in axes)
         return axes
 
-    def los_indicator(self, role: str, ground: Vec3, uav: Vec3) -> bool:
-        """Bernoulli LoS state of a ground-to-UAV link at the UAV's grid cell."""
-        axes = self.quantize_axes(np.array([uav.x]), np.array([uav.y]), np.array([uav.z]))
-        return bool(self.los_cells(role, ground, np.column_stack(axes))[0])
-
-    def los_cells(self, role: str, ground: Vec3, cells) -> np.ndarray:
-        """LoS state of the ground-to-UAV link at each (i, j, k) grid cell.
-
-        ``cells`` is an (n, 3) array (or sequence) of int64 or integral-float
-        cells; integral floats give the same keys and centers as ints. The
-        uniform u of a cell comes from the sha256 digest of the key
-        ``"master_seed|trial_index|role|i|j|k"`` (_digest_uniforms), the key
-        formatted once per call, and the cell has LoS when
-        ``u < los_probability(elevation)`` at the elevation of its center.
-        Returns a bool array; los_indicator is this method on one cell.
-
-        Every cell is hashed, and _los_probability_estimate gives p for all
-        of them as arrays. The screen decides a cell when
-        ``|u - p| > tol * p + 2**-1022``, tol = 1e-9 * max(1, los_b). Every
-        other cell goes through the scalar formula (_offset_geometry, then
-        los_probability) one at a time: a near-tie, or a cell with no
-        estimate (straight above the ground node, degenerate, or with its
-        exponent at math.exp's overflow edge). That is the only route back.
-
-        Why the screen is exact: on numpy 2.4.6, np.hypot, np.arctan and
-        np.exp differ from libm by at most an ulp (in 0.6%, 0.06% and 4.5%
-        of 2M inputs each; np.degrees in none). So the elevation differs by
-        at most 3 ulp and its value in degrees by < 1e-13. The exponent
-        x = -b * (deg - a) then differs by < 1e-13 * b + 5e-16 * |x|, and
-        for -708 < x < 710 p differs by < 1e-12 * max(1, b) relative, a
-        thousandth of tol. Below -708 both exponentials are under 1e-307, so
-        both give p = 1.0 (for any los_a under 1e290). Above the edge band
-        both exponentials overflow and both give p = 0.0. Where a * exp(x)
-        overflows or p is subnormal, the relative bound fails, but both p
-        lie below 2**-1022, and the absolute term decides only uniforms of
-        2**-64 or more, which lie above both. The uniforms agree bit for bit
-        (_digest_uniforms).
-        """
+    def _key_prefix(self, role: str) -> str:
+        """The start ``"master_seed|trial_index|role|"`` of a role's cell keys."""
         if role not in (ROLE_S2V, ROLE_V2D):
             raise ValueError(f"LoS field only covers ground-UAV links, got {role!r}")
-        cells = np.asarray(cells).reshape(-1, 3)
-        env = self.env
+        return f"{self.master_seed}|{self.trial_index}|{role}|"
+
+    def los_indicator(self, role: str, ground: Vec3, uav: Vec3) -> bool:
+        """Bernoulli LoS state of a ground-to-UAV link at the UAV's grid cell.
+
+        One cell in scalar arithmetic: Python's ``round`` rounds half to even
+        as quantize_axes' np.rint does, with the same layer-1 rule, and the
+        cell is decided by _cell_los, the rule LosRoute falls back to.
+        """
+        prefix = self._key_prefix(role)
         ex, ey, eh = self.grid_step
-        gx, gy, gz = ground.x, ground.y, ground.z
-        key = f"{self.master_seed}|{self.trial_index}|{role}|%d|%d|%d".encode()
-        sha = hashlib.sha256
-        keys = list(map(key.__mod__, zip(*cells.T.tolist())))
-        u = _digest_uniforms(b"".join([sha(k).digest() for k in keys]))
-        tol = _LOS_MARGIN * max(1.0, env.los_b)
-        p = _los_probability_estimate(cells * self.grid_step - (gx, gy, gz), env, tol)
-        los = u < p
-        # a NaN estimate fails the comparison, so its cell falls back as well
-        for n in np.flatnonzero(~(np.abs(u - p) > tol * p + 2.0**-1022)):
-            i, j, k = cells[n].tolist()
-            _, _, elevation = _offset_geometry(i * ex - gx, j * ey - gy, k * eh - gz)
-            los[n] = u[n] < los_probability(elevation, env)
-        return los
+        i, j, k = round(uav.x / ex), round(uav.y / ey), round(uav.z / eh)
+        if uav.z > 0 and k < 1:
+            k = 1
+        digest = hashlib.sha256(f"{prefix}{i}|{j}|{k}".encode()).digest()
+        u = int.from_bytes(digest[:8], "big") / 2.0**64
+        return _cell_los(u, i * ex - ground.x, j * ey - ground.y, k * eh - ground.z, self.env)
+
+    def los_route(self, role: str, ground: Vec3, axes) -> "LosRoute":
+        """The role's LoS field over the cells of one search (:class:`LosRoute`)."""
+        return LosRoute(self, role, ground, axes)
 
     def nlos_draws(self, role: str) -> tuple[PathComponent, ...]:
         """The trial's multipath draws for one link role (cached, fixed order).
@@ -429,6 +410,93 @@ class EnvironmentRealization:
                 )
             self._nlos_cache[role] = tuple(draws)
         return self._nlos_cache[role]
+
+
+class LosRoute:
+    """The LoS field of one ground-UAV role over the cells of one search.
+
+    ``axes`` holds three runs of grid indices, the search box's i, j and k
+    cells (int64, or integral floats, which give the same keys and centers
+    as ints); a cell is one position on each run. For each run the route
+    keeps key fragments, numpy object arrays of
+    ``b"master_seed|trial_index|role|%d|"``, ``b"%d|"`` and ``b"%d"``, and
+    the offsets of the cell centers from the ground node. :meth:`reach`
+    builds them over a window of positions that widens as the search's
+    rings grow, so they hold O(t) entries at ring t and never need a whole
+    run. A block's keys are then ``kx[bi] + ky[bj] + kz[bk]``, the bytes of
+    each cell's ``"master_seed|trial_index|role|i|j|k"`` key.
+
+    :meth:`decide` hashes every cell, and _los_probability_estimate gives p
+    for all of them as arrays. The screen decides a cell when
+    ``|u - p| > tol * p + 2**-1022``, tol = 1e-9 * max(1, los_b). Every
+    other cell goes through the scalar rule _cell_los one at a time: a
+    near-tie, or a cell with no estimate (straight above the ground node,
+    degenerate, or with its exponent at math.exp's overflow edge). That is
+    the only route back.
+
+    Why the screen is exact: on numpy 2.4.6, np.hypot, np.arctan and
+    np.exp differ from libm by at most an ulp (in 0.6%, 0.06% and 4.5%
+    of 2M inputs each; np.degrees in none). So the elevation differs by
+    at most 3 ulp and its value in degrees by < 1e-13. The exponent
+    x = -b * (deg - a) then differs by < 1e-13 * b + 5e-16 * |x|, and
+    for -708 < x < 710 p differs by < 1e-12 * max(1, b) relative, a
+    thousandth of tol. Below -708 both exponentials are under 1e-307, so
+    both give p = 1.0 (for any los_a under 1e290). Above the edge band
+    both exponentials overflow and both give p = 0.0. Where a * exp(x)
+    overflows or p is subnormal, the relative bound fails, but both p
+    lie below 2**-1022, and the absolute term decides only uniforms of
+    2**-64 or more, which lie above both. The uniforms agree bit for bit
+    (_digest_uniforms).
+    """
+
+    def __init__(self, real: EnvironmentRealization, role: str, ground: Vec3, axes) -> None:
+        prefix = real._key_prefix(role)
+        self._env = real.env
+        self._tol = _LOS_MARGIN * max(1.0, real.env.los_b)
+        self._runs = tuple(
+            zip(
+                axes,
+                (f"{prefix}%d|".encode(), b"%d|", b"%d"),
+                real.grid_step,
+                (ground.x, ground.y, ground.z),
+            )
+        )
+        # per run: (first position, last position, key fragments, offsets)
+        self._tables = [(0, -1, np.empty(0, dtype=object), np.empty(0))] * 3
+
+    def reach(self, spans) -> None:
+        """Cover each run's span (lo, hi) of positions, inclusive.
+
+        A window that must grow is built anew with half the span's width of
+        headroom on each side, so a search out to ring t formats O(t)
+        fragments per run in all.
+        """
+        for n, ((lo, hi), (cells, fmt, step, ground)) in enumerate(zip(spans, self._runs)):
+            w_lo, w_hi = self._tables[n][:2]
+            if w_lo <= lo and hi <= w_hi:
+                continue
+            pad = (hi - lo) // 2
+            lo, hi = max(0, lo - pad), min(len(cells) - 1, hi + pad)
+            run = cells[lo : hi + 1]
+            keys = np.array([fmt % c for c in run.tolist()], dtype=object)
+            self._tables[n] = (lo, hi, keys, run * step - ground)
+
+    def decide(self, bi, bj, bk) -> np.ndarray:
+        """LoS state of each cell (bi[n], bj[n], bk[n]), given as positions
+        on the three runs within the spans reached; a bool array."""
+        (x0, _, kx, ox), (y0, _, ky, oy), (z0, _, kz, oz) = self._tables
+        bi, bj, bk = bi - x0, bj - y0, bk - z0
+        sha = hashlib.sha256
+        keys = (kx[bi] + ky[bj] + kz[bk]).tolist()
+        u = _digest_uniforms(b"".join([sha(k).digest() for k in keys]))
+        dx, dy, dz = ox[bi], oy[bj], oz[bk]
+        tol = self._tol
+        p = _los_probability_estimate(dx, dy, dz, self._env, tol)
+        los = u < p
+        # a NaN estimate fails the comparison, so its cell falls back as well
+        for n in np.flatnonzero(~(np.abs(u - p) > tol * p + 2.0**-1022)).tolist():
+            los[n] = _cell_los(u[n], dx[n].item(), dy[n].item(), dz[n].item(), self._env)
+        return los
 
 
 def channel_from_paths(

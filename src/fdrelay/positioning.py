@@ -31,6 +31,11 @@ _SLACK = 1e-9  # box membership tolerance, meters
 # search builds each axis's run of indices before its first ring, and a
 # longer run only grows toward memory no search could finish with
 MAX_AXIS_STEPS = 2**20
+# S2V cells one LoS search may decide (the searches of the pinned and
+# benchmark configs decide at most ~22k). A box with no dual-LoS cell near
+# p_star would otherwise be scanned whole: 13M cells, ~20 s, for the
+# default 400 x 300 x 200 m box at los_a = 100, los_b = 10.
+LOS_PROBE_BUDGET = 2**20
 
 
 class NoLosPositionError(RuntimeError):
@@ -215,17 +220,22 @@ def los_adjusted_position(
     (heights only upward from h_min), fully evaluating each ring before
     choosing the member closest to p_star; exact distance ties are broken
     uniformly with the trial seed. Raises :class:`NoLosPositionError` once
-    the box is exhausted, and ValueError when p_star lacks LoS and an axis
-    of the box spans more than MAX_AXIS_STEPS grid steps.
+    the box is exhausted or the block of cells that would take the search
+    past LOS_PROBE_BUDGET S2V cells is reached, and ValueError when p_star
+    lacks LoS and an axis of the box spans more than MAX_AXIS_STEPS grid
+    steps.
 
-    The box is a product of three intervals, so each axis's in-box indices
-    form one run, found once with their coordinates and grid cells. Each
-    ring is built from those runs in blocks that run across its x-slices,
-    in (i, j, k) order. ``los_cells`` decides the S2V link of each cell and
-    the V2D link of those that pass. The coordinates and cells are the ones
-    the cell-by-cell loop computes, and los_cells's screen decides each cell
-    as that loop's scalar formula does (tests/oracles.py keeps the loop), so
-    the hits, their order and the chosen point are the same to the bit.
+    p_star's own cell is decided by ``los_indicator``. The box is a product
+    of three intervals, so each axis's in-box indices form one run, found
+    once with their coordinates and grid cells. Each ring is built from
+    those runs in blocks that run across its x-slices, in (i, j, k) order.
+    One ``los_route`` per role holds the runs' key fragments and center
+    offsets, grown with the rings (:class:`LosRoute`): the S2V route decides
+    every block, and the V2D route decides the ring's S2V hits in one pass,
+    in block order. The coordinates and cells are the ones the
+    cell-by-cell loop computes, and LosRoute's screen decides each cell as
+    that loop's scalar rule does (tests/oracles.py keeps the loop), so the
+    hits, their order and the chosen point are the same to the bit.
     """
     if not box.contains(p_star):
         raise ValueError("designed position lies outside the feasible box")
@@ -263,22 +273,35 @@ def los_adjusted_position(
     j0, j1 = j[in_y][[0, -1]].tolist()
     k1 = int(k[in_z][-1])
     xs, ys, zs = xs[in_x], ys[in_y], zs[in_z]
-    ci, cj, ck = env_real.quantize_axes(xs, ys, zs)
+    axes = env_real.quantize_axes(xs, ys, zs)
+    s2v = env_real.los_route(ROLE_S2V, SOURCE, axes)
+    v2d = env_real.los_route(ROLE_V2D, dn, axes)
 
+    probed = 0
     for t in range(1, t_cap + 1):
+        i_range, j_range, k_top = (max(-t, i0), min(t, i1)), (max(-t, j0), min(t, j1)), min(t, k1)
+        # the ring's spans as positions on the runs
+        spans = ((i_range[0] - i0, i_range[1] - i0), (j_range[0] - j0, j_range[1] - j0), (0, k_top))
+        s2v.reach(spans)
         found = []
-        for bi, bj, bk in _ring_blocks(
-            t, (max(-t, i0), min(t, i1)), (max(-t, j0), min(t, j1)), min(t, k1)
-        ):
+        for bi, bj, bk in _ring_blocks(t, i_range, j_range, k_top):
+            probed += bi.size
+            if probed > LOS_PROBE_BUDGET:
+                raise NoLosPositionError(
+                    f"no LoS position within the probe budget of {LOS_PROBE_BUDGET} cells"
+                )
             bi -= i0
             bj -= j0
-            cells = np.column_stack((ci[bi], cj[bj], ck[bk]))
-            los = env_real.los_cells(ROLE_S2V, SOURCE, cells)
+            los = s2v.decide(bi, bj, bk)
             if los.any():
-                los[los] = env_real.los_cells(ROLE_V2D, dn, cells[los])
                 found.append((bi[los], bj[los], bk[los]))
-        if any(f[0].size for f in found):
-            bi, bj, bk = (np.concatenate(axis) for axis in zip(*found))
+        if not found:
+            continue
+        bi, bj, bk = (np.concatenate(axis) for axis in zip(*found))
+        v2d.reach(spans)
+        los = v2d.decide(bi, bj, bk)
+        if los.any():
+            bi, bj, bk = bi[los], bj[los], bk[los]
             hits = list(zip(xs[bi].tolist(), ys[bj].tolist(), zs[bk].tolist()))
             origin = (p_star.x, p_star.y, p_star.z)
             dists = [math.dist(origin, h) for h in hits]

@@ -4,8 +4,8 @@ Each oracle recomputes an answer from the raw problem statement with dense
 search instead of the library's algebra, so agreement is evidence rather
 than tautology. ``weiszfeld``, ``kink_point``, ``los_indicator`` and
 ``los_ring_search`` are the exceptions: they are the plain loops that the
-solver's screened Weiszfeld step and kink test,
-``EnvironmentRealization.los_cells`` and the array LoS ring search must
+solver's screened Weiszfeld step and kink test, ``channel.LosRoute``,
+``EnvironmentRealization.los_indicator`` and the array LoS ring search must
 reproduce bit for bit. ``quantize`` and ``hash_uniform`` define the LoS
 field's grid snap and uniform draw, one point at a time.
 """

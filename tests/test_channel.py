@@ -293,8 +293,19 @@ class TestEnvironmentRealization:
 LOS_MODELS = ((11.95, 0.14), (27.23, 0.08), (100.0, 10.0))
 
 
+def _route_states(real, role, ground, cells):
+    """LoS states of (n, 3) cells through one LosRoute over their columns."""
+    cells = np.asarray(cells).reshape(-1, 3)
+    route = real.los_route(role, ground, cells.T)
+    n = len(cells)
+    route.reach([(0, n - 1)] * 3)
+    at = np.arange(n)
+    return route.decide(at, at, at)
+
+
 class TestLosCells:
-    """los_cells must equal the per-cell definition of the LoS field."""
+    """The LoS route and los_indicator must equal the per-cell definition of
+    the LoS field."""
 
     @given(
         seed=st.integers(0, 2**31),
@@ -312,25 +323,62 @@ class TestLosCells:
         xyz = np.column_stack(
             [rng.uniform(0, 60, 300), rng.uniform(0, 60, 300), rng.uniform(3.0, 120, 300)]
         )
-        # cells straight above the ground node and on half-step rounding ties
+        # cells straight above the ground node, on half-step rounding ties,
+        # and heights below half a step, which take layer 1
         xyz[:20, :2] = ground.x, ground.y
         xyz[20:40] = np.round(xyz[20:40] / step) * step + 0.5 * np.asarray(step)
+        xyz[40:60, 2] = rng.uniform(0.0, 0.5, 20) * step[2]
+        xyz[40, 2] = 0.5 * step[2]
         cells = np.column_stack(real.quantize_axes(xyz[:, 0], xyz[:, 1], xyz[:, 2]))
+        assert (cells[40:60, 2] == 1).all()
         ref = [los_indicator_oracle(real, role, ground, Vec3(*row)) for row in xyz.tolist()]
-        assert real.los_cells(role, ground, cells).tolist() == ref
-        assert real.los_cells(role, ground, cells.astype(float)).tolist() == ref
+        assert _route_states(real, role, ground, cells).tolist() == ref
+        assert _route_states(real, role, ground, cells.astype(float)).tolist() == ref
         assert [real.los_indicator(role, ground, Vec3(*row)) for row in xyz.tolist()] == ref
+
+    @pytest.mark.parametrize("role", [ROLE_S2V, ROLE_V2D])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_route_keys_are_the_cell_keys(self, role, dtype, monkeypatch):
+        # the fragments of windows grown ring by ring give the bytes of the
+        # "master_seed|trial_index|role|%d|%d|%d" key of every cell
+        seed, trial = 12, 34
+        real = EnvironmentRealization(ENV, seed, trial)
+        axes = [np.arange(-40, 41).astype(dtype), np.arange(-25, 30), np.arange(0, 33)]
+        if dtype is np.float64:
+            axes[0] *= 2.0**57  # integral floats past 2**62
+        keys, sha = [], hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda b: keys.append(b) or sha(b))
+        route = real.los_route(role, Vec3(0.5, 0.25, 0.0), axes)
+        origin = (40, 25)
+        rng = np.random.default_rng(0)
+        key = f"{seed}|{trial}|{role}|%d|%d|%d".encode()
+        for t in range(1, 36):
+            spans = [(max(0, o - t), min(len(a) - 1, o + t)) for o, a in zip(origin, axes)]
+            spans.append((0, min(t, len(axes[2]) - 1)))
+            route.reach(spans)
+            at = [rng.integers(lo, hi + 1, 40) for lo, hi in spans]
+            keys.clear()
+            route.decide(*at)
+            cells = zip(*(a[p].tolist() for a, p in zip(axes, at)))
+            assert keys == [key % cell for cell in cells]
+            for (lo, hi), table in zip(spans, route._tables):
+                assert len(table[2]) <= 2 * (hi - lo) + 1
 
     def test_cell_on_the_ground_node_is_degenerate(self):
         real = EnvironmentRealization(ENV, 1, 1)
+        ground = Vec3(3.0, 4.0, 0.0)
         with pytest.raises(DegenerateGeometryError):
-            real.los_cells(ROLE_S2V, Vec3(3.0, 4.0, 0.0), [(5, 5, 5), (3, 4, 0)])
+            _route_states(real, ROLE_S2V, ground, [(5, 5, 5), (3, 4, 0)])
+        with pytest.raises(DegenerateGeometryError):
+            real.los_indicator(ROLE_S2V, ground, ground)
 
     def test_empty_and_role_check(self):
         real = EnvironmentRealization(ENV, 1, 1)
-        assert real.los_cells(ROLE_S2V, Vec3(0, 0, 0), []).tolist() == []
+        assert _route_states(real, ROLE_S2V, Vec3(0, 0, 0), []).tolist() == []
         with pytest.raises(ValueError):
-            real.los_cells(ROLE_S2D, Vec3(0, 0, 0), [(1, 1, 1)])
+            real.los_route(ROLE_S2D, Vec3(0, 0, 0), ([1], [1], [1]))
+        with pytest.raises(ValueError):
+            real.los_indicator(ROLE_S2D, Vec3(0, 0, 0), Vec3(1, 1, 1))
 
     def test_quantize_axes_matches_oracle(self):
         real = EnvironmentRealization(ENV, 0, 0, grid_step=(2.0, 1.0, 0.5))
@@ -345,11 +393,11 @@ class TestLosCells:
         assert [tuple(c) for c in cells.tolist()] == [quantize_oracle(real, Vec3(v, v, v)) for v in huge]
 
     def test_los_indicator_past_the_int64_range(self):
-        # a cell past 2**62 stays an integral float; the one-point route used
-        # to turn it into a Python int, which numpy held as an object array
+        # a cell past 2**62 is an integral float on the route and a Python
+        # int on the one-cell route; both give the same key and center
         real = EnvironmentRealization(ENV, 3, 1)
         ground, uav = Vec3(0.0, 0.0, 0.0), Vec3(2.0**70, 3.0, 100.0)
-        want = real.los_cells(ROLE_S2V, ground, [(2.0**70, 3.0, 100.0)])[0]
+        want = _route_states(real, ROLE_S2V, ground, [(2.0**70, 3.0, 100.0)])[0]
         assert real.los_indicator(ROLE_S2V, ground, uav) == want
         assert want == los_indicator_oracle(real, ROLE_S2V, ground, uav)
 
@@ -363,9 +411,18 @@ def _oracle_cells(real, role, ground, cells):
     ]
 
 
+def _indicator_cells(real, role, ground, cells):
+    """los_indicator at each cell's center."""
+    ex, ey, eh = real.grid_step
+    return [
+        real.los_indicator(role, ground, Vec3(i * ex, j * ey, k * eh))
+        for i, j, k in np.asarray(cells).tolist()
+    ]
+
+
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Elevations los_cells sends down its scalar route, in call order."""
+    """Elevations sent down the scalar rule (_cell_los), in call order."""
     calls = []
     scalar = channel.los_probability
 
@@ -391,17 +448,19 @@ def _near_tie(seed, trial, ground, a):
 
 
 class TestLosScreen:
-    """los_cells's array screen and its one scalar route, against the definition."""
+    """The route's array screen and its one scalar rule, and los_indicator,
+    against the definition."""
 
     def test_cells_straight_above_the_ground_node(self, fallbacks):
         # p = 0.85 at 90 deg: both states occur, every cell on the scalar route
         real = EnvironmentRealization(EnvParams(los_a=27.23, los_b=0.08), 3, 4)
         ground = Vec3(5.0, 7.0, 0.0)
         cells = np.array([(5, 7, k) for k in range(1, 120)])
-        got = real.los_cells(ROLE_V2D, ground, cells).tolist()
+        got = _route_states(real, ROLE_V2D, ground, cells).tolist()
         assert got == _oracle_cells(real, ROLE_V2D, ground, cells)
         assert 0 < sum(got) < len(cells)
         assert fallbacks == [math.pi / 2] * len(cells)
+        assert _indicator_cells(real, ROLE_V2D, ground, cells) == got
 
     def test_exp_overflow_model(self, fallbacks):
         # los_a = 100, los_b = 10: the exponential overflows below ~29 deg
@@ -413,21 +472,26 @@ class TestLosScreen:
         )
         elevation = np.arctan(cells[:, 2] / np.hypot(cells[:, 0], cells[:, 1]))
         assert (np.degrees(elevation) < 29.0).mean() > 0.5
-        got = real.los_cells(ROLE_S2V, ground, cells).tolist()
+        got = _route_states(real, ROLE_S2V, ground, cells).tolist()
         assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
         assert fallbacks == []
+        assert _indicator_cells(real, ROLE_S2V, ground, cells) == got
 
     def test_exponent_at_the_overflow_edge(self, fallbacks):
         ground = Vec3(0.0, 0.0, 0.0)
         cell = (40, 30, 20)
         _, angles = link_geometry(ground, Vec3(40.0, 30.0, 20.0))
         edge = math.log(np.finfo(float).max) / (100.0 - math.degrees(angles.elevation))
+        reals = []
         for step in range(-3, 4):
             env = EnvParams(los_a=100.0, los_b=edge * (1.0 + step * 2.0**-52))
             real = EnvironmentRealization(env, 1, 1)
-            got = real.los_cells(ROLE_S2V, ground, [cell]).tolist()
+            got = _route_states(real, ROLE_S2V, ground, [cell]).tolist()
             assert got == _oracle_cells(real, ROLE_S2V, ground, [cell])
+            reals.append((real, got))
         assert len(fallbacks) == 7
+        for real, got in reals:
+            assert _indicator_cells(real, ROLE_S2V, ground, [cell]) == got
 
     def test_integral_float_cells_past_2_62(self):
         real = EnvironmentRealization(ENV, 1, 2)
@@ -441,19 +505,20 @@ class TestLosScreen:
                 [5.0, 5.0, 2.0**66],
             ]
         )
-        got = real.los_cells(ROLE_S2V, ground, cells).tolist()
+        got = _route_states(real, ROLE_S2V, ground, cells).tolist()
         assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
+        assert _indicator_cells(real, ROLE_S2V, ground, cells) == got
 
     def test_empty_input(self):
         real = EnvironmentRealization(ENV, 1, 1)
         for cells in ([], np.empty((0, 3), dtype=np.int64), np.empty((0, 3))):
-            out = real.los_cells(ROLE_V2D, Vec3(0.0, 0.0, 0.0), cells)
+            out = _route_states(real, ROLE_V2D, Vec3(0.0, 0.0, 0.0), cells)
             assert out.dtype == bool and out.shape == (0,)
 
     @pytest.mark.parametrize("sign", [-1, 0, 1])
     def test_near_tie_takes_the_scalar_route(self, sign, fallbacks, monkeypatch):
         # the tie cell falls back; the others stay decided by the screen,
-        # also with every estimate moved by the bound los_cells states
+        # also with every estimate moved by the bound LosRoute states
         seed, trial, ground, a = 11, 3, Vec3(0.0, 0.0, 0.0), 27.23
         cell, b = _near_tie(seed, trial, ground, a)
         env = EnvParams(los_a=a, los_b=b)
@@ -465,16 +530,19 @@ class TestLosScreen:
         estimate = channel._los_probability_estimate
         moved = 1.0 + sign * 1e-12 * max(1.0, b)
         monkeypatch.setattr(
-            channel, "_los_probability_estimate", lambda d, e, tol: estimate(d, e, tol) * moved
+            channel,
+            "_los_probability_estimate",
+            lambda dx, dy, dz, e, tol: estimate(dx, dy, dz, e, tol) * moved,
         )
         rng = np.random.default_rng(seed)
         cells = np.column_stack(
             [rng.integers(1, 80, 300), rng.integers(1, 80, 300), rng.integers(1, 120, 300)]
         )
         cells[150] = cell
-        got = real.los_cells(ROLE_S2V, ground, cells).tolist()
+        got = _route_states(real, ROLE_S2V, ground, cells).tolist()
         assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
         assert fallbacks == [angles.elevation]
+        assert _indicator_cells(real, ROLE_S2V, ground, [cell]) == [got[150]]
 
 
 class TestDigestUniforms:

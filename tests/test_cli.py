@@ -11,6 +11,7 @@ from fdrelay import cli, harness
 from fdrelay.cli import main
 from fdrelay.config import ConfigError, DEFAULTS, build_scenario, load_config, parse_config
 from fdrelay.harness import Scenario, place_relay, run_trial
+from fdrelay.positioning import LOS_PROBE_BUDGET, NoLosPositionError
 from fdrelay.solver import SolverError
 
 FAST_CFG = "dn_rule = fixed\ntrials = 2\nmaster_seed = 7\n"
@@ -319,6 +320,27 @@ class TestPositionCommand:
         assert lines["fallback"] == "1"
         assert lines["adjusted"] == lines["p_star"]
 
+    def test_search_past_the_probe_budget_falls_back(self, tmp_path, capsys, monkeypatch):
+        # no cell of the default box near p_star has LoS on both hops: the
+        # search stops at LOS_PROBE_BUDGET cells instead of scanning all 13M
+        raised = []
+        search = harness.los_adjusted_position
+
+        def recorded(*args):
+            try:
+                return search(*args)
+            except NoLosPositionError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(harness, "los_adjusted_position", recorded)
+        path = tmp_path / "starved.cfg"
+        path.write_text("los_a = 100\nlos_b = 10\n")
+        assert main(["position", "--config", str(path)]) == 0
+        assert raised == [f"no LoS position within the probe budget of {LOS_PROBE_BUDGET} cells"]
+        lines = dict(l.split(" = ", 1) for l in capsys.readouterr().out.strip().splitlines())
+        assert lines["fallback"] == "1"
+        assert lines["adjusted"] == lines["p_star"]
 
     @pytest.mark.parametrize("text", ["eps_x = 0\n", "eps_h = -1\n"])
     def test_non_positive_grid_step_is_a_config_error(self, text, tmp_path, capsys):

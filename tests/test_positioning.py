@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdrelay import positioning
 from fdrelay.channel import (
     ROLE_S2V,
+    TAG_TIEBREAK,
     DegenerateGeometryError,
     EnvParams,
     EnvironmentRealization,
     UpaSpec,
     Vec3,
     build_farfield_channel,
+    trial_rng,
 )
 from fdrelay.positioning import (
     DegenerateEndpointsError,
@@ -147,8 +150,27 @@ class _StubRealization(EnvironmentRealization):
         super().__init__(env, master_seed=0, trial_index=0, grid_step=grid_step)
         self._allowed = allowed_cells
 
-    def los_cells(self, role, ground, cells):
-        return np.array([tuple(c) in self._allowed for c in np.asarray(cells).tolist()], dtype=bool)
+    def los_indicator(self, role, ground, uav):
+        return quantize(self, uav) in self._allowed
+
+    def los_route(self, role, ground, axes):
+        return _StubRoute(self._allowed, axes)
+
+
+class _StubRoute:
+    """A LosRoute that allows the cells of a set."""
+
+    def __init__(self, allowed, axes):
+        self._allowed = allowed
+        self._axes = axes
+
+    def reach(self, spans):
+        pass
+
+    def decide(self, bi, bj, bk):
+        ci, cj, ck = self._axes
+        cells = zip(ci[bi].tolist(), cj[bj].tolist(), ck[bk].tolist())
+        return np.array([c in self._allowed for c in cells], dtype=bool)
 
 
 class TestLosAdjustedPosition:
@@ -177,7 +199,11 @@ class TestLosAdjustedPosition:
         out = los_adjusted_position(real, p_star, self._box(), self.DN)
         assert (out.x, out.y, out.z) == (21.0, 15.0, 100.0)
 
-    def test_tie_break_is_seeded_and_valid(self):
+    def test_tie_break_is_seeded_and_valid(self, monkeypatch):
+        # with 2-cell blocks the tied hits of ring 1 fall in different
+        # blocks; the V2D pass over the ring keeps their (i, j, k) order,
+        # which decides the tie-break draw
+        monkeypatch.setattr(positioning, "_BLOCK", 2)
         p_star = Vec3(20, 15, 100)
         ties = {(21, 15, 100), (19, 16, 100), (20, 16, 100), (20, 14, 100)}
         real = _StubRealization(ENV, ties)
@@ -186,13 +212,28 @@ class TestLosAdjustedPosition:
             for _ in range(3)
         ]
         assert outs[0] == outs[1] == outs[2]  # deterministic under one seed
-        assert quantize(real, outs[0]) in {(21, 15, 100), (20, 16, 100), (20, 14, 100)}
+        tied = [(20, 14, 100), (20, 16, 100), (21, 15, 100)]  # (i, j, k) order
+        draw = int(trial_rng(0, 0, TAG_TIEBREAK).integers(len(tied)))
+        assert quantize(real, outs[0]) == tied[draw]
 
     def test_exhaustion_raises(self):
         p_star = Vec3(20, 15, 100)
         real = _StubRealization(ENV, set())
         with pytest.raises(NoLosPositionError, match="no LoS position found"):
             los_adjusted_position(real, p_star, self._box(), self.DN)
+
+    def test_probe_budget_ends_the_search(self, monkeypatch):
+        # rings 1-3 hold 17 + 57 + 121 cells, and the hit sits in ring 3:
+        # the search needs a budget of all 195 of them
+        p_star = Vec3(20, 15, 100)
+        real = _StubRealization(ENV, {(23, 15, 100)})
+        monkeypatch.setattr(positioning, "_BLOCK", 16)
+        monkeypatch.setattr(positioning, "LOS_PROBE_BUDGET", 194)
+        with pytest.raises(NoLosPositionError, match="probe budget of 194 cells"):
+            los_adjusted_position(real, p_star, self._box(), self.DN)
+        monkeypatch.setattr(positioning, "LOS_PROBE_BUDGET", 195)
+        out = los_adjusted_position(real, p_star, self._box(), self.DN)
+        assert quantize(real, out) == (23, 15, 100)
 
     def test_result_stays_inside_box(self):
         p_star = Vec3(39, 29, 110)
