@@ -524,14 +524,12 @@ def build_farfield_channel(
     dst: Vec3,
     tx_upa: UpaSpec,
     rx_upa: UpaSpec,
-    los: bool | None = None,
 ) -> ChannelMatrix:
     """Far-field channel: LoS rank-1 term (if drawn) plus NLoS superposition.
 
     The ground-to-destination link (S2D) never carries a LoS term; for the
     two UAV links the LoS indicator comes from the position-consistent field,
-    with the UAV endpoint being dst for S2V and src for V2D, unless the
-    caller already knows it and passes it as ``los``. LoS amplitude,
+    with the UAV endpoint being dst for S2V and src for V2D. LoS amplitude,
     distance, and angles use the actual (unsnapped) positions; only the
     indicator is evaluated on the grid.
     """
@@ -542,9 +540,7 @@ def build_farfield_channel(
 
     if role != ROLE_S2D:
         ground, uav = (src, dst) if role == ROLE_S2V else (dst, src)
-        if los is None:
-            los = env_real.los_indicator(role, ground, uav)
-        if los:
+        if env_real.los_indicator(role, ground, uav):
             _, los_angles = link_geometry(ground, uav)
             beta0 = los_path_gain(dist, env_real.env)
             components.append(
@@ -629,20 +625,17 @@ def build_links(
     upa_r: UpaSpec,
     upa_t: UpaSpec,
     upa_d: UpaSpec,
-    los: tuple[bool, bool] | None = None,
     s2d: ChannelMatrix | None = None,
 ) -> LinkSet:
     """Synthesize all four channels for a UAV position within one trial.
 
-    The source is :data:`SOURCE`, and the environment is ``env_real.env``.
-    ``los`` gives the S2V and V2D LoS states at the UAV's cell when the
-    caller knows them; otherwise the field is asked. S2D does not depend on
-    the UAV position, so a trial passes the first position's ``s2d`` to the
-    second call.
+    The source is :data:`SOURCE`, and the environment is ``env_real.env``,
+    whose LoS field gives the S2V and V2D states at the UAV's cell. S2D
+    does not depend on the UAV position, so a trial passes the first
+    position's ``s2d`` to the second call.
     """
-    los_s2v, los_v2d = (None, None) if los is None else los
-    s2v = build_farfield_channel(ROLE_S2V, env_real, SOURCE, uav, upa_s, upa_r, los_s2v)
-    v2d = build_farfield_channel(ROLE_V2D, env_real, uav, dn, upa_t, upa_d, los_v2d)
+    s2v = build_farfield_channel(ROLE_S2V, env_real, SOURCE, uav, upa_s, upa_r)
+    v2d = build_farfield_channel(ROLE_V2D, env_real, uav, dn, upa_t, upa_d)
     if s2d is None:
         s2d = build_farfield_channel(ROLE_S2D, env_real, SOURCE, dn, upa_s, upa_d)
     si = build_si_channel(env_real.env, upa_t, upa_r)

@@ -259,15 +259,6 @@ class Placement:
     designed: Vec3  # nearest dual-LoS grid point, or p_star on fallback
     fallback: bool  # no grid point of the box has LoS on both links
 
-    @property
-    def designed_los(self) -> tuple[bool, bool] | None:
-        """S2V and V2D LoS states at the designed cell, or None when unknown.
-
-        The search returns a cell it found LoS on both links; on fallback
-        the states at p_star are left to the field.
-        """
-        return None if self.fallback else (True, True)
-
 
 def place_relay(scenario: Scenario, trial_index: int) -> Placement:
     """Destination draw, closed-form position and LoS adjustment of one trial.
@@ -302,21 +293,10 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
     dn, designed = placement.dn, placement.designed
     budget = scenario.budget
 
-    def links_at(pos: Vec3, **known) -> LinkSet:
-        return build_links(
-            placement.env_real,
-            dn,
-            pos,
-            scenario.upa_s,
-            scenario.upa_r,
-            scenario.upa_t,
-            scenario.upa_d,
-            **known,
-        )
-
-    links_des = links_at(designed, los=placement.designed_los)
+    arrays = (scenario.upa_s, scenario.upa_r, scenario.upa_t, scenario.upa_d)
+    links_des = build_links(placement.env_real, dn, designed, *arrays)
     rand_pos = _sample_random_position(placement)
-    links_rand = links_at(rand_pos, s2d=links_des.s2d)
+    links_rand = build_links(placement.env_real, dn, rand_pos, *arrays, s2d=links_des.s2d)
 
     def misaligned(links: LinkSet) -> LinkSet:
         rng = trial_rng(scenario.master_seed, trial_index, TAG_MISALIGN)

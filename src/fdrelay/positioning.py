@@ -31,10 +31,11 @@ _SLACK = 1e-9  # box membership tolerance, meters
 # search builds each axis's run of indices before its first ring, and a
 # longer run only grows toward memory no search could finish with
 MAX_AXIS_STEPS = 2**20
-# S2V cells one LoS search may decide (the searches of the pinned and
-# benchmark configs decide at most ~22k). A box with no dual-LoS cell near
-# p_star would otherwise be scanned whole: 13M cells, ~20 s, for the
-# default 400 x 300 x 200 m box at los_a = 100, los_b = 10.
+# S2V cells one LoS search may decide, each block counting as _BLOCK cells
+# so that the rings are bounded too (a box one cell wide and tall has two
+# cells a ring). The pinned and benchmark searches charge at most ~27k; a
+# box with no dual-LoS cell near p_star would otherwise be scanned whole:
+# 13M cells, ~20 s, for the default box at los_a = 100, los_b = 10.
 LOS_PROBE_BUDGET = 2**20
 
 
@@ -220,10 +221,10 @@ def los_adjusted_position(
     (heights only upward from h_min), fully evaluating each ring before
     choosing the member closest to p_star; exact distance ties are broken
     uniformly with the trial seed. Raises :class:`NoLosPositionError` once
-    the box is exhausted or the block of cells that would take the search
-    past LOS_PROBE_BUDGET S2V cells is reached, and ValueError when p_star
-    lacks LoS and an axis of the box spans more than MAX_AXIS_STEPS grid
-    steps.
+    the box is exhausted or the block that would take the search past
+    LOS_PROBE_BUDGET S2V cells (each block counting as _BLOCK) is reached,
+    and ValueError when p_star lacks LoS and an axis of the box spans more
+    than MAX_AXIS_STEPS grid steps.
 
     p_star's own cell is decided by ``los_indicator``. The box is a product
     of three intervals, so each axis's in-box indices form one run, found
@@ -285,7 +286,7 @@ def los_adjusted_position(
         s2v.reach(spans)
         found = []
         for bi, bj, bk in _ring_blocks(t, i_range, j_range, k_top):
-            probed += bi.size
+            probed += _BLOCK
             if probed > LOS_PROBE_BUDGET:
                 raise NoLosPositionError(
                     f"no LoS position within the probe budget of {LOS_PROBE_BUDGET} cells"

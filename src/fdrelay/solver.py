@@ -113,11 +113,12 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
     and weights cannot break it. The screen is off, and every step takes
     the exact test, where a weight is zero (the threshold is 0) or NaN, or
     the iterate is NaN (the threshold is NaN). An anchor on the iterate
-    puts inf or 0/0 into s and a NaN point puts NaN, so such a step takes
-    the exact test too. The warnings of those divisions are silenced, since
-    every smooth start sits on an anchor (d = 0). A mean step whose sum is
-    still below 2**-1022 with the weights lifted by 2**512 cannot form its
-    mean and raises SolverError. tests/oracles.py keeps the unscreened loop.
+    puts inf or 0/0 into s, an anchor so near that w / d overflows puts
+    inf, and a NaN point puts NaN, so such a step takes the exact test too.
+    The warnings of those divisions are silenced, since every smooth start
+    sits on an anchor (d = 0). A mean step whose sum is still below
+    2**-1022 with the weights lifted by 2**512 cannot form its mean and
+    raises SolverError. tests/oracles.py keeps the unscreened loop.
     """
     # fmin.reduce(d) <= tol is any(d <= tol) in one call: fmin skips NaN
     absolute, add, fmin = np.abs, np.add.reduce, np.fmin.reduce
@@ -127,7 +128,7 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
     diff, moment = np.empty_like(points), np.empty_like(points)
     d, inv = np.empty(points.shape), np.empty(points.shape)
     z = z0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_WEISZFELD_ITERS):
             subtract(points, z, diff)
             absolute(diff, d)
@@ -248,10 +249,9 @@ def _kink_point(
         p = points[idx]
         same = np.abs(points - p) <= _TIE * (1.0 + abs(p))
         same[idx] = True
+        # with every point tied to p the pull is an empty sum, 0
         rest_p = points[~same]
         rest_w = weights[~same]
-        if rest_p.size == 0:
-            return p
         u = (p - rest_p) / np.abs(p - rest_p)
         if abs(complex(np.add.reduce(rest_w * u))) <= np.add.reduce(weights[same]) * (1.0 + 1e-12):
             return p

@@ -715,25 +715,17 @@ class TestLinkSet:
         assert links.s2v_angles == ang_s2v
         assert links.v2d_angles == ang_v2d
 
-    def test_known_los_states_and_s2d_are_used(self, monkeypatch):
+    def test_known_s2d_is_used(self):
         real = EnvironmentRealization(ENV, 9, 0)
-        sn, dn, uav = Vec3(0, 0, 0), Vec3(400, 300, 0), Vec3(200, 150, 100)
+        dn, uav = Vec3(400, 300, 0), Vec3(200, 150, 100)
         arrays = (UpaSpec(2, 2), UpaSpec(3, 3), UpaSpec(4, 4), UpaSpec(5, 5))
         asked = build_links(real, dn, uav, *arrays)
-        states = (real.los_indicator(ROLE_S2V, sn, uav), real.los_indicator(ROLE_V2D, dn, uav))
-
-        def no_field(*args):
-            raise AssertionError("the LoS field was asked")
-
-        monkeypatch.setattr(real, "los_indicator", no_field)
-        known = build_links(real, dn, uav, *arrays, los=states, s2d=asked.s2d)
+        known = build_links(real, dn, uav, *arrays, s2d=asked.s2d)
         assert known.s2d is asked.s2d
         assert known.si is asked.si
         for a, b in ((asked.s2v, known.s2v), (asked.v2d, known.v2d)):
             assert a.entries.tobytes() == b.entries.tobytes()
             assert a.components == b.components
-        flipped = build_links(real, dn, uav, *arrays, los=(not states[0], states[1]))
-        assert sum(c.is_los for c in flipped.s2v.components) == (not states[0])
 
 
 class TestChannelPin:
@@ -763,7 +755,7 @@ class TestChannelPin:
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_trial_channels_keep_their_bits(self, name, monkeypatch):
+    def test_trial_channels_keep_their_bits(self, name, monkeypatch, pin_note):
         from fdrelay import config, harness
 
         overrides, expected = self.CONFIGS[name], self.DIGESTS[name]
@@ -787,4 +779,4 @@ class TestChannelPin:
         for links in built:
             for ch in (links.s2v, links.v2d, links.s2d, links.si):
                 digest.update(ch.entries.tobytes())
-        assert digest.hexdigest() == expected
+        assert digest.hexdigest() == expected, pin_note

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -342,6 +343,32 @@ class TestPositionCommand:
         assert lines["fallback"] == "1"
         assert lines["adjusted"] == lines["p_star"]
 
+    def test_thin_box_search_is_bounded(self, tmp_path, capsys, monkeypatch):
+        # a box one cell wide and tall decides two cells per ring; counting
+        # each block as a full one bounds the ~200k rings (it ran > 100 s)
+        raised = []
+        search = harness.los_adjusted_position
+
+        def recorded(*args):
+            try:
+                return search(*args)
+            except NoLosPositionError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(harness, "los_adjusted_position", recorded)
+        path = tmp_path / "thin.cfg"
+        path.write_text(
+            "los_a = 100\nlos_b = 10\ndn_rule = fixed\ndn_x = 400\ndn_y = 0\n"
+            "h_min = 100\nh_max = 100\neps_x = 0.001\n"
+        )
+        start = time.perf_counter()
+        assert main(["position", "--config", str(path)]) == 0
+        assert time.perf_counter() - start < 20.0
+        assert raised == [f"no LoS position within the probe budget of {LOS_PROBE_BUDGET} cells"]
+        lines = dict(l.split(" = ", 1) for l in capsys.readouterr().out.strip().splitlines())
+        assert lines["fallback"] == "1"
+
     @pytest.mark.parametrize("text", ["eps_x = 0\n", "eps_h = -1\n"])
     def test_non_positive_grid_step_is_a_config_error(self, text, tmp_path, capsys):
         path = tmp_path / "grid.cfg"
@@ -430,16 +457,15 @@ class TestSweepCommand:
             n_col = [row["n_trials"] for row in csv.DictReader(fh)]
         assert n_col == ["3"] * 4
 
-    def test_csv_bytes_pinned(self, fast_config, tmp_path, capsys):
-        # a refactor must not move any output bit; recorded with numpy 2.4.6,
-        # whose rounding a different numpy need not reproduce
+    def test_csv_bytes_pinned(self, fast_config, tmp_path, capsys, pin_note):
+        # a refactor must not move any output bit
         out = tmp_path / "pinned.csv"
         argv = ["sweep", "--config", fast_config, "--trials", "3", "--sweep", "array=2,4"]
         assert main(argv + ["--out", str(out)]) == 0
         assert (
             hashlib.sha256(out.read_bytes()).hexdigest()
             == "d7d02020ea71ee31f2832e1c35bbfd347e24243240fd0aa68cb20fc84351bb3d"
-        )
+        ), pin_note
 
 
 class TestTrialIndex:

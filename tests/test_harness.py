@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fdrelay.beamforming as beamforming
 import fdrelay.harness as harness
-from fdrelay.channel import ROLE_S2V, ROLE_V2D, SOURCE, UpaSpec, Vec3, trial_rng
+from fdrelay.channel import ROLE_S2V, ROLE_V2D, SOURCE, UpaSpec, Vec3, build_links, trial_rng
 from fdrelay.config import build_scenario
 from fdrelay.harness import (
     MIN_GROUND_SEPARATION,
@@ -70,6 +70,15 @@ class TestDnSampling:
         for i in range(20):
             dn = _sample_dn(s, i)
             assert math.hypot(dn.x, dn.y) == pytest.approx(400.0, rel=1e-12)
+
+    def test_close_draws_are_redrawn(self):
+        # in a 12 m disk most draws fall inside the 10 m separation
+        s = Scenario(dn_rule="disk", dn_radius_m=12.0)
+        for i in range(20):
+            dn = _sample_dn(s, i)
+            assert math.hypot(dn.x, dn.y) >= MIN_GROUND_SEPARATION
+        with pytest.raises(ValueError, match="minimum ground separation"):
+            _sample_dn(Scenario(dn_rule="circle", dn_radius_m=5.0), 0)
 
     def test_deterministic_per_trial(self):
         s = Scenario(dn_rule="disk")
@@ -270,8 +279,8 @@ class TestOddArrays:
 
 class TestPlacementPin:
     # sha256 over the designed position (float.hex) and the fallback flag of
-    # trials 0-39 of three configs; recorded with numpy 2.4.6 at the scalar
-    # cell-by-cell LoS search, which the array ring search must reproduce
+    # trials 0-39 of three configs; recorded at the scalar cell-by-cell LoS
+    # search, which the array ring search must reproduce
     DIGEST = "145a69e94c2cf8e01ebabd0516692ff2cf2836a2775af99bb4f113b86e9a2ca8"
     CONFIGS = (
         {},
@@ -279,7 +288,7 @@ class TestPlacementPin:
         {"eps_x": 2.5, "eps_h": 0.5},
     )
 
-    def test_placements_are_pinned(self):
+    def test_placements_are_pinned(self, pin_note):
         digest = hashlib.sha256()
         moved = []
         for overrides in self.CONFIGS:
@@ -292,22 +301,29 @@ class TestPlacementPin:
                 digest.update(b"1" if pl.fallback else b"0")
         # every config moves some relays off the closed-form optimum
         assert min(moved) > 0
-        assert digest.hexdigest() == self.DIGEST
+        assert digest.hexdigest() == self.DIGEST, pin_note
 
 
 class TestDesignedLos:
     @pytest.mark.parametrize("overrides", TestPlacementPin.CONFIGS)
-    def test_handed_over_states_are_the_fields(self, overrides):
-        # the designed cell's states reach build_links without asking the
-        # field again; they must be what the field says there
+    def test_designed_cells_have_los_on_both_links(self, overrides):
+        # the search and the field decide each cell alike, so every designed
+        # cell the search returns has LoS on both links, and its links carry
+        # a LoS path on S2V and on V2D
         scenario = build_scenario(overrides)
+        arrays = (scenario.upa_s, scenario.upa_r, scenario.upa_t, scenario.upa_d)
+        placed = 0
         for trial in range(12):
             pl = place_relay(scenario, trial)
-            field = (
-                pl.env_real.los_indicator(ROLE_S2V, SOURCE, pl.designed),
-                pl.env_real.los_indicator(ROLE_V2D, pl.dn, pl.designed),
-            )
-            assert pl.designed_los == (None if pl.fallback else field)
+            if pl.fallback:
+                continue
+            placed += 1
+            assert pl.env_real.los_indicator(ROLE_S2V, SOURCE, pl.designed)
+            assert pl.env_real.los_indicator(ROLE_V2D, pl.dn, pl.designed)
+            links = build_links(pl.env_real, pl.dn, pl.designed, *arrays)
+            assert [c.is_los for c in links.s2v.components].count(True) == 1
+            assert [c.is_los for c in links.v2d.components].count(True) == 1
+        assert placed > 0
 
     def test_fallback_leaves_the_states_to_the_field(self, monkeypatch):
         from fdrelay.positioning import NoLosPositionError
@@ -315,8 +331,26 @@ class TestDesignedLos:
         def always_blocked(*args, **kwargs):
             raise NoLosPositionError("no LoS position found")
 
+        built = []
+
+        def spy(*args, **kwargs):
+            links = build_links(*args, **kwargs)
+            built.append(links)
+            return links
+
         monkeypatch.setattr(harness, "los_adjusted_position", always_blocked)
-        assert place_relay(FAST, 0).designed_los is None
+        monkeypatch.setattr(harness, "build_links", spy)
+        res = run_trial(FAST, 0)
+        pl = place_relay(FAST, 0)
+        assert res.fallback and res.designed_position == pl.p_star
+        # the designed links are built first, at p_star
+        s2v, v2d = built[0].s2v, built[0].v2d
+        assert any(c.is_los for c in s2v.components) == pl.env_real.los_indicator(
+            ROLE_S2V, SOURCE, pl.p_star
+        )
+        assert any(c.is_los for c in v2d.components) == pl.env_real.los_indicator(
+            ROLE_V2D, pl.dn, pl.p_star
+        )
 
 
 class TestRunTrials:
@@ -354,6 +388,12 @@ class TestAggregate:
         vals = [r.rates["proposed"] for r in results]
         assert rows[0].mean_rate_bps_hz == pytest.approx(np.mean(vals))
         assert rows[0].stderr == pytest.approx(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+
+    def test_one_trial_point_has_zero_stderr(self):
+        results = run_trials(Scenario(dn_rule="fixed", trials=1, master_seed=7))
+        rows = aggregate(results, "x", 0.0)
+        assert [r.stderr for r in rows] == [0.0] * 4
+        assert rows[0].mean_rate_bps_hz == results[0].rates["proposed"]
 
     def test_iteration_counts(self):
         rows = aggregate(self._results(), "x", 0.0)

@@ -70,6 +70,13 @@ class TestConditionalOptimalPosition:
         _, rho = conditional_optimal_position(budget, _box(50, 0), ENV, Vec3(50, 0, 0))
         assert rho == 0.0
 
+    def test_near_equal_budgets_take_the_linear_root(self):
+        # budgets one part in 2**50 apart leave the quadratic's leading
+        # coefficient ~5e-16 of the linear one; the textbook root gives 0.466
+        budget = _budget(p_v=0.1 * (1 + 2**-50))
+        _, rho = conditional_optimal_position(budget, _box(400, 300), ENV, Vec3(400, 300, 0))
+        assert rho == pytest.approx(0.5, abs=1e-12)
+
     def test_coincident_endpoints_rejected(self):
         with pytest.raises(DegenerateEndpointsError, match="SN and DN coincide"):
             conditional_optimal_position(_budget(), _box(0, 0), ENV, Vec3(0, 0, 0))
@@ -223,15 +230,16 @@ class TestLosAdjustedPosition:
             los_adjusted_position(real, p_star, self._box(), self.DN)
 
     def test_probe_budget_ends_the_search(self, monkeypatch):
-        # rings 1-3 hold 17 + 57 + 121 cells, and the hit sits in ring 3:
-        # the search needs a budget of all 195 of them
+        # rings 1-3 hold 17 + 57 + 121 cells in 2 + 4 + 8 blocks of 16, and
+        # the hit sits in ring 3: each block counts as 16 cells, so the
+        # search needs a budget of 14 * 16 = 224
         p_star = Vec3(20, 15, 100)
         real = _StubRealization(ENV, {(23, 15, 100)})
         monkeypatch.setattr(positioning, "_BLOCK", 16)
-        monkeypatch.setattr(positioning, "LOS_PROBE_BUDGET", 194)
-        with pytest.raises(NoLosPositionError, match="probe budget of 194 cells"):
+        monkeypatch.setattr(positioning, "LOS_PROBE_BUDGET", 223)
+        with pytest.raises(NoLosPositionError, match="probe budget of 223 cells"):
             los_adjusted_position(real, p_star, self._box(), self.DN)
-        monkeypatch.setattr(positioning, "LOS_PROBE_BUDGET", 195)
+        monkeypatch.setattr(positioning, "LOS_PROBE_BUDGET", 224)
         out = los_adjusted_position(real, p_star, self._box(), self.DN)
         assert quantize(real, out) == (23, 15, 100)
 

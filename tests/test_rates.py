@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fdrelay.rates import (
     EffectiveGains,
     PowerPair,
+    _positive_quadratic_root,
     achievable_rates,
     effective_gains,
     optimal_powers,
@@ -99,6 +100,17 @@ class TestOptimalPowers:
         assert one_at_cap
         if p.p_s < cap or p.p_v < cap:
             assert abs(r1 - r2) <= 1e-9
+
+
+class TestPositiveQuadraticRoot:
+    def test_constant_equation_takes_the_cap_when_c_is_negative(self):
+        # a = b = 0: the equation c = 0 has no root, and c < 0 holds everywhere
+        assert _positive_quadratic_root(0.0, 0.0, -1.0, 5.0) == 5.0
+        assert _positive_quadratic_root(0.0, 0.0, 0.0, 5.0) == 0.0
+
+    def test_zero_denominator_gives_the_zero_root(self):
+        # b = c = 0 < a: x = 0 is the double root, and -2c / denom is 0 / 0
+        assert _positive_quadratic_root(1.0, 0.0, 0.0, 5.0) == 0.0
 
 
 class TestEffectiveGains:

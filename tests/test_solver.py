@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdrelay.solver as solver
@@ -254,6 +254,16 @@ class TestOracleAgreement:
 
 class TestInvariances:
     @given(data=complex_arrays)
+    # two ratio points 2.4e-320 apart: a Weiszfeld step on one overflows w / d
+    @example(
+        data=(
+            [1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.3488817122319486e-304,
+             0.0, 2.0, 2.0, 0.0, 0.0, 0.0, 2.0, 0.0],
+            [1.0, 0.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.3488817122319486e-304,
+             0.0, 2.0, 2.0, 0.0, 0.0, 0.0, 2.0, 1.0],
+            0.5,
+        )
+    )
     @settings(max_examples=30)
     def test_output_feasible_on_arbitrary_inputs(self, data):
         sig_flat, int_flat, eta_frac = data
@@ -348,11 +358,11 @@ def _pin_battery():
 
 class TestBitPin:
     # sha256 over every weight vector and every SolveInfo field of the
-    # battery, with numpy 2.4.6; the lean Weiszfeld and Newton loops and the
-    # kink screen must not move a single bit
+    # battery; the lean Weiszfeld and Newton loops and the kink screen must
+    # not move a single bit
     DIGEST = "172d72d26a3958e33ae532e737bc754e02573a7b133624206e5af9dc598551c6"
 
-    def test_battery_outputs_are_pinned(self, monkeypatch):
+    def test_battery_outputs_are_pinned(self, monkeypatch, pin_note):
         smooth_calls = []
         weiszfeld = solver._weiszfeld
         monkeypatch.setattr(
@@ -375,7 +385,7 @@ class TestBitPin:
         assert ("dual", False, False) in routes
         assert ("dual", False, True) in routes
         assert ("dual", True, False) in routes
-        assert digest.hexdigest() == self.DIGEST
+        assert digest.hexdigest() == self.DIGEST, pin_note
 
 
 @st.composite
@@ -565,9 +575,11 @@ class TestWeiszfeldScreen:
         ([2.2145e-4 - 2.3268e-4j], [9.08e-319], 0.3616 + 1.3040j),
         # every w / d underflows even with the weights lifted by 2**512
         ([1e300, 2e300], [5e-324, 5e-324], 0j),
+        # an anchor a subnormal distance from the start overflows w / d
+        ([1.0, complex(1.0, 2.4e-320), 3.0], [1.0, 1.0, 1.0], 1.0 + 0j),
     ], ids=["exact_tie", "exact_tie_far_neighbour", "underflowing_quotient",
             "zero_weight_on_origin", "nan_point", "subnormal_reciprocal_sum",
-            "reciprocal_sum_underflow"])
+            "reciprocal_sum_underflow", "overflowing_quotient"])
     def test_edge_cases_match_unscreened_loop(self, points, weights, z0):
         new, ref = self._both(np.array(points, complex), np.array(weights, float), z0)
         assert new == ref
@@ -603,3 +615,23 @@ class TestWeiszfeldScreen:
         assert len(calls) > 10
         for points, weights, z0, z in calls:
             assert _bits(z) == _bits(weiszfeld(points, weights, z0))
+
+
+class TestNumericBranches:
+    def test_newton_stops_on_an_anchor(self):
+        # the unit vector towards an anchor under the iterate is 0 / 0
+        points = np.array([1.0, 2.0 + 1.0j, -1.0j])
+        assert solver._newton_polish(1.0 + 0j, points, np.ones(3)) == 1.0 + 0j
+
+    def test_newton_stops_on_a_singular_hessian(self):
+        # collinear points: the Hessian across their line is 0, and the
+        # gradient at 0.5 (pull 1 left, 2 right) is not
+        points = np.array([0.0, 1.0, 2.0], complex)
+        assert solver._newton_polish(0.5 + 0j, points, np.ones(3)) == 0.5 + 0j
+
+    def test_kink_test_accepts_a_point_tied_with_every_other(self):
+        points = np.array([1.0 + 1.0j, 1.0 + 1.0j, (1.0 + 1.0j) * (1 + 1e-13)])
+        weights = np.array([0.5, 1.0, 0.25])
+        mags = np.hypot(points.real, points.imag)
+        d_vals = np.array([weights @ np.abs(points - p) for p in points])
+        assert solver._kink_point(points, weights, mags, d_vals, 1.0) == points[0]
