@@ -299,6 +299,15 @@ def _los_probability_estimate(dx, dy, dz, env: EnvParams, tol: float) -> np.ndar
     return p
 
 
+def _los_probability_bound(dx: float, dy: float, dz: float, env: EnvParams) -> float:
+    """los_probability at the elevation of the offset (dx, dy, dz) by the
+    steps of _cell_los, with its exponent held to math.exp's overflow edge
+    minus 1, which only raises it (LosRoute's bound)."""
+    _, _, elevation = _offset_geometry(dx, dy, dz)
+    x = -env.los_b * (math.degrees(elevation) - env.los_a)
+    return 1.0 / (1.0 + env.los_a * math.exp(min(x, _EXP_MAX - 1.0)))
+
+
 def _cell_los(u, dx: float, dy: float, dz: float, env: EnvParams) -> bool:
     """The LoS field's rule at one cell: its uniform u lies below
     los_probability at the elevation of the cell center's offset
@@ -415,26 +424,35 @@ class EnvironmentRealization:
 class LosRoute:
     """The LoS field of one ground-UAV role over the cells of one search.
 
-    ``axes`` holds three runs of grid indices, the search box's i, j and k
-    cells (int64, or integral floats, which give the same keys and centers
-    as ints); a cell is one position on each run. For each run the route
-    keeps key fragments, numpy object arrays of
-    ``b"master_seed|trial_index|role|%d|"``, ``b"%d|"`` and ``b"%d"``, and
-    the offsets of the cell centers from the ground node. :meth:`reach`
-    builds them over a window of positions that widens as the search's
-    rings grow, so they hold O(t) entries at ring t and never need a whole
-    run. A block's keys are then ``kx[bi] + ky[bj] + kz[bk]``, the bytes of
-    each cell's ``"master_seed|trial_index|role|i|j|k"`` key.
+    ``axes`` holds three nondecreasing runs of grid indices, the search
+    box's i, j and k cells (int64, or integral floats, which give the same
+    keys and centers as ints); a cell is one position on each run.
+    :meth:`reach` takes the spans of positions the next cells lie in.
+    :meth:`tails` joins the (j, k) halves of a table of cells once,
+    ``b"%d|" % j + b"%d" % k``, from key fragments of the y and z runs kept
+    over a window that widens with the spans, so they hold O(t) entries at
+    ring t and never need a whole run. :meth:`decide` takes cells as
+    segments (i, a, b): position i on the x run with each of the table's
+    entries a to b - 1. It hashes a segment's
+    ``b"master_seed|trial_index|role|%d|" % i`` once and copies that sha256
+    state per cell, so each cell hashes the bytes of its
+    ``"master_seed|trial_index|role|i|j|k"`` key.
 
-    :meth:`decide` hashes every cell, and _los_probability_estimate gives p
-    for all of them as arrays. The screen decides a cell when
-    ``|u - p| > tol * p + 2**-1022``, tol = 1e-9 * max(1, los_b). Every
-    other cell goes through the scalar rule _cell_los one at a time: a
-    near-tie, or a cell with no estimate (straight above the ground node,
-    degenerate, or with its exponent at math.exp's overflow edge). That is
-    the only route back.
+    The screen, bound first. :meth:`reach` takes p_hi, los_probability at
+    the largest elevation of its spans' cells: the smallest |dx| and |dy|
+    and the largest dz, read at the spans' ends since a run's offsets grow
+    along it (_los_probability_bound). A cell whose uniform u exceeds
+    hi = p_hi + tol * p_hi, with tol = 1e-9 * max(1, los_b), is NLoS.
+    Only the cells at or below hi get center offsets and the numpy
+    estimate of p (_los_probability_estimate), which decides a cell when
+    ``|u - p| > tol * p + 2**-1022``. Every other cell goes through the
+    scalar rule _cell_los one at a time: a near-tie, or a cell with no
+    estimate (straight above the ground node, degenerate, or with its
+    exponent at math.exp's overflow edge). That is the only route back.
+    Spans that hold a cell at or below the ground node's height get no
+    bound (hi = inf), so a degenerate cell still raises.
 
-    Why the screen is exact: on numpy 2.4.6, np.hypot, np.arctan and
+    Why the estimate is exact: on numpy 2.4.6, np.hypot, np.arctan and
     np.exp differ from libm by at most an ulp (in 0.6%, 0.06% and 4.5%
     of 2M inputs each; np.degrees in none). So the elevation differs by
     at most 3 ulp and its value in degrees by < 1e-13. The exponent
@@ -447,56 +465,107 @@ class LosRoute:
     lie below 2**-1022, and the absolute term decides only uniforms of
     2**-64 or more, which lie above both. The uniforms agree bit for bit
     (_digest_uniforms).
+
+    Why the bound is exact: with every dz > 0 the elevation grows with
+    dz / horiz, and p grows with the elevation (los_a, los_b > 0), so in
+    exact arithmetic no cell of the spans passes p_hi. Each cell's offsets
+    lie between the spans' end offsets as computed, since rounding is
+    monotone. The bound then runs the cell's own scalar steps on other
+    inputs; libm's hypot, atan and exp are within an ulp, so the count
+    above puts every cell's scalar p below p_hi * (1 + 1e-12 * max(1, b))
+    while the bound's exponent stays below 708. The bound holds its
+    exponent at math.exp's edge minus 1, which only raises p_hi, and a
+    cell with a larger exponent has a smaller p or overflows to p = 0.0.
+    Where a * exp overflows in the bound or p_hi is subnormal, every cell's
+    p lies below 2**-1022, so below every uniform but 0, which never
+    exceeds hi.
     """
 
     def __init__(self, real: EnvironmentRealization, role: str, ground: Vec3, axes) -> None:
         prefix = real._key_prefix(role)
+        if any((np.diff(run) < 0).any() for run in axes):
+            raise ValueError("LoS route runs must be nondecreasing")
         self._env = real.env
         self._tol = _LOS_MARGIN * max(1.0, real.env.los_b)
-        self._runs = tuple(
-            zip(
-                axes,
-                (f"{prefix}%d|".encode(), b"%d|", b"%d"),
-                real.grid_step,
-                (ground.x, ground.y, ground.z),
-            )
-        )
-        # per run: (first position, last position, key fragments, offsets)
-        self._tables = [(0, -1, np.empty(0, dtype=object), np.empty(0))] * 3
+        self._head = f"{prefix}%d|".encode()
+        # per run: its cells, the grid step and the ground node's coordinate
+        self._runs = tuple(zip(axes, real.grid_step, (ground.x, ground.y, ground.z)))
+        self._spans = ((0, -1),) * 3
+        # the y and z runs' key fragments over a window: (first, last, fragments)
+        self._fragments = [(0, -1, np.empty(0, dtype=object))] * 2
+        self._hi = math.inf
 
     def reach(self, spans) -> None:
-        """Cover each run's span (lo, hi) of positions, inclusive.
+        """Take each run's span (lo, hi) of positions, inclusive, as the
+        cells to come, and bound the screen over them."""
+        self._spans = spans
+        self._hi = math.inf
+        if all(lo <= hi for lo, hi in spans):
+            # offsets grow along a run: |d| is least at 0 or at a span's end
+            (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = (
+                (float(cells[lo]) * step - ground, float(cells[hi]) * step - ground)
+                for (lo, hi), (cells, step, ground) in zip(spans, self._runs)
+            )
+            if z_lo > 0.0:
+                p = _los_probability_bound(max(x_lo, -x_hi, 0.0), max(y_lo, -y_hi, 0.0), z_hi, self._env)
+                self._hi = p + self._tol * p
 
-        A window that must grow is built anew with half the span's width of
-        headroom on each side, so a search out to ring t formats O(t)
-        fragments per run in all.
+    def tails(self, bj, bk):
+        """A table of cells' (j, k) halves, given as positions bj, bk on the
+        y and z runs within the spans reached: the key tails ``b"j|k"``,
+        with bj and bk. The tails hold no role, so both routes of a search
+        can decide cells of one table.
+
+        A fragment window that must grow is built anew with half the span's
+        width of headroom on each side, so a search out to ring t formats
+        O(t) fragments per run in all.
         """
-        for n, ((lo, hi), (cells, fmt, step, ground)) in enumerate(zip(spans, self._runs)):
-            w_lo, w_hi = self._tables[n][:2]
+        for n, ((lo, hi), (cells, _, _), fmt) in enumerate(
+            zip(self._spans[1:], self._runs[1:], (b"%d|", b"%d"))
+        ):
+            w_lo, w_hi, _ = self._fragments[n]
             if w_lo <= lo and hi <= w_hi:
                 continue
             pad = (hi - lo) // 2
             lo, hi = max(0, lo - pad), min(len(cells) - 1, hi + pad)
-            run = cells[lo : hi + 1]
-            keys = np.array([fmt % c for c in run.tolist()], dtype=object)
-            self._tables[n] = (lo, hi, keys, run * step - ground)
+            keys = np.array([fmt % c for c in cells[lo : hi + 1].tolist()], dtype=object)
+            self._fragments[n] = (lo, hi, keys)
+        (y0, _, ky), (z0, _, kz) = self._fragments
+        return (ky[bj - y0] + kz[bk - z0]).tolist(), bj, bk
 
-    def decide(self, bi, bj, bk) -> np.ndarray:
-        """LoS state of each cell (bi[n], bj[n], bk[n]), given as positions
-        on the three runs within the spans reached; a bool array."""
-        (x0, _, kx, ox), (y0, _, ky, oy), (z0, _, kz, oz) = self._tables
-        bi, bj, bk = bi - x0, bj - y0, bk - z0
+    def decide(self, tails, segments):
+        """The LoS cells among the segments (i, a, b), each position i on
+        the x run with the entries a to b - 1 of ``tails``, all within the
+        spans reached: their positions i and entries, in segment order."""
+        keys, bj, bk = tails
+        (cx, ex, gx), (cy, ey, gy), (cz, ez, gz) = self._runs
+        fmt = self._head
         sha = hashlib.sha256
-        keys = (kx[bi] + ky[bj] + kz[bk]).tolist()
-        u = _digest_uniforms(b"".join([sha(k).digest() for k in keys]))
-        dx, dy, dz = ox[bi], oy[bj], oz[bk]
+        digests = []
+        add = digests.append
+        for i, a, b in segments:
+            head = sha(fmt % cx[i].item())
+            for tail in keys[a:b]:
+                h = head.copy()
+                h.update(tail)
+                add(h.digest())
+        u = _digest_uniforms(b"".join(digests))
+        low = (u <= self._hi).nonzero()[0]
+        if not low.size:
+            return low, low
+        seg = np.array(segments, dtype=np.int64).reshape(-1, 3)
+        ends = np.cumsum(seg[:, 2] - seg[:, 1])
+        s = np.searchsorted(ends, low, side="right")
+        at = low + (seg[s, 2] - ends[s])
+        bi = seg[s, 0]
+        u, dx, dy, dz = u[low], cx[bi] * ex - gx, cy[bj[at]] * ey - gy, cz[bk[at]] * ez - gz
         tol = self._tol
         p = _los_probability_estimate(dx, dy, dz, self._env, tol)
         los = u < p
         # a NaN estimate fails the comparison, so its cell falls back as well
         for n in np.flatnonzero(~(np.abs(u - p) > tol * p + 2.0**-1022)).tolist():
             los[n] = _cell_los(u[n], dx[n].item(), dy[n].item(), dz[n].item(), self._env)
-        return los
+        return bi[los], at[los]
 
 
 def channel_from_paths(

@@ -192,13 +192,16 @@ def _perturbed_angles(angles: AngleSet, d_el: float, d_az: float) -> AngleSet:
     return AngleSet(el, wrap_azimuth(angles.azimuth + d_az))
 
 
-def apply_misalignment(links: LinkSet, delta_m_deg: float, rng: np.random.Generator) -> LinkSet:
+def apply_misalignment(
+    links: LinkSet, delta_m_deg: float, rng: np.random.Generator | None
+) -> LinkSet:
     """Perturb every departure/arrival angle of the two relay links.
 
     Offsets are delta times one block of uniforms on [-1/2, 1/2], the first
     draw of the fresh stream ``rng``, so sweeps over delta with the same
     trial seed are paired (common random numbers). With delta 0 nothing is
-    drawn and the original links object is returned unchanged.
+    drawn, ``rng`` may be None, and the original links object is returned
+    unchanged.
     """
     if delta_m_deg == 0.0:
         return links
@@ -299,7 +302,11 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
     links_rand = build_links(placement.env_real, dn, rand_pos, *arrays, s2d=links_des.s2d)
 
     def misaligned(links: LinkSet) -> LinkSet:
-        rng = trial_rng(scenario.master_seed, trial_index, TAG_MISALIGN)
+        # each link set takes a fresh stream, so both draw the same block;
+        # at delta 0 nothing is drawn and no stream is built
+        rng = None
+        if scenario.delta_m_deg:
+            rng = trial_rng(scenario.master_seed, trial_index, TAG_MISALIGN)
         return apply_misalignment(links, scenario.delta_m_deg, rng)
 
     links_des_eval = misaligned(links_des)

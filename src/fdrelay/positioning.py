@@ -8,6 +8,7 @@ whose two links both draw line-of-sight in the trial's environment.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,17 +26,18 @@ from .channel import (
     trial_rng,
 )
 
-_BLOCK = 512  # ring cells built per array pass
+_BLOCK = 512  # cells of the probe budget's unit: a ring is charged whole blocks
 _SLACK = 1e-9  # box membership tolerance, meters
 # grid steps one axis of the box may span (the default box spans 400): the
 # search builds each axis's run of indices before its first ring, and a
 # longer run only grows toward memory no search could finish with
 MAX_AXIS_STEPS = 2**20
-# S2V cells one LoS search may decide, each block counting as _BLOCK cells
-# so that the rings are bounded too (a box one cell wide and tall has two
-# cells a ring). The pinned and benchmark searches charge at most ~27k; a
-# box with no dual-LoS cell near p_star would otherwise be scanned whole:
-# 13M cells, ~20 s, for the default box at los_a = 100, los_b = 10.
+# S2V cells one LoS search may decide, each ring charged as its cells
+# rounded up to whole blocks of _BLOCK so that the rings are bounded too (a
+# box one cell wide and tall has two cells a ring). The pinned and
+# benchmark searches charge at most 52 blocks (test_positioning.py); a box
+# with no dual-LoS cell near p_star would otherwise be scanned whole: 13M
+# cells, ~20 s, for the default box at los_a = 100, los_b = 10.
 LOS_PROBE_BUDGET = 2**20
 
 
@@ -166,34 +168,38 @@ def strict_upper_bounds(h_s2v, h_v2d, budget: LinkBudget) -> tuple[float, float]
     return r1, r2
 
 
-def _ring_blocks(t, i_range, j_range, k_top):
-    """(i, j, k) index blocks of ring t, max(|i|, |j|, k) == t, in (i, j, k) order.
+@functools.lru_cache(maxsize=64)
+def _ring_pattern(t, j_range, k_top):
+    """Ring t's table of (j, k) pairs, j in j_range and 0 <= k <= k_top: its
+    face, every pair, then its rim, the pairs with |j| == t or k == t; and
+    the face's size.
 
-    Only i in i_range, j in j_range and 0 <= k <= k_top are made. Each x-slice
-    of the ring is a pattern of (j, k) pairs: the whole face for |i| == t,
-    its rim (|j| == t or k == t) otherwise. The ring is cut into blocks of
-    _BLOCK cells that run across slices, so no more than one face of the
-    ring and its rim are held at a time.
+    Kept per (t, j_range, k_top), read-only: the rings of most searches
+    repeat these, since only the box's edges clip them.
     """
     face_j, face_k = np.divmod(
         np.arange((j_range[1] + 1 - j_range[0]) * (k_top + 1)), k_top + 1
     )
     face_j += j_range[0]
     on_rim = (np.abs(face_j) == t) | (face_k == t)
-    # one table holds the face, then its rim; a slice reads one of the two
-    pat_j = np.concatenate((face_j, face_j[on_rim]))
-    pat_k = np.concatenate((face_k, face_k[on_rim]))
-    i = np.arange(i_range[0], i_range[1] + 1)
-    face = np.abs(i) == t
-    count = np.where(face, face_j.size, pat_j.size - face_j.size)
-    end = np.cumsum(count)
-    # cell f of the ring sits in slice s at table entry f + shift[s]
-    shift = np.where(face, 0, face_j.size) - (end - count)
-    for start in range(0, int(end[-1]), _BLOCK):
-        f = np.arange(start, min(int(end[-1]), start + _BLOCK))
-        s = np.searchsorted(end, f, side="right")
-        at = f + shift[s]
-        yield i[s], pat_j[at], pat_k[at]
+    pattern = np.concatenate((face_j, face_j[on_rim])), np.concatenate((face_k, face_k[on_rim]))
+    for table in pattern:
+        table.setflags(write=False)
+    return (*pattern, face_j.size)
+
+
+@functools.lru_cache(maxsize=64)
+def _ring_slices(t, i_range, face, size):
+    """Ring t's x-slices, in i order, as segments (i, a, b): slice i takes
+    the entries a to b - 1 of _ring_pattern's table, the face for
+    |i| == t and the rim otherwise. Slices with an empty rim are left out,
+    so a ring costs O(its cells + 1). Kept like _ring_pattern."""
+    rim = range(max(i_range[0], 1 - t), min(i_range[1], t - 1) + 1) if size > face else ()
+    return (
+        ((-t, 0, face),) * (i_range[0] == -t)
+        + tuple((i, face, size) for i in rim)
+        + ((t, 0, face),) * (i_range[1] == t)
+    )
 
 
 def _index_candidates(lo, hi, origin, step, n_min, n_max) -> np.ndarray:
@@ -221,22 +227,23 @@ def los_adjusted_position(
     (heights only upward from h_min), fully evaluating each ring before
     choosing the member closest to p_star; exact distance ties are broken
     uniformly with the trial seed. Raises :class:`NoLosPositionError` once
-    the box is exhausted or the block that would take the search past
-    LOS_PROBE_BUDGET S2V cells (each block counting as _BLOCK) is reached,
-    and ValueError when p_star lacks LoS and an axis of the box spans more
-    than MAX_AXIS_STEPS grid steps.
+    the box is exhausted or a ring would take the search past
+    LOS_PROBE_BUDGET S2V cells (a ring's cells counted in whole blocks of
+    _BLOCK: the ring holding the block that passes the budget is not
+    decided), and ValueError when p_star lacks LoS and an axis of the box
+    spans more than MAX_AXIS_STEPS grid steps.
 
     p_star's own cell is decided by ``los_indicator``. The box is a product
     of three intervals, so each axis's in-box indices form one run, found
-    once with their coordinates and grid cells. Each ring is built from
-    those runs in blocks that run across its x-slices, in (i, j, k) order.
-    One ``los_route`` per role holds the runs' key fragments and center
-    offsets, grown with the rings (:class:`LosRoute`): the S2V route decides
-    every block, and the V2D route decides the ring's S2V hits in one pass,
-    in block order. The coordinates and cells are the ones the
-    cell-by-cell loop computes, and LosRoute's screen decides each cell as
-    that loop's scalar rule does (tests/oracles.py keeps the loop), so the
-    hits, their order and the chosen point are the same to the bit.
+    once with their coordinates and grid cells. A ring is a table of (j, k)
+    pairs, its face and its rim, read by each x-slice in (i, j, k) order.
+    One ``los_route`` per role holds the runs (:class:`LosRoute`): the S2V
+    route joins the table's key tails once and decides the ring's slices in
+    one pass, and the V2D route decides the ring's S2V hits in one pass, in
+    that order. The coordinates and cells are the ones the cell-by-cell
+    loop computes, and LosRoute's screen decides each cell as that loop's
+    scalar rule does (tests/oracles.py keeps the loop), so the hits, their
+    order and the chosen point are the same to the bit.
     """
     if not box.contains(p_star):
         raise ValueError("designed position lies outside the feasible box")
@@ -284,25 +291,23 @@ def los_adjusted_position(
         # the ring's spans as positions on the runs
         spans = ((i_range[0] - i0, i_range[1] - i0), (j_range[0] - j0, j_range[1] - j0), (0, k_top))
         s2v.reach(spans)
-        found = []
-        for bi, bj, bk in _ring_blocks(t, i_range, j_range, k_top):
-            probed += _BLOCK
-            if probed > LOS_PROBE_BUDGET:
-                raise NoLosPositionError(
-                    f"no LoS position within the probe budget of {LOS_PROBE_BUDGET} cells"
-                )
-            bi -= i0
-            bj -= j0
-            los = s2v.decide(bi, bj, bk)
-            if los.any():
-                found.append((bi[los], bj[los], bk[los]))
-        if not found:
+        pat_j, pat_k, face = _ring_pattern(t, j_range, k_top)
+        pat_j = pat_j - j0
+        segments = [(i - i0, a, b) for i, a, b in _ring_slices(t, i_range, face, pat_j.size)]
+        probed += -(-sum(b - a for _, a, b in segments) // _BLOCK) * _BLOCK
+        if probed > LOS_PROBE_BUDGET:
+            raise NoLosPositionError(
+                f"no LoS position within the probe budget of {LOS_PROBE_BUDGET} cells"
+            )
+        tails = s2v.tails(pat_j, pat_k)
+        bi, at = s2v.decide(tails, segments)
+        if not bi.size:
             continue
-        bi, bj, bk = (np.concatenate(axis) for axis in zip(*found))
         v2d.reach(spans)
-        los = v2d.decide(bi, bj, bk)
-        if los.any():
-            bi, bj, bk = bi[los], bj[los], bk[los]
+        # the V2D route decides each S2V hit as a segment of one cell
+        bi, at = v2d.decide(tails, [(i, e, e + 1) for i, e in zip(bi.tolist(), at.tolist())])
+        if bi.size:
+            bj, bk = pat_j[at], pat_k[at]
             hits = list(zip(xs[bi].tolist(), ys[bj].tolist(), zs[bk].tolist()))
             origin = (p_star.x, p_star.y, p_star.z)
             dists = [math.dist(origin, h) for h in hits]

@@ -68,11 +68,22 @@ def _positive_quadratic_root(a: float, b: float, c: float, cap: float) -> float:
     Computed as -2c / (b + sqrt(b^2 - 4ac)): with ac <= 0 the discriminant is
     at least b^2, so the denominator never cancels (the textbook form
     (-b + sqrt(disc)) / 2a loses half the mantissa when |4ac| << b^2).
+    Tiny coefficients are first lifted by a power of two that brings the
+    larger of b and sqrt(a|c|) near 1, keeping every coefficient below
+    2**1022, so b^2 and 4ac do not underflow. The lift is exact: a root
+    whose steps all stayed in range keeps its bits.
     """
     if c > 0:
         raise ValueError("rate-equalization quadratic must have c <= 0")
     if a == 0.0 and b == 0.0:
         return cap if c < 0 else 0.0
+    e = max(math.frexp(v)[1] for v in (a, b, c)) - 1022
+    if b:
+        e = max(e, math.frexp(b)[1])
+    if a and c:
+        e = max(e, (math.frexp(a)[1] + math.frexp(c)[1]) // 2)
+    if e < 0:
+        a, b, c = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
     denom = b + math.sqrt(b * b - 4.0 * a * c)
     if denom == 0.0:
         return 0.0

@@ -294,13 +294,18 @@ LOS_MODELS = ((11.95, 0.14), (27.23, 0.08), (100.0, 10.0))
 
 
 def _route_states(real, role, ground, cells):
-    """LoS states of (n, 3) cells through one LosRoute over their columns."""
+    """LoS states of (n, 3) cells through one LosRoute over the sorted
+    values of their columns, one segment per cell."""
     cells = np.asarray(cells).reshape(-1, 3)
-    route = real.los_route(role, ground, cells.T)
-    n = len(cells)
-    route.reach([(0, n - 1)] * 3)
-    at = np.arange(n)
-    return route.decide(at, at, at)
+    runs, at = zip(*(np.unique(column, return_inverse=True) for column in cells.T))
+    route = real.los_route(role, ground, runs)
+    route.reach([(0, len(run) - 1) for run in runs])
+    _, hits = route.decide(
+        route.tails(at[1], at[2]), [(i, n, n + 1) for n, i in enumerate(at[0].tolist())]
+    )
+    states = np.zeros(len(cells), dtype=bool)
+    states[hits] = True
+    return states
 
 
 class TestLosCells:
@@ -339,15 +344,16 @@ class TestLosCells:
     @pytest.mark.parametrize("role", [ROLE_S2V, ROLE_V2D])
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_route_keys_are_the_cell_keys(self, role, dtype, monkeypatch):
-        # the fragments of windows grown ring by ring give the bytes of the
+        # the fragments of windows grown ring by ring, an i fragment hashed
+        # once per segment and a (j, k) tail per cell, hash the bytes of the
         # "master_seed|trial_index|role|%d|%d|%d" key of every cell
         seed, trial = 12, 34
         real = EnvironmentRealization(ENV, seed, trial)
         axes = [np.arange(-40, 41).astype(dtype), np.arange(-25, 30), np.arange(0, 33)]
         if dtype is np.float64:
             axes[0] *= 2.0**57  # integral floats past 2**62
-        keys, sha = [], hashlib.sha256
-        monkeypatch.setattr(hashlib, "sha256", lambda b: keys.append(b) or sha(b))
+        hashed, uniforms = [], channel._digest_uniforms
+        monkeypatch.setattr(channel, "_digest_uniforms", lambda d: hashed.append(d) or uniforms(d))
         route = real.los_route(role, Vec3(0.5, 0.25, 0.0), axes)
         origin = (40, 25)
         rng = np.random.default_rng(0)
@@ -357,11 +363,19 @@ class TestLosCells:
             spans.append((0, min(t, len(axes[2]) - 1)))
             route.reach(spans)
             at = [rng.integers(lo, hi + 1, 40) for lo, hi in spans]
-            keys.clear()
-            route.decide(*at)
+            at[0].sort()
+            segments = []  # runs of equal i
+            for n, i in enumerate(at[0].tolist()):
+                if segments and segments[-1][0] == i:
+                    segments[-1][2] = n + 1
+                else:
+                    segments.append([i, n, n + 1])
+            assert len(segments) < 40
+            hashed.clear()
+            route.decide(route.tails(at[1], at[2]), [tuple(s) for s in segments])
             cells = zip(*(a[p].tolist() for a, p in zip(axes, at)))
-            assert keys == [key % cell for cell in cells]
-            for (lo, hi), table in zip(spans, route._tables):
+            assert hashed == [b"".join(hashlib.sha256(key % cell).digest() for cell in cells)]
+            for (lo, hi), table in zip(spans[1:], route._fragments):
                 assert len(table[2]) <= 2 * (hi - lo) + 1
 
     def test_cell_on_the_ground_node_is_degenerate(self):
@@ -379,6 +393,9 @@ class TestLosCells:
             real.los_route(ROLE_S2D, Vec3(0, 0, 0), ([1], [1], [1]))
         with pytest.raises(ValueError):
             real.los_indicator(ROLE_S2D, Vec3(0, 0, 0), Vec3(1, 1, 1))
+        # the bound reads a run's offsets at its spans' ends
+        with pytest.raises(ValueError, match="nondecreasing"):
+            real.los_route(ROLE_S2V, Vec3(0, 0, 0), ([2, 1], [1], [1]))
 
     def test_quantize_axes_matches_oracle(self):
         real = EnvironmentRealization(ENV, 0, 0, grid_step=(2.0, 1.0, 0.5))
@@ -447,19 +464,47 @@ def _near_tie(seed, trial, ground, a):
     raise AssertionError("no cell admits a tie")
 
 
+def _overflow_edge_states(cells, fallbacks):
+    """Checks the route and los_indicator against the definition on cells
+    whose first sits at math.exp's overflow edge for los_a = 100 and seven
+    los_b an ulp apart; returns that cell's elevation and the route's
+    fallbacks."""
+    ground = Vec3(0.0, 0.0, 0.0)
+    _, angles = link_geometry(ground, Vec3(*map(float, cells[0])))
+    edge = math.log(np.finfo(float).max) / (100.0 - math.degrees(angles.elevation))
+    reals = []
+    for step in range(-3, 4):
+        env = EnvParams(los_a=100.0, los_b=edge * (1.0 + step * 2.0**-52))
+        real = EnvironmentRealization(env, 1, 1)
+        got = _route_states(real, ROLE_S2V, ground, cells).tolist()
+        assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
+        reals.append((real, got))
+    routed = list(fallbacks)
+    for real, got in reals:
+        assert _indicator_cells(real, ROLE_S2V, ground, cells) == got
+    return angles.elevation, routed
+
+
 class TestLosScreen:
     """The route's array screen and its one scalar rule, and los_indicator,
     against the definition."""
 
     def test_cells_straight_above_the_ground_node(self, fallbacks):
-        # p = 0.85 at 90 deg: both states occur, every cell on the scalar route
-        real = EnvironmentRealization(EnvParams(los_a=27.23, los_b=0.08), 3, 4)
+        # p = 0.85 at 90 deg: both states occur. The bound is p at 90 deg
+        # (horiz 0): the cells above it are NLoS, the others take the
+        # scalar route
+        env = EnvParams(los_a=27.23, los_b=0.08)
+        real = EnvironmentRealization(env, 3, 4)
         ground = Vec3(5.0, 7.0, 0.0)
         cells = np.array([(5, 7, k) for k in range(1, 120)])
         got = _route_states(real, ROLE_V2D, ground, cells).tolist()
         assert got == _oracle_cells(real, ROLE_V2D, ground, cells)
         assert 0 < sum(got) < len(cells)
-        assert fallbacks == [math.pi / 2] * len(cells)
+        p90 = los_probability(math.pi / 2, env)
+        us = [hash_uniform(3, 4, ROLE_V2D, *cell) for cell in cells.tolist()]
+        assert min(abs(u - p90) for u in us) > 1e-6
+        assert 0 < sum(u < p90 for u in us) < len(cells)
+        assert fallbacks == [math.pi / 2] * sum(u < p90 for u in us)
         assert _indicator_cells(real, ROLE_V2D, ground, cells) == got
 
     def test_exp_overflow_model(self, fallbacks):
@@ -478,20 +523,78 @@ class TestLosScreen:
         assert _indicator_cells(real, ROLE_S2V, ground, cells) == got
 
     def test_exponent_at_the_overflow_edge(self, fallbacks):
+        # a companion at the ground node's height turns the bound off, and
+        # the estimate's edge band sends the cell down the scalar route
+        elevation, routed = _overflow_edge_states([(40, 30, 20), (40, 30, 0)], fallbacks)
+        assert routed == [elevation] * 7
+
+    def test_bound_at_the_overflow_edge(self, fallbacks):
+        # alone, the cell sets the bound, whose exponent sits on math.exp's
+        # edge: the bound decides it
+        _, routed = _overflow_edge_states([(40, 30, 20)], fallbacks)
+        assert routed == []
+
+    def test_bound_past_the_overflow_edge_with_a_small_los_a(self, fallbacks):
+        # los_a = 2.5: a * exp(edge - 1) stays finite, so the held exponent
+        # gives a bound of 5.6e-309, below 2**-1022
+        env = EnvParams(los_a=2.5, los_b=1000.0)
+        real = EnvironmentRealization(env, 2, 9)
         ground = Vec3(0.0, 0.0, 0.0)
-        cell = (40, 30, 20)
-        _, angles = link_geometry(ground, Vec3(40.0, 30.0, 20.0))
-        edge = math.log(np.finfo(float).max) / (100.0 - math.degrees(angles.elevation))
-        reals = []
-        for step in range(-3, 4):
-            env = EnvParams(los_a=100.0, los_b=edge * (1.0 + step * 2.0**-52))
-            real = EnvironmentRealization(env, 1, 1)
-            got = _route_states(real, ROLE_S2V, ground, [cell]).tolist()
-            assert got == _oracle_cells(real, ROLE_S2V, ground, [cell])
-            reals.append((real, got))
-        assert len(fallbacks) == 7
-        for real, got in reals:
-            assert _indicator_cells(real, ROLE_S2V, ground, [cell]) == got
+        cells = [(1000 + n, n, 20) for n in range(50)]
+        with pytest.raises(OverflowError):
+            math.exp(-env.los_b * (math.degrees(math.atan(20 / 1000)) - env.los_a))
+        assert 0.0 < channel._los_probability_bound(1000.0, 0.0, 20.0, env) < 2.0**-1022
+        got = _route_states(real, ROLE_S2V, ground, cells).tolist()
+        assert got == _oracle_cells(real, ROLE_S2V, ground, cells) == [False] * 50
+        assert fallbacks == []
+
+    def test_bound_of_one_screens_nothing(self, monkeypatch):
+        # los_a = 1, los_b = 10: exp underflows above ~76 deg, so the
+        # bound at the near-vertical cell is 1.0 and every cell gets the
+        # estimate
+        env = EnvParams(los_a=1.0, los_b=10.0)
+        real = EnvironmentRealization(env, 4, 2)
+        ground = Vec3(0.0, 0.0, 0.0)
+        rng = np.random.default_rng(4)
+        cells = np.column_stack(
+            [rng.integers(1, 400, 300), rng.integers(0, 400, 300), rng.integers(1, 12, 300)]
+        )
+        cells[0] = (1, 0, 100)
+        assert channel._los_probability_bound(1.0, 0.0, 100.0, env) == 1.0
+        sizes, estimate = [], channel._los_probability_estimate
+        monkeypatch.setattr(
+            channel,
+            "_los_probability_estimate",
+            lambda dx, *args: sizes.append(dx.size) or estimate(dx, *args),
+        )
+        got = _route_states(real, ROLE_S2V, ground, cells).tolist()
+        assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
+        assert 0 < sum(got) < len(cells)
+        assert sizes == [len(cells)]
+
+    def test_uniform_within_the_margin_of_the_bound(self, fallbacks, monkeypatch):
+        # a LoS cell whose uniform lies just below its probability sets the
+        # bound alone; moved down by the error LosRoute states, the bound
+        # still leaves the cell to the estimate and the scalar rule
+        seed, ground, a = 11, Vec3(0.0, 0.0, 0.0), 27.23
+        for trial in range(40):
+            cell, b = _near_tie(seed, trial, ground, a)
+            env = EnvParams(los_a=a, los_b=b)
+            u = hash_uniform(seed, trial, ROLE_S2V, *cell)
+            _, angles = link_geometry(ground, Vec3(*map(float, cell)))
+            p = los_probability(angles.elevation, env)
+            moved = 1.0 - 1e-12 * max(1.0, b)
+            if p * moved < u < p:
+                break
+        else:
+            raise AssertionError("no LoS near-tie")
+        bound = channel._los_probability_bound
+        assert bound(*map(float, cell), env) == p
+        monkeypatch.setattr(channel, "_los_probability_bound", lambda *args: bound(*args) * moved)
+        real = EnvironmentRealization(env, seed, trial)
+        assert _route_states(real, ROLE_S2V, ground, [cell]).tolist() == [True]
+        assert _oracle_cells(real, ROLE_S2V, ground, [cell]) == [True]
+        assert fallbacks == [angles.elevation]
 
     def test_integral_float_cells_past_2_62(self):
         real = EnvironmentRealization(ENV, 1, 2)

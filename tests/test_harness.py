@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,18 @@ from hypothesis import strategies as st
 
 import fdrelay.beamforming as beamforming
 import fdrelay.harness as harness
-from fdrelay.channel import ROLE_S2V, ROLE_V2D, SOURCE, UpaSpec, Vec3, build_links, trial_rng
+import fdrelay.positioning as positioning
+from fdrelay.channel import (
+    ROLE_S2V,
+    ROLE_V2D,
+    SOURCE,
+    TAG_MISALIGN,
+    EnvironmentRealization,
+    UpaSpec,
+    Vec3,
+    build_links,
+    trial_rng,
+)
 from fdrelay.config import build_scenario
 from fdrelay.harness import (
     MIN_GROUND_SEPARATION,
@@ -28,6 +40,7 @@ from fdrelay.harness import (
     run_trials,
 )
 from fdrelay.solver import CAP_TOL, FEAS_TOL, GAP_TOL, solve_bf_subproblem_report
+from trialbench.workloads import WORKLOADS
 
 FAST = Scenario(dn_rule="fixed", trials=4, master_seed=7)
 
@@ -139,6 +152,27 @@ class TestMisalignment:
         links = self._raw_links()
         out = apply_misalignment(links, 10.0, trial_rng(FAST.master_seed, 0, 33))
         assert not np.array_equal(out.s2v.entries, links.s2v.entries)
+
+    def test_run_trial_builds_a_stream_only_where_it_draws(self, monkeypatch):
+        # delta 0 draws nothing and builds no TAG_MISALIGN stream; delta 10
+        # builds one per link set, and both draw the same offsets block
+        tags, states = [], []
+        build, apply = harness.trial_rng, harness.apply_misalignment
+        monkeypatch.setattr(harness, "trial_rng", lambda *key: tags.append(key[2:]) or build(*key))
+
+        def recorded(links, delta, rng):
+            states.append(None if rng is None else rng.bit_generator.state)
+            return apply(links, delta, rng)
+
+        monkeypatch.setattr(harness, "apply_misalignment", recorded)
+        run_trial(FAST, 1)
+        assert tags and (TAG_MISALIGN,) not in tags
+        assert states == [None, None]
+        tags.clear()
+        states.clear()
+        run_trial(replace(FAST, delta_m_deg=10.0), 1)
+        assert tags.count((TAG_MISALIGN,)) == 2
+        assert states[0] is not None and states[0] == states[1]
 
 
 class TestRunTrial:
@@ -302,6 +336,47 @@ class TestPlacementPin:
         # every config moves some relays off the closed-form optimum
         assert min(moved) > 0
         assert digest.hexdigest() == self.DIGEST, pin_note
+
+
+class TestProbeBudgetHeadroom:
+    def test_largest_benchmark_or_pinned_search_charges_52_blocks(self, monkeypatch):
+        # the figure LOS_PROBE_BUDGET's comment cites: over trials 0-299 of
+        # the three benchmark workloads and TestPlacementPin's eps config,
+        # no search charges more than 52 blocks, 26,624 of the 2**20 cells
+        charges = []
+        route = EnvironmentRealization.los_route
+
+        def counted(self, role, ground, axes):
+            out = route(self, role, ground, axes)
+            if role == ROLE_S2V:
+                decide = out.decide
+
+                def charged(tails, segments):
+                    cells = sum(b - a for _, a, b in segments)
+                    charges[-1] += -(-cells // positioning._BLOCK)
+                    return decide(tails, segments)
+
+                out.decide = charged
+            return out
+
+        monkeypatch.setattr(EnvironmentRealization, "los_route", counted)
+        worst = (0, None, None)
+        configs = [w.overrides for w in WORKLOADS.values()] + [TestPlacementPin.CONFIGS[2]]
+        for n, overrides in enumerate(configs):
+            scenario = build_scenario(overrides)
+            for trial in range(300):
+                charges.append(0)
+                place_relay(scenario, trial)
+                worst = max(worst, (charges[-1], n, trial))
+        blocks, n, trial = worst
+        assert blocks == 52
+        assert blocks * positioning._BLOCK * 32 < positioning.LOS_PROBE_BUDGET
+        # the budget sees the same charge: one cell less ends that search
+        scenario = build_scenario(configs[n])
+        monkeypatch.setattr(positioning, "LOS_PROBE_BUDGET", blocks * positioning._BLOCK - 1)
+        assert place_relay(scenario, trial).fallback
+        monkeypatch.setattr(positioning, "LOS_PROBE_BUDGET", blocks * positioning._BLOCK)
+        assert not place_relay(scenario, trial).fallback
 
 
 class TestDesignedLos:

@@ -174,10 +174,17 @@ class _StubRoute:
     def reach(self, spans):
         pass
 
-    def decide(self, bi, bj, bk):
-        ci, cj, ck = self._axes
-        cells = zip(ci[bi].tolist(), cj[bj].tolist(), ck[bk].tolist())
-        return np.array([c in self._allowed for c in cells], dtype=bool)
+    def tails(self, bj, bk):
+        return list(zip(self._axes[1][bj].tolist(), self._axes[2][bk].tolist()))
+
+    def decide(self, tails, segments):
+        hits = [
+            (i, n)
+            for i, a, b in segments
+            for n in range(a, b)
+            if (self._axes[0][i].item(), *tails[n]) in self._allowed
+        ]
+        return np.array(hits, dtype=np.int64).reshape(-1, 2).T
 
 
 class TestLosAdjustedPosition:

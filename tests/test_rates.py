@@ -112,6 +112,21 @@ class TestPositiveQuadraticRoot:
         # b = c = 0 < a: x = 0 is the double root, and -2c / denom is 0 / 0
         assert _positive_quadratic_root(1.0, 0.0, 0.0, 5.0) == 0.0
 
+    def test_tiny_coefficients_keep_their_root(self):
+        # unlifted, 4ac underflows to 0 in the first, b^2 in the other two
+        assert _positive_quadratic_root(1e-200, 0.0, -1e-200, 5.0) == 1.0
+        root = _positive_quadratic_root(1e-160, 1e-170, -1e-160, 5.0)
+        assert root == pytest.approx(_positive_quadratic_root(1.0, 1e-10, -1.0, 5.0), rel=1e-15)
+        assert root == pytest.approx(1.0 - 5e-11, rel=1e-15)
+        assert _positive_quadratic_root(0.0, 1e-300, -1e-310, 5.0) == pytest.approx(1e-10, rel=1e-12)
+
+    def test_the_lift_keeps_in_range_roots(self):
+        # every step of these stays in range: the lift leaves each root's bits
+        rng = np.random.default_rng(19)
+        for a, b, c in (10.0 ** rng.uniform(-150.0, 150.0, (2000, 3))).tolist():
+            want = 2.0 * c / (b + math.sqrt(b * b + 4.0 * a * c))
+            assert _positive_quadratic_root(a, b, -c, math.inf) == want
+
 
 class TestEffectiveGains:
     def test_bilinear_forms_match_manual_computation(self, rng):
