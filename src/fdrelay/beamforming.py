@@ -18,7 +18,7 @@ import numpy as np
 from .channel import AngleSet, LinkSet, UpaSpec, steering_vector
 from .positioning import LinkBudget
 from .rates import EffectiveGains, PowerPair, achievable_rates, effective_gains, optimal_powers
-from .solver import solve_bf_subproblem
+from .solver import solve_bf_subproblem, solver_error_context
 
 CM_TOL = 1e-9  # constant-modulus classification tolerance
 
@@ -279,21 +279,25 @@ def initial_state(links: LinkSet, budget: LinkBudget, schedule: SuppressionSched
 
 
 def ais_iterate(state: AisState, links: LinkSet, budget: LinkBudget) -> AisState:
-    """One alternating pass over the four arrays plus the power update."""
+    """One alternating pass over the four arrays plus the power update.
+
+    A SolverError names the pass (1-based) and the array it was solving.
+    """
     sch = state.schedule
     s2v, v2d, s2d, si = links.s2v, links.v2d, links.s2d, links.si
 
-    def update(w: Beamformer, h_sig: np.ndarray, h_int: np.ndarray, mu: float) -> Beamformer:
-        return normalize_cm(solve_bf_subproblem(h_sig, h_int, sch.eta_floor + mu, w.cap), w.cap)
+    def update(w: Beamformer, h_sig: np.ndarray, h_int: np.ndarray, mu: float, name: str) -> Beamformer:
+        with solver_error_context(f"AIS pass {state.k + 1}, {name}"):
+            return normalize_cm(solve_bf_subproblem(h_sig, h_int, sch.eta_floor + mu, w.cap), w.cap)
 
     mu1 = sch.mu_si / sch.kappa
     mu_si = mu1 / sch.kappa
     mu3 = sch.mu_s2d / sch.kappa
     mu_s2d = mu3 / sch.kappa
-    w_r = update(state.w_r, s2v.entries @ state.w_s.weights, si.entries @ state.w_t.weights, mu1)
-    w_t = update(state.w_t, v2d.conj_t @ state.w_d.weights, si.conj_t @ w_r.weights, mu_si)
-    w_s = update(state.w_s, s2v.conj_t @ w_r.weights, s2d.conj_t @ state.w_d.weights, mu3)
-    w_d = update(state.w_d, v2d.entries @ w_t.weights, s2d.entries @ w_s.weights, mu_s2d)
+    w_r = update(state.w_r, s2v.entries @ state.w_s.weights, si.entries @ state.w_t.weights, mu1, "w_r")
+    w_t = update(state.w_t, v2d.conj_t @ state.w_d.weights, si.conj_t @ w_r.weights, mu_si, "w_t")
+    w_s = update(state.w_s, s2v.conj_t @ w_r.weights, s2d.conj_t @ state.w_d.weights, mu3, "w_s")
+    w_d = update(state.w_d, v2d.entries @ w_t.weights, s2d.entries @ w_s.weights, mu_s2d, "w_d")
     schedule = SuppressionSchedule(sch.eta_floor, sch.kappa, mu_si, mu_s2d)
     return _evaluated_state(state, links, budget, schedule, w_s, w_r, w_t, w_d)
 

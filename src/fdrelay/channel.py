@@ -39,8 +39,8 @@ TAG_DN = 31  # destination draw
 TAG_RANDPOS = 32  # random-position baseline
 TAG_MISALIGN = 33  # beam pointing errors
 
-# LosRoute decides a cell from the array estimate of its LoS probability
-# only when the uniform clears it by this relative margin times max(1, los_b)
+# LosRoute's bound is raised by this relative margin times max(1, los_b),
+# which covers the rounding between the bound's steps and each cell's
 _LOS_MARGIN = 1e-9
 _EXP_MAX = math.log(np.finfo(float).max)  # math.exp overflows just above
 
@@ -283,22 +283,6 @@ def _digest_uniforms(digests: bytes) -> np.ndarray:
     return np.frombuffer(digests, ">u8")[::4] / 2.0**64
 
 
-def _los_probability_estimate(dx, dy, dz, env: EnvParams, tol: float) -> np.ndarray:
-    """los_probability at the elevation of each offset (dx, dy, dz), as arrays.
-
-    LosRoute states the error bound. The estimate is NaN where it is not
-    trusted: a horizontal distance at or below 1e-150 (straight above the
-    ground node, or a degenerate offset) and an exponent within tol of
-    math.exp's overflow edge.
-    """
-    horiz = np.hypot(dx, dy)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = -env.los_b * (np.degrees(np.arctan(dz / horiz)) - env.los_a)
-        p = 1.0 / (1.0 + env.los_a * np.exp(x))
-    p[(horiz <= 1e-150) | (np.abs(x - _EXP_MAX) <= tol)] = np.nan
-    return p
-
-
 def _los_probability_bound(dx: float, dy: float, dz: float, env: EnvParams) -> float:
     """los_probability at the elevation of the offset (dx, dy, dz) by the
     steps of _cell_los, with its exponent held to math.exp's overflow edge
@@ -325,8 +309,9 @@ class EnvironmentRealization:
     ``"master_seed|trial_index|role|i|j|k"`` (_digest_uniforms), and the
     link has LoS when u lies below the logistic LoS probability at the
     elevation of the cell's center (_cell_los). :meth:`los_indicator`
-    decides the one cell of a position in scalar arithmetic; a search over
-    many cells asks :meth:`los_route` for each role's :class:`LosRoute`.
+    decides the one cell of a position; a search over many cells asks
+    :meth:`los_route` for each role's :class:`LosRoute`, which screens the
+    cells by a bound and decides the rest by the same _cell_los.
     Multipath draws are made once per (trial, role) in a fixed order and
     are position-independent.
     """
@@ -350,21 +335,18 @@ class EnvironmentRealization:
         self, x: np.ndarray, y: np.ndarray, z: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The grid index of each x, y and z coordinate (absolute grid from
-        the origin); the three arrays may differ in length.
+        the origin) as an integral float; the three arrays may differ in
+        length.
 
         A cell's index on one axis depends on that coordinate alone.
         np.rint rounds half to even. A height above the ground gets layer 1
-        or more, so it never shares the ground nodes' layer 0. The indices
-        are int64 unless one lies beyond 2**62; then all three stay integral
-        floats.
+        or more, so it never shares the ground nodes' layer 0. ``b"%d"``
+        formats an integral float as its exact integer, so a float index
+        gives the key and center an int would.
         """
         ex, ey, eh = self.grid_step
         k = np.rint(z / eh)
-        k = np.where((z > 0) & (k < 1), 1.0, k)
-        axes = (np.rint(x / ex), np.rint(y / ey), k)
-        if np.abs(np.concatenate(axes)).max(initial=0.0) < 2.0**62:
-            return tuple(a.astype(np.int64) for a in axes)
-        return axes
+        return np.rint(x / ex), np.rint(y / ey), np.where((z > 0) & (k < 1), 1.0, k)
 
     def _key_prefix(self, role: str) -> str:
         """The start ``"master_seed|trial_index|role|"`` of a role's cell keys."""
@@ -377,7 +359,8 @@ class EnvironmentRealization:
 
         One cell in scalar arithmetic: Python's ``round`` rounds half to even
         as quantize_axes' np.rint does, with the same layer-1 rule, and the
-        cell is decided by _cell_los, the rule LosRoute falls back to.
+        cell is decided by _cell_los, as LosRoute decides every cell its
+        bound does not screen out.
         """
         prefix = self._key_prefix(role)
         ex, ey, eh = self.grid_step
@@ -425,54 +408,35 @@ class LosRoute:
     """The LoS field of one ground-UAV role over the cells of one search.
 
     ``axes`` holds three nondecreasing runs of grid indices, the search
-    box's i, j and k cells (int64, or integral floats, which give the same
-    keys and centers as ints); a cell is one position on each run.
-    :meth:`reach` takes the spans of positions the next cells lie in.
-    :meth:`tails` joins the (j, k) halves of a table of cells once,
-    ``b"%d|" % j + b"%d" % k``, from key fragments of the y and z runs kept
-    over a window that widens with the spans, so they hold O(t) entries at
-    ring t and never need a whole run. :meth:`decide` takes cells as
-    segments (i, a, b): position i on the x run with each of the table's
-    entries a to b - 1. It hashes a segment's
-    ``b"master_seed|trial_index|role|%d|" % i`` once and copies that sha256
-    state per cell, so each cell hashes the bytes of its
-    ``"master_seed|trial_index|role|i|j|k"`` key.
+    box's i, j and k cells (integral floats, as quantize_axes gives them;
+    ints give the same keys and centers); a cell is one position on each
+    run. :meth:`decide` takes one pass's cells as a table of (j, k)
+    positions and segments (i, a, b): position i on the x run with each of
+    the table's entries a to b - 1. It formats the key fragments
+    ``b"%d|" % j`` and ``b"%d" % k`` of the y and z runs over the pass's
+    spans, hashes a segment's ``b"master_seed|trial_index|role|%d|" % i``
+    once and copies that sha256 state per cell, so each cell hashes the
+    bytes of its ``"master_seed|trial_index|role|i|j|k"`` key. A pass
+    leaves no state behind.
 
-    The screen, bound first. :meth:`reach` takes p_hi, los_probability at
-    the largest elevation of its spans' cells: the smallest |dx| and |dy|
-    and the largest dz, read at the spans' ends since a run's offsets grow
-    along it (_los_probability_bound). A cell whose uniform u exceeds
+    The screen, bound first. p_hi is los_probability at the largest
+    elevation of the spans' cells: the smallest |dx| and |dy| and the
+    largest dz, read at the spans' ends since a run's offsets grow along
+    it (_los_probability_bound). A cell whose uniform u exceeds
     hi = p_hi + tol * p_hi, with tol = 1e-9 * max(1, los_b), is NLoS.
-    Only the cells at or below hi get center offsets and the numpy
-    estimate of p (_los_probability_estimate), which decides a cell when
-    ``|u - p| > tol * p + 2**-1022``. Every other cell goes through the
-    scalar rule _cell_los one at a time: a near-tie, or a cell with no
-    estimate (straight above the ground node, degenerate, or with its
-    exponent at math.exp's overflow edge). That is the only route back.
+    Every other cell is decided by the field's scalar rule _cell_los.
     Spans that hold a cell at or below the ground node's height get no
     bound (hi = inf), so a degenerate cell still raises.
-
-    Why the estimate is exact: on numpy 2.4.6, np.hypot, np.arctan and
-    np.exp differ from libm by at most an ulp (in 0.6%, 0.06% and 4.5%
-    of 2M inputs each; np.degrees in none). So the elevation differs by
-    at most 3 ulp and its value in degrees by < 1e-13. The exponent
-    x = -b * (deg - a) then differs by < 1e-13 * b + 5e-16 * |x|, and
-    for -708 < x < 710 p differs by < 1e-12 * max(1, b) relative, a
-    thousandth of tol. Below -708 both exponentials are under 1e-307, so
-    both give p = 1.0 (for any los_a under 1e290). Above the edge band
-    both exponentials overflow and both give p = 0.0. Where a * exp(x)
-    overflows or p is subnormal, the relative bound fails, but both p
-    lie below 2**-1022, and the absolute term decides only uniforms of
-    2**-64 or more, which lie above both. The uniforms agree bit for bit
-    (_digest_uniforms).
 
     Why the bound is exact: with every dz > 0 the elevation grows with
     dz / horiz, and p grows with the elevation (los_a, los_b > 0), so in
     exact arithmetic no cell of the spans passes p_hi. Each cell's offsets
     lie between the spans' end offsets as computed, since rounding is
     monotone. The bound then runs the cell's own scalar steps on other
-    inputs; libm's hypot, atan and exp are within an ulp, so the count
-    above puts every cell's scalar p below p_hi * (1 + 1e-12 * max(1, b))
+    inputs. libm's hypot, atan and exp are within an ulp, so an elevation
+    is within 3 ulp and its value in degrees within 1e-13 of exact; the
+    exponent x = -b * (deg - a) is then within 1e-13 * b + 5e-16 * |x|.
+    That puts every cell's scalar p below p_hi * (1 + 1e-12 * max(1, b))
     while the bound's exponent stays below 708. The bound holds its
     exponent at math.exp's edge minus 1, which only raises p_hi, and a
     cell with a larger exponent has a smaller p or overflows to p = 0.0.
@@ -490,67 +454,40 @@ class LosRoute:
         self._head = f"{prefix}%d|".encode()
         # per run: its cells, the grid step and the ground node's coordinate
         self._runs = tuple(zip(axes, real.grid_step, (ground.x, ground.y, ground.z)))
-        self._spans = ((0, -1),) * 3
-        # the y and z runs' key fragments over a window: (first, last, fragments)
-        self._fragments = [(0, -1, np.empty(0, dtype=object))] * 2
-        self._hi = math.inf
 
-    def reach(self, spans) -> None:
-        """Take each run's span (lo, hi) of positions, inclusive, as the
-        cells to come, and bound the screen over them."""
-        self._spans = spans
-        self._hi = math.inf
-        if all(lo <= hi for lo, hi in spans):
+    def decide(self, spans, bj, bk, segments):
+        """The LoS cells among the segments (i, a, b), each position i on
+        the x run with the entries a to b - 1 of the table of positions
+        bj, bk on the y and z runs. Every cell lies within ``spans``, each
+        run's (lo, hi) of positions, inclusive. Returns the cells'
+        positions i and table entries, in segment order."""
+        (cx, ex, gx), (cy, ey, gy), (cz, ez, gz) = self._runs
+        (y0, y1), (z0, z1) = spans[1:]
+        hi = math.inf
+        if all(lo <= end for lo, end in spans):
             # offsets grow along a run: |d| is least at 0 or at a span's end
             (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = (
-                (float(cells[lo]) * step - ground, float(cells[hi]) * step - ground)
-                for (lo, hi), (cells, step, ground) in zip(spans, self._runs)
+                (float(cells[lo]) * step - ground, float(cells[end]) * step - ground)
+                for (lo, end), (cells, step, ground) in zip(spans, self._runs)
             )
             if z_lo > 0.0:
                 p = _los_probability_bound(max(x_lo, -x_hi, 0.0), max(y_lo, -y_hi, 0.0), z_hi, self._env)
-                self._hi = p + self._tol * p
-
-    def tails(self, bj, bk):
-        """A table of cells' (j, k) halves, given as positions bj, bk on the
-        y and z runs within the spans reached: the key tails ``b"j|k"``,
-        with bj and bk. The tails hold no role, so both routes of a search
-        can decide cells of one table.
-
-        A fragment window that must grow is built anew with half the span's
-        width of headroom on each side, so a search out to ring t formats
-        O(t) fragments per run in all.
-        """
-        for n, ((lo, hi), (cells, _, _), fmt) in enumerate(
-            zip(self._spans[1:], self._runs[1:], (b"%d|", b"%d"))
-        ):
-            w_lo, w_hi, _ = self._fragments[n]
-            if w_lo <= lo and hi <= w_hi:
-                continue
-            pad = (hi - lo) // 2
-            lo, hi = max(0, lo - pad), min(len(cells) - 1, hi + pad)
-            keys = np.array([fmt % c for c in cells[lo : hi + 1].tolist()], dtype=object)
-            self._fragments[n] = (lo, hi, keys)
-        (y0, _, ky), (z0, _, kz) = self._fragments
-        return (ky[bj - y0] + kz[bk - z0]).tolist(), bj, bk
-
-    def decide(self, tails, segments):
-        """The LoS cells among the segments (i, a, b), each position i on
-        the x run with the entries a to b - 1 of ``tails``, all within the
-        spans reached: their positions i and entries, in segment order."""
-        keys, bj, bk = tails
-        (cx, ex, gx), (cy, ey, gy), (cz, ez, gz) = self._runs
+                hi = p + self._tol * p
+        ky = np.array([b"%d|" % c for c in cy[y0 : y1 + 1].tolist()], dtype=object)
+        kz = np.array([b"%d" % c for c in cz[z0 : z1 + 1].tolist()], dtype=object)
+        tails = (ky[bj - y0] + kz[bk - z0]).tolist()
         fmt = self._head
         sha = hashlib.sha256
         digests = []
         add = digests.append
         for i, a, b in segments:
             head = sha(fmt % cx[i].item())
-            for tail in keys[a:b]:
+            for tail in tails[a:b]:
                 h = head.copy()
                 h.update(tail)
                 add(h.digest())
         u = _digest_uniforms(b"".join(digests))
-        low = (u <= self._hi).nonzero()[0]
+        low = (u <= hi).nonzero()[0]
         if not low.size:
             return low, low
         seg = np.array(segments, dtype=np.int64).reshape(-1, 3)
@@ -558,13 +495,11 @@ class LosRoute:
         s = np.searchsorted(ends, low, side="right")
         at = low + (seg[s, 2] - ends[s])
         bi = seg[s, 0]
-        u, dx, dy, dz = u[low], cx[bi] * ex - gx, cy[bj[at]] * ey - gy, cz[bk[at]] * ez - gz
-        tol = self._tol
-        p = _los_probability_estimate(dx, dy, dz, self._env, tol)
-        los = u < p
-        # a NaN estimate fails the comparison, so its cell falls back as well
-        for n in np.flatnonzero(~(np.abs(u - p) > tol * p + 2.0**-1022)).tolist():
-            los[n] = _cell_los(u[n], dx[n].item(), dy[n].item(), dz[n].item(), self._env)
+        cells = zip(u[low].tolist(), cx[bi].tolist(), cy[bj[at]].tolist(), cz[bk[at]].tolist())
+        los = np.array(
+            [_cell_los(v, i * ex - gx, j * ey - gy, k * ez - gz, self._env) for v, i, j, k in cells],
+            dtype=bool,
+        )
         return bi[los], at[los]
 
 

@@ -48,7 +48,7 @@ from .positioning import (
     strict_upper_bounds,
 )
 from .rates import achievable_rates, effective_gains
-from .solver import SolverError
+from .solver import solver_error_context
 
 SCHEMES = ("proposed", "randpos_ais", "despos_steer")
 MIN_GROUND_SEPARATION = 10.0  # meters; closer DN draws are resampled
@@ -291,7 +291,11 @@ def place_relay(scenario: Scenario, trial_index: int) -> Placement:
 
 
 def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
-    """One full paired trial: proposed pipeline, both baselines, both bounds."""
+    """One full paired trial: proposed pipeline, both baselines, both bounds.
+
+    A SolverError names the AIS run it came from: the designed or the
+    random position.
+    """
     placement = place_relay(scenario, trial_index)
     dn, designed = placement.dn, placement.designed
     budget = scenario.budget
@@ -315,9 +319,11 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
     # the steered-beam baseline is the proposed loop's start
     schedule = scenario.schedule
     steer = initial_state(links_des, budget, schedule)
-    proposed = run_ais(steer, links_des, budget, scenario.eps_r, scenario.max_iters)
+    with solver_error_context("designed position"):
+        proposed = run_ais(steer, links_des, budget, scenario.eps_r, scenario.max_iters)
     rand_start = initial_state(links_rand, budget, schedule)
-    rand_ais = run_ais(rand_start, links_rand, budget, scenario.eps_r, scenario.max_iters)
+    with solver_error_context("random position"):
+        rand_ais = run_ais(rand_start, links_rand, budget, scenario.eps_r, scenario.max_iters)
 
     rates = {
         "proposed": _evaluate_rate(proposed, links_des_eval, scenario),
@@ -349,12 +355,8 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
 
 def _run_trial_tuple(args: tuple[Scenario, int]) -> TrialResult:
     scenario, trial_index = args
-    try:
+    with solver_error_context(f"master_seed={scenario.master_seed} trial_index={trial_index}"):
         return run_trial(scenario, trial_index)
-    except SolverError as exc:
-        raise SolverError(
-            f"master_seed={scenario.master_seed} trial_index={trial_index}: {exc}"
-        ) from exc
 
 
 def run_trials(scenario: Scenario) -> list[TrialResult]:

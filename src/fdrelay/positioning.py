@@ -237,13 +237,13 @@ def los_adjusted_position(
     of three intervals, so each axis's in-box indices form one run, found
     once with their coordinates and grid cells. A ring is a table of (j, k)
     pairs, its face and its rim, read by each x-slice in (i, j, k) order.
-    One ``los_route`` per role holds the runs (:class:`LosRoute`): the S2V
-    route joins the table's key tails once and decides the ring's slices in
-    one pass, and the V2D route decides the ring's S2V hits in one pass, in
-    that order. The coordinates and cells are the ones the cell-by-cell
-    loop computes, and LosRoute's screen decides each cell as that loop's
-    scalar rule does (tests/oracles.py keeps the loop), so the hits, their
-    order and the chosen point are the same to the bit.
+    One ``los_route`` per role holds the runs (:class:`LosRoute`). Per ring,
+    one S2V call decides the ring's slices over its table, then one V2D
+    call decides the S2V hits, a table of their own, one segment each. The
+    coordinates and cells are the ones the cell-by-cell loop computes, and
+    LosRoute decides each cell its bound does not screen out by that
+    loop's scalar rule (tests/oracles.py keeps the loop), so the hits,
+    their order and the chosen point are the same to the bit.
     """
     if not box.contains(p_star):
         raise ValueError("designed position lies outside the feasible box")
@@ -290,7 +290,6 @@ def los_adjusted_position(
         i_range, j_range, k_top = (max(-t, i0), min(t, i1)), (max(-t, j0), min(t, j1)), min(t, k1)
         # the ring's spans as positions on the runs
         spans = ((i_range[0] - i0, i_range[1] - i0), (j_range[0] - j0, j_range[1] - j0), (0, k_top))
-        s2v.reach(spans)
         pat_j, pat_k, face = _ring_pattern(t, j_range, k_top)
         pat_j = pat_j - j0
         segments = [(i - i0, a, b) for i, a, b in _ring_slices(t, i_range, face, pat_j.size)]
@@ -299,14 +298,14 @@ def los_adjusted_position(
             raise NoLosPositionError(
                 f"no LoS position within the probe budget of {LOS_PROBE_BUDGET} cells"
             )
-        tails = s2v.tails(pat_j, pat_k)
-        bi, at = s2v.decide(tails, segments)
+        bi, at = s2v.decide(spans, pat_j, pat_k, segments)
         if not bi.size:
             continue
-        v2d.reach(spans)
-        # the V2D route decides each S2V hit as a segment of one cell
-        bi, at = v2d.decide(tails, [(i, e, e + 1) for i, e in zip(bi.tolist(), at.tolist())])
+        # the V2D route decides the S2V hits, each a segment of one cell
+        segments = [(i, n, n + 1) for n, i in enumerate(bi.tolist())]
+        bi, hit = v2d.decide(spans, pat_j[at], pat_k[at], segments)
         if bi.size:
+            at = at[hit]
             bj, bk = pat_j[at], pat_k[at]
             hits = list(zip(xs[bi].tolist(), ys[bj].tolist(), zs[bk].tolist()))
             origin = (p_star.x, p_star.y, p_star.z)

@@ -53,6 +53,7 @@ tests/test_solver.py pins the outputs of a seeded battery by sha256.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -71,6 +72,15 @@ _POLISH_ROUNDS = 12  # alternating projections of the feasibility polish
 
 class SolverError(RuntimeError):
     """No route produced a certified solution."""
+
+
+@contextlib.contextmanager
+def solver_error_context(where: str):
+    """Prefix a SolverError raised within with where it happened."""
+    try:
+        yield
+    except SolverError as exc:
+        raise SolverError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)

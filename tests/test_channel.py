@@ -299,10 +299,8 @@ def _route_states(real, role, ground, cells):
     cells = np.asarray(cells).reshape(-1, 3)
     runs, at = zip(*(np.unique(column, return_inverse=True) for column in cells.T))
     route = real.los_route(role, ground, runs)
-    route.reach([(0, len(run) - 1) for run in runs])
-    _, hits = route.decide(
-        route.tails(at[1], at[2]), [(i, n, n + 1) for n, i in enumerate(at[0].tolist())]
-    )
+    spans = [(0, len(run) - 1) for run in runs]
+    _, hits = route.decide(spans, at[1], at[2], [(i, n, n + 1) for n, i in enumerate(at[0].tolist())])
     states = np.zeros(len(cells), dtype=bool)
     states[hits] = True
     return states
@@ -344,24 +342,29 @@ class TestLosCells:
     @pytest.mark.parametrize("role", [ROLE_S2V, ROLE_V2D])
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_route_keys_are_the_cell_keys(self, role, dtype, monkeypatch):
-        # the fragments of windows grown ring by ring, an i fragment hashed
-        # once per segment and a (j, k) tail per cell, hash the bytes of the
-        # "master_seed|trial_index|role|%d|%d|%d" key of every cell
+        # ring by ring, an i fragment hashed once per segment and a (j, k)
+        # tail per cell hash the bytes of the
+        # "master_seed|trial_index|role|%d|%d|%d" key of every cell; the y
+        # and z fragments hold only the spans' entries (the others are NaN,
+        # which b"%d" refuses)
         seed, trial = 12, 34
         real = EnvironmentRealization(ENV, seed, trial)
-        axes = [np.arange(-40, 41).astype(dtype), np.arange(-25, 30), np.arange(0, 33)]
+        axes = [np.arange(-40, 41).astype(dtype), np.arange(-25.0, 30.0), np.arange(0.0, 33.0)]
         if dtype is np.float64:
             axes[0] *= 2.0**57  # integral floats past 2**62
+        runs = [run.copy() for run in axes]
         hashed, uniforms = [], channel._digest_uniforms
         monkeypatch.setattr(channel, "_digest_uniforms", lambda d: hashed.append(d) or uniforms(d))
-        route = real.los_route(role, Vec3(0.5, 0.25, 0.0), axes)
+        route = real.los_route(role, Vec3(0.5, 0.25, 0.0), runs)
         origin = (40, 25)
         rng = np.random.default_rng(0)
         key = f"{seed}|{trial}|{role}|%d|%d|%d".encode()
         for t in range(1, 36):
             spans = [(max(0, o - t), min(len(a) - 1, o + t)) for o, a in zip(origin, axes)]
             spans.append((0, min(t, len(axes[2]) - 1)))
-            route.reach(spans)
+            for run, axis, (lo, hi) in zip(runs[1:], axes[1:], spans[1:]):
+                run[:] = np.nan
+                run[lo : hi + 1] = axis[lo : hi + 1]
             at = [rng.integers(lo, hi + 1, 40) for lo, hi in spans]
             at[0].sort()
             segments = []  # runs of equal i
@@ -372,11 +375,9 @@ class TestLosCells:
                     segments.append([i, n, n + 1])
             assert len(segments) < 40
             hashed.clear()
-            route.decide(route.tails(at[1], at[2]), [tuple(s) for s in segments])
+            route.decide(spans, at[1], at[2], [tuple(s) for s in segments])
             cells = zip(*(a[p].tolist() for a, p in zip(axes, at)))
             assert hashed == [b"".join(hashlib.sha256(key % cell).digest() for cell in cells)]
-            for (lo, hi), table in zip(spans[1:], route._fragments):
-                assert len(table[2]) <= 2 * (hi - lo) + 1
 
     def test_cell_on_the_ground_node_is_degenerate(self):
         real = EnvironmentRealization(ENV, 1, 1)
@@ -401,9 +402,9 @@ class TestLosCells:
         real = EnvironmentRealization(ENV, 0, 0, grid_step=(2.0, 1.0, 0.5))
         xyz = np.array([[3.1, 3.1, 3.1], [1.0, 0.5, 0.25], [3.0, 2.5, 0.75], [-1.0, -0.5, 5.0]])
         cells = np.column_stack(real.quantize_axes(xyz[:, 0], xyz[:, 1], xyz[:, 2]))
-        assert cells.dtype == np.int64
+        assert cells.dtype == np.float64
         assert [tuple(c) for c in cells.tolist()] == [quantize_oracle(real, Vec3(*r)) for r in xyz.tolist()]
-        # cells past the int64 range stay integral floats
+        # and past the int64 range
         huge = np.array([2.0**70, 3.0, -(2.0**64)])
         cells = np.column_stack(real.quantize_axes(huge, huge, huge))
         assert cells.dtype == np.float64
@@ -486,8 +487,8 @@ def _overflow_edge_states(cells, fallbacks):
 
 
 class TestLosScreen:
-    """The route's array screen and its one scalar rule, and los_indicator,
-    against the definition."""
+    """The route's bound and the scalar rule it leaves every other cell to,
+    and los_indicator, against the definition."""
 
     def test_cells_straight_above_the_ground_node(self, fallbacks):
         # p = 0.85 at 90 deg: both states occur. The bound is p at 90 deg
@@ -523,10 +524,10 @@ class TestLosScreen:
         assert _indicator_cells(real, ROLE_S2V, ground, cells) == got
 
     def test_exponent_at_the_overflow_edge(self, fallbacks):
-        # a companion at the ground node's height turns the bound off, and
-        # the estimate's edge band sends the cell down the scalar route
+        # a companion at the ground node's height turns the bound off, so
+        # both cells take the scalar rule
         elevation, routed = _overflow_edge_states([(40, 30, 20), (40, 30, 0)], fallbacks)
-        assert routed == [elevation] * 7
+        assert routed == [elevation, 0.0] * 7
 
     def test_bound_at_the_overflow_edge(self, fallbacks):
         # alone, the cell sets the bound, whose exponent sits on math.exp's
@@ -548,10 +549,10 @@ class TestLosScreen:
         assert got == _oracle_cells(real, ROLE_S2V, ground, cells) == [False] * 50
         assert fallbacks == []
 
-    def test_bound_of_one_screens_nothing(self, monkeypatch):
+    def test_bound_of_one_screens_nothing(self, fallbacks):
         # los_a = 1, los_b = 10: exp underflows above ~76 deg, so the
-        # bound at the near-vertical cell is 1.0 and every cell gets the
-        # estimate
+        # bound at the near-vertical cell is 1.0 and every cell takes the
+        # scalar rule
         env = EnvParams(los_a=1.0, los_b=10.0)
         real = EnvironmentRealization(env, 4, 2)
         ground = Vec3(0.0, 0.0, 0.0)
@@ -561,21 +562,40 @@ class TestLosScreen:
         )
         cells[0] = (1, 0, 100)
         assert channel._los_probability_bound(1.0, 0.0, 100.0, env) == 1.0
-        sizes, estimate = [], channel._los_probability_estimate
-        monkeypatch.setattr(
-            channel,
-            "_los_probability_estimate",
-            lambda dx, *args: sizes.append(dx.size) or estimate(dx, *args),
-        )
         got = _route_states(real, ROLE_S2V, ground, cells).tolist()
+        assert len(fallbacks) == len(cells)
         assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
         assert 0 < sum(got) < len(cells)
-        assert sizes == [len(cells)]
+
+    def test_scalar_rule_takes_exactly_the_cells_at_or_below_the_bound(self, fallbacks):
+        # the high-rise model: the cells whose uniform lies at or below
+        # hi = p_hi + tol * p_hi, and no others, go through _cell_los, in
+        # cell order
+        env = EnvParams(los_a=27.23, los_b=0.08)
+        real = EnvironmentRealization(env, 7, 5)
+        ground = Vec3(0.0, 0.0, 0.0)
+        rng = np.random.default_rng(7)
+        cells = np.column_stack(
+            [rng.integers(20, 60, 300), rng.integers(10, 50, 300), rng.integers(5, 40, 300)]
+        )
+        p_hi = channel._los_probability_bound(
+            float(cells[:, 0].min()), float(cells[:, 1].min()), float(cells[:, 2].max()), env
+        )
+        hi = p_hi + 1e-9 * p_hi
+        want = [
+            link_geometry(ground, Vec3(*map(float, cell)))[1].elevation
+            for cell in cells.tolist()
+            if hash_uniform(7, 5, ROLE_S2V, *cell) <= hi
+        ]
+        got = _route_states(real, ROLE_S2V, ground, cells).tolist()
+        assert fallbacks == want
+        assert 0 < len(want) < len(cells)
+        assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
 
     def test_uniform_within_the_margin_of_the_bound(self, fallbacks, monkeypatch):
         # a LoS cell whose uniform lies just below its probability sets the
         # bound alone; moved down by the error LosRoute states, the bound
-        # still leaves the cell to the estimate and the scalar rule
+        # still leaves the cell to the scalar rule
         seed, ground, a = 11, Vec3(0.0, 0.0, 0.0), 27.23
         for trial in range(40):
             cell, b = _near_tie(seed, trial, ground, a)
@@ -619,24 +639,18 @@ class TestLosScreen:
             assert out.dtype == bool and out.shape == (0,)
 
     @pytest.mark.parametrize("sign", [-1, 0, 1])
-    def test_near_tie_takes_the_scalar_route(self, sign, fallbacks, monkeypatch):
-        # the tie cell falls back; the others stay decided by the screen,
-        # also with every estimate moved by the bound LosRoute states
+    def test_near_tie_takes_the_scalar_route(self, sign, fallbacks):
+        # a cell whose uniform lies on its probability, with los_b at the
+        # tie and an ulp either side, is decided by the scalar rule as the
+        # definition decides it, among 299 other cells
         seed, trial, ground, a = 11, 3, Vec3(0.0, 0.0, 0.0), 27.23
         cell, b = _near_tie(seed, trial, ground, a)
-        env = EnvParams(los_a=a, los_b=b)
+        env = EnvParams(los_a=a, los_b=b * (1.0 + sign * 2.0**-52))
         real = EnvironmentRealization(env, seed, trial)
         u = hash_uniform(seed, trial, ROLE_S2V, *cell)
         _, angles = link_geometry(ground, Vec3(*map(float, cell)))
         p = los_probability(angles.elevation, env)
         assert abs(u - p) <= 1e-12 * p
-        estimate = channel._los_probability_estimate
-        moved = 1.0 + sign * 1e-12 * max(1.0, b)
-        monkeypatch.setattr(
-            channel,
-            "_los_probability_estimate",
-            lambda dx, dy, dz, e, tol: estimate(dx, dy, dz, e, tol) * moved,
-        )
         rng = np.random.default_rng(seed)
         cells = np.column_stack(
             [rng.integers(1, 80, 300), rng.integers(1, 80, 300), rng.integers(1, 120, 300)]
@@ -644,7 +658,7 @@ class TestLosScreen:
         cells[150] = cell
         got = _route_states(real, ROLE_S2V, ground, cells).tolist()
         assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
-        assert fallbacks == [angles.elevation]
+        assert angles.elevation in fallbacks
         assert _indicator_cells(real, ROLE_S2V, ground, [cell]) == [got[150]]
 
 

@@ -1,14 +1,17 @@
 import csv
 import hashlib
+import importlib
 import json
 import math
+import pkgutil
 import re
 import time
 from pathlib import Path
 
 import pytest
 
-from fdrelay import cli, harness
+import fdrelay
+from fdrelay import beamforming, cli, harness
 from fdrelay.cli import main
 from fdrelay.config import ConfigError, DEFAULTS, build_scenario, load_config, parse_config
 from fdrelay.harness import Scenario, place_relay, run_trial
@@ -151,6 +154,25 @@ class TestReadme:
         line = re.search(r"Sweepable parameters: ([^.]*)\.", self.TEXT).group(1)
         assert re.findall(r"`(\w+)`", line) == list(harness.SWEEPS)
 
+    def test_dotted_names_resolve(self):
+        # every backticked `module.name` or `Class.attribute` names an
+        # attribute of fdrelay, so a deleted or renamed one fails here
+        modules = {"fdrelay": fdrelay}
+        for info in pkgutil.iter_modules(fdrelay.__path__):
+            modules[info.name] = importlib.import_module(f"fdrelay.{info.name}")
+        names = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", self.TEXT)
+        assert {"channel.LosRoute", "EnvironmentRealization.los_indicator"} <= set(names)
+        for name in names:
+            first, *rest = name.split(".")
+            owners = [modules[first]] if first in modules else [
+                getattr(m, first) for m in modules.values() if hasattr(m, first)
+            ]
+            assert owners, name
+            obj = owners[0]
+            for part in rest:
+                assert hasattr(obj, part), name
+                obj = getattr(obj, part)
+
 
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
@@ -274,19 +296,34 @@ class TestExitCodes:
         assert link.is_symlink() and target.exists()
 
     def test_failing_trial_is_named(self, fast_config, tmp_path, monkeypatch, capsys):
-        real = harness.run_trial
+        # trial 1 fails on the 7th solve of its second AIS run, the random
+        # position's: pass 2 solves w_r, w_t, w_s, w_d as its solves 5-8.
+        # The counts live in each worker process the pool forks.
+        at = {"trial": None, "run": 0, "solve": 0}
+        trial, run_ais, solve = harness.run_trial, harness.run_ais, beamforming.solve_bf_subproblem
 
-        def fail_trial_1(scenario, trial_index):
-            if trial_index == 1:
+        def counted_trial(scenario, trial_index):
+            at.update(trial=trial_index, run=0)
+            return trial(scenario, trial_index)
+
+        def counted_run(*args):
+            at.update(run=at["run"] + 1, solve=0)
+            return run_ais(*args)
+
+        def failing_solve(*args):
+            at["solve"] += 1
+            if (at["trial"], at["run"], at["solve"]) == (1, 2, 7):
                 raise SolverError("stub failure")
-            return real(scenario, trial_index)
+            return solve(*args)
 
-        monkeypatch.setattr(harness, "run_trial", fail_trial_1)
+        monkeypatch.setattr(harness, "run_trial", counted_trial)
+        monkeypatch.setattr(harness, "run_ais", counted_run)
+        monkeypatch.setattr(beamforming, "solve_bf_subproblem", failing_solve)
         out = str(tmp_path / "o.csv")
         argv = ["sweep", "--config", fast_config, "--sweep", "array=2", "--out", out]
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert "master_seed=7 trial_index=1" in err and "stub failure" in err
+        assert "master_seed=7 trial_index=1: random position: AIS pass 2, w_s: stub failure" in err
 
     def test_trial_index_and_flag_scope(self, fast_config, capsys):
         assert main(["trial", "--config", fast_config, "--trial-index", "-1"]) == 2

@@ -351,10 +351,10 @@ class TestProbeBudgetHeadroom:
             if role == ROLE_S2V:
                 decide = out.decide
 
-                def charged(tails, segments):
+                def charged(spans, bj, bk, segments):
                     cells = sum(b - a for _, a, b in segments)
                     charges[-1] += -(-cells // positioning._BLOCK)
-                    return decide(tails, segments)
+                    return decide(spans, bj, bk, segments)
 
                 out.decide = charged
             return out

@@ -171,13 +171,8 @@ class _StubRoute:
         self._allowed = allowed
         self._axes = axes
 
-    def reach(self, spans):
-        pass
-
-    def tails(self, bj, bk):
-        return list(zip(self._axes[1][bj].tolist(), self._axes[2][bk].tolist()))
-
-    def decide(self, tails, segments):
+    def decide(self, spans, bj, bk, segments):
+        tails = list(zip(self._axes[1][bj].tolist(), self._axes[2][bk].tolist()))
         hits = [
             (i, n)
             for i, a, b in segments
