@@ -39,11 +39,6 @@ TAG_DN = 31  # destination draw
 TAG_RANDPOS = 32  # random-position baseline
 TAG_MISALIGN = 33  # beam pointing errors
 
-# LosRoute's bound is raised by this relative margin times max(1, los_b),
-# which covers the rounding between the bound's steps and each cell's
-_LOS_MARGIN = 1e-9
-_EXP_MAX = math.log(np.finfo(float).max)  # math.exp overflows just above
-
 
 def trial_rng(master_seed: int, trial_index: int, *tag: int) -> np.random.Generator:
     """The trial's random stream for one purpose tag (plus any sub-keys)."""
@@ -204,19 +199,6 @@ def steering_vector(upa: UpaSpec, angles: AngleSet) -> np.ndarray:
     return steering_matrix(upa, (angles,))[0]
 
 
-def _offset_geometry(dx: float, dy: float, dz: float) -> tuple[float, float, float]:
-    """Distance, horizontal distance and elevation of the offset (dx, dy, dz)."""
-    horiz = math.hypot(dx, dy)
-    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if dist == 0.0:
-        raise DegenerateGeometryError("degenerate geometry: endpoints coincide")
-    if horiz == 0.0:
-        elevation = math.pi / 2 if dz > 0 else -math.pi / 2
-    else:
-        elevation = math.atan(dz / horiz)
-    return dist, horiz, elevation
-
-
 def wrap_azimuth(azimuth: float) -> float:
     """An angle mapped into [0, 2*pi).
 
@@ -237,9 +219,13 @@ def link_geometry(src: Vec3, dst: Vec3) -> tuple[float, AngleSet]:
     dx = dst.x - src.x
     dy = dst.y - src.y
     dz = dst.z - src.z
-    dist, horiz, elevation = _offset_geometry(dx, dy, dz)
-    azimuth = 0.0 if horiz == 0.0 else wrap_azimuth(math.atan2(dy, dx))
-    return dist, AngleSet(elevation, azimuth)
+    horiz = math.hypot(dx, dy)
+    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if dist == 0.0:
+        raise DegenerateGeometryError("degenerate geometry: endpoints coincide")
+    if horiz == 0.0:
+        return dist, AngleSet(math.pi / 2 if dz > 0 else -math.pi / 2, 0.0)
+    return dist, AngleSet(math.atan(dz / horiz), wrap_azimuth(math.atan2(dy, dx)))
 
 
 def los_path_gain(distance: float, env: EnvParams) -> float:
@@ -260,18 +246,24 @@ def nlos_path_gain(distance: float, env: EnvParams, draw: complex) -> complex:
     return env.ref_amplitude * distance ** (-env.alpha_nlos / 2.0) * draw
 
 
-def los_probability(elevation: float, env: EnvParams) -> float:
-    """Logistic LoS probability 1 / (1 + a*exp(-b*(deg(el) - a))).
+def los_probability(elevation: float | np.ndarray, env: EnvParams) -> float | np.ndarray:
+    """Logistic LoS probability 1 / (1 + a*exp(-b*(deg(el) - a))), elementwise.
 
     An exponential that overflows a float puts the probability below
-    1 / (a * 1.8e308); it is returned as 0.0.
+    1 / (a * 1.8e308); it gives 0.0.
     """
-    deg = math.degrees(elevation)
-    try:
-        decay = math.exp(-env.los_b * (deg - env.los_a))
-    except OverflowError:
-        return 0.0
-    return 1.0 / (1.0 + env.los_a * decay)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + env.los_a * np.exp(-env.los_b * (np.degrees(elevation) - env.los_a)))
+
+
+def _los_rule(u, dx, dy, dz, env: EnvParams):
+    """The LoS field's rule, elementwise: a cell has LoS when its uniform u
+    lies below los_probability at the elevation arctan2(dz, hypot(dx, dy))
+    of its center's offset (dx, dy, dz) from the ground node."""
+    horiz = np.hypot(dx, dy)
+    if not np.logical_or(horiz, dz).all():
+        raise DegenerateGeometryError("degenerate geometry: endpoints coincide")
+    return u < los_probability(np.arctan2(dz, horiz), env)
 
 
 def _digest_uniforms(digests: bytes) -> np.ndarray:
@@ -283,23 +275,6 @@ def _digest_uniforms(digests: bytes) -> np.ndarray:
     return np.frombuffer(digests, ">u8")[::4] / 2.0**64
 
 
-def _los_probability_bound(dx: float, dy: float, dz: float, env: EnvParams) -> float:
-    """los_probability at the elevation of the offset (dx, dy, dz) by the
-    steps of _cell_los, with its exponent held to math.exp's overflow edge
-    minus 1, which only raises it (LosRoute's bound)."""
-    _, _, elevation = _offset_geometry(dx, dy, dz)
-    x = -env.los_b * (math.degrees(elevation) - env.los_a)
-    return 1.0 / (1.0 + env.los_a * math.exp(min(x, _EXP_MAX - 1.0)))
-
-
-def _cell_los(u, dx: float, dy: float, dz: float, env: EnvParams) -> bool:
-    """The LoS field's rule at one cell: its uniform u lies below
-    los_probability at the elevation of the cell center's offset
-    (dx, dy, dz) from the ground node."""
-    _, _, elevation = _offset_geometry(dx, dy, dz)
-    return bool(u < los_probability(elevation, env))
-
-
 class EnvironmentRealization:
     """Seeded, position-consistent randomness for one Monte Carlo trial.
 
@@ -308,10 +283,10 @@ class EnvironmentRealization:
     cell's uniform u comes from the sha256 digest of the key
     ``"master_seed|trial_index|role|i|j|k"`` (_digest_uniforms), and the
     link has LoS when u lies below the logistic LoS probability at the
-    elevation of the cell's center (_cell_los). :meth:`los_indicator`
+    elevation of the cell's center (_los_rule). :meth:`los_indicator`
     decides the one cell of a position; a search over many cells asks
-    :meth:`los_route` for each role's :class:`LosRoute`, which screens the
-    cells by a bound and decides the rest by the same _cell_los.
+    :meth:`los_route` for each role's :class:`LosRoute`, which decides
+    every cell of a pass by the same _los_rule in one call.
     Multipath draws are made once per (trial, role) in a fixed order and
     are position-independent.
     """
@@ -357,10 +332,9 @@ class EnvironmentRealization:
     def los_indicator(self, role: str, ground: Vec3, uav: Vec3) -> bool:
         """Bernoulli LoS state of a ground-to-UAV link at the UAV's grid cell.
 
-        One cell in scalar arithmetic: Python's ``round`` rounds half to even
-        as quantize_axes' np.rint does, with the same layer-1 rule, and the
-        cell is decided by _cell_los, as LosRoute decides every cell its
-        bound does not screen out.
+        Python's ``round`` rounds half to even as quantize_axes' np.rint
+        does, with the same layer-1 rule, and the cell is decided by
+        _los_rule, as LosRoute decides every cell of a pass.
         """
         prefix = self._key_prefix(role)
         ex, ey, eh = self.grid_step
@@ -369,7 +343,7 @@ class EnvironmentRealization:
             k = 1
         digest = hashlib.sha256(f"{prefix}{i}|{j}|{k}".encode()).digest()
         u = int.from_bytes(digest[:8], "big") / 2.0**64
-        return _cell_los(u, i * ex - ground.x, j * ey - ground.y, k * eh - ground.z, self.env)
+        return bool(_los_rule(u, i * ex - ground.x, j * ey - ground.y, k * eh - ground.z, self.env))
 
     def los_route(self, role: str, ground: Vec3, axes) -> "LosRoute":
         """The role's LoS field over the cells of one search (:class:`LosRoute`)."""
@@ -407,53 +381,26 @@ class EnvironmentRealization:
 class LosRoute:
     """The LoS field of one ground-UAV role over the cells of one search.
 
-    ``axes`` holds three nondecreasing runs of grid indices, the search
-    box's i, j and k cells (integral floats, as quantize_axes gives them;
-    ints give the same keys and centers); a cell is one position on each
-    run. :meth:`decide` takes one pass's cells as a table of (j, k)
-    positions and segments (i, a, b): position i on the x run with each of
-    the table's entries a to b - 1. It formats the key fragments
-    ``b"%d|" % j`` and ``b"%d" % k`` of the y and z runs over the pass's
-    spans, hashes a segment's ``b"master_seed|trial_index|role|%d|" % i``
-    once and copies that sha256 state per cell, so each cell hashes the
-    bytes of its ``"master_seed|trial_index|role|i|j|k"`` key. A pass
-    leaves no state behind.
-
-    The screen, bound first. p_hi is los_probability at the largest
-    elevation of the spans' cells: the smallest |dx| and |dy| and the
-    largest dz, read at the spans' ends since a run's offsets grow along
-    it (_los_probability_bound). A cell whose uniform u exceeds
-    hi = p_hi + tol * p_hi, with tol = 1e-9 * max(1, los_b), is NLoS.
-    Every other cell is decided by the field's scalar rule _cell_los.
-    Spans that hold a cell at or below the ground node's height get no
-    bound (hi = inf), so a degenerate cell still raises.
-
-    Why the bound is exact: with every dz > 0 the elevation grows with
-    dz / horiz, and p grows with the elevation (los_a, los_b > 0), so in
-    exact arithmetic no cell of the spans passes p_hi. Each cell's offsets
-    lie between the spans' end offsets as computed, since rounding is
-    monotone. The bound then runs the cell's own scalar steps on other
-    inputs. libm's hypot, atan and exp are within an ulp, so an elevation
-    is within 3 ulp and its value in degrees within 1e-13 of exact; the
-    exponent x = -b * (deg - a) is then within 1e-13 * b + 5e-16 * |x|.
-    That puts every cell's scalar p below p_hi * (1 + 1e-12 * max(1, b))
-    while the bound's exponent stays below 708. The bound holds its
-    exponent at math.exp's edge minus 1, which only raises p_hi, and a
-    cell with a larger exponent has a smaller p or overflows to p = 0.0.
-    Where a * exp overflows in the bound or p_hi is subnormal, every cell's
-    p lies below 2**-1022, so below every uniform but 0, which never
-    exceeds hi.
+    ``axes`` holds three runs of grid indices, the search box's i, j and k
+    cells (integral floats, as quantize_axes gives them; ints give the same
+    keys and centers); a cell is one position on each run. Each run's
+    offsets from the ground node are computed once. :meth:`decide` takes
+    one pass's cells as a table of (j, k) positions and segments (i, a, b):
+    position i on the x run with each of the table's entries a to b - 1.
+    It formats the key fragments ``b"%d|" % j`` and ``b"%d" % k`` of the y
+    and z runs over the pass's spans, hashes a segment's
+    ``b"master_seed|trial_index|role|%d|" % i`` once and copies that sha256
+    state per cell, so each cell hashes the bytes of its
+    ``"master_seed|trial_index|role|i|j|k"`` key. Then one _los_rule call
+    decides every cell. A pass leaves no state behind.
     """
 
     def __init__(self, real: EnvironmentRealization, role: str, ground: Vec3, axes) -> None:
-        prefix = real._key_prefix(role)
-        if any((np.diff(run) < 0).any() for run in axes):
-            raise ValueError("LoS route runs must be nondecreasing")
         self._env = real.env
-        self._tol = _LOS_MARGIN * max(1.0, real.env.los_b)
-        self._head = f"{prefix}%d|".encode()
-        # per run: its cells, the grid step and the ground node's coordinate
-        self._runs = tuple(zip(axes, real.grid_step, (ground.x, ground.y, ground.z)))
+        self._head = f"{real._key_prefix(role)}%d|".encode()
+        self._axes = axes
+        ground = (ground.x, ground.y, ground.z)
+        self._offsets = tuple(run * step - g for run, step, g in zip(axes, real.grid_step, ground))
 
     def decide(self, spans, bj, bk, segments):
         """The LoS cells among the segments (i, a, b), each position i on
@@ -461,18 +408,8 @@ class LosRoute:
         bj, bk on the y and z runs. Every cell lies within ``spans``, each
         run's (lo, hi) of positions, inclusive. Returns the cells'
         positions i and table entries, in segment order."""
-        (cx, ex, gx), (cy, ey, gy), (cz, ez, gz) = self._runs
+        cx, cy, cz = self._axes
         (y0, y1), (z0, z1) = spans[1:]
-        hi = math.inf
-        if all(lo <= end for lo, end in spans):
-            # offsets grow along a run: |d| is least at 0 or at a span's end
-            (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = (
-                (float(cells[lo]) * step - ground, float(cells[end]) * step - ground)
-                for (lo, end), (cells, step, ground) in zip(spans, self._runs)
-            )
-            if z_lo > 0.0:
-                p = _los_probability_bound(max(x_lo, -x_hi, 0.0), max(y_lo, -y_hi, 0.0), z_hi, self._env)
-                hi = p + self._tol * p
         ky = np.array([b"%d|" % c for c in cy[y0 : y1 + 1].tolist()], dtype=object)
         kz = np.array([b"%d" % c for c in cz[z0 : z1 + 1].tolist()], dtype=object)
         tails = (ky[bj - y0] + kz[bk - z0]).tolist()
@@ -487,19 +424,13 @@ class LosRoute:
                 h.update(tail)
                 add(h.digest())
         u = _digest_uniforms(b"".join(digests))
-        low = (u <= hi).nonzero()[0]
-        if not low.size:
-            return low, low
-        seg = np.array(segments, dtype=np.int64).reshape(-1, 3)
-        ends = np.cumsum(seg[:, 2] - seg[:, 1])
-        s = np.searchsorted(ends, low, side="right")
-        at = low + (seg[s, 2] - ends[s])
-        bi = seg[s, 0]
-        cells = zip(u[low].tolist(), cx[bi].tolist(), cy[bj[at]].tolist(), cz[bk[at]].tolist())
-        los = np.array(
-            [_cell_los(v, i * ex - gx, j * ey - gy, k * ez - gz, self._env) for v, i, j, k in cells],
-            dtype=bool,
-        )
+        # each cell's run position i and table entry
+        i, a, b = np.array(segments, dtype=np.int64).reshape(-1, 3).T
+        n = b - a
+        bi = i.repeat(n)
+        at = (b - n.cumsum()).repeat(n) + np.arange(u.size)
+        ox, oy, oz = self._offsets
+        los = _los_rule(u, ox[bi], oy[bj[at]], oz[bk[at]], self._env)
         return bi[los], at[los]
 
 

@@ -241,8 +241,8 @@ def los_adjusted_position(
     one S2V call decides the ring's slices over its table, then one V2D
     call decides the S2V hits, a table of their own, one segment each. The
     coordinates and cells are the ones the cell-by-cell loop computes, and
-    LosRoute decides each cell its bound does not screen out by that
-    loop's scalar rule (tests/oracles.py keeps the loop), so the hits,
+    LosRoute decides every cell by the field's one rule, as that loop and
+    ``los_indicator`` do (tests/oracles.py keeps the loop), so the hits,
     their order and the chosen point are the same to the bit.
     """
     if not box.contains(p_star):

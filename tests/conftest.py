@@ -4,8 +4,23 @@ from hypothesis import HealthCheck, settings
 
 # the numpy whose rounding every bit pin (the trialbench check digests,
 # TestBitPin, TestPlacementPin, TestChannelPin, the sweep CSV pin) was
-# recorded with; another numpy need not reproduce those bits
+# recorded with; another numpy need not reproduce those bits, and neither
+# need a CPU on which numpy dispatches the LoS field's exp, hypot and
+# arctan2 to other SIMD loops
 PINNED_NUMPY = "2.4.6"
+
+
+def _simd_extensions() -> str:
+    """numpy's SIMD extensions on this CPU. numpy picks its exp, hypot and
+    arctan2 loops by them, and those loops give the LoS field's bits."""
+    try:
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    except (TypeError, KeyError):  # a numpy without the dicts mode
+        return "SIMD extensions unknown"
+    return f"SIMD baseline {' '.join(simd['baseline'])}, found {' '.join(simd['found'])}"
+
+
+SIMD = _simd_extensions()
 
 settings.register_profile(
     "suite",
@@ -17,7 +32,7 @@ settings.load_profile("suite")
 
 
 def pytest_report_header(config):
-    return f"numpy {np.__version__} (bit pins recorded with numpy {PINNED_NUMPY})"
+    return f"numpy {np.__version__}, {SIMD} (bit pins recorded with numpy {PINNED_NUMPY})"
 
 
 @pytest.fixture
@@ -27,5 +42,6 @@ def rng():
 
 @pytest.fixture
 def pin_note():
-    """A bit pin's failure message: the numpy it was recorded with and the running one."""
-    return f"bit pin recorded with numpy {PINNED_NUMPY}, running numpy {np.__version__}"
+    """A bit pin's failure message: the numpy it was recorded with, the
+    running one and the CPU's SIMD extensions."""
+    return f"bit pin recorded with numpy {PINNED_NUMPY}, running numpy {np.__version__} ({SIMD})"

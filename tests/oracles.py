@@ -22,8 +22,8 @@ from fdrelay.channel import (
     ROLE_V2D,
     SOURCE,
     TAG_TIEBREAK,
+    DegenerateGeometryError,
     Vec3,
-    link_geometry,
     los_probability,
 )
 from fdrelay.positioning import NoLosPositionError
@@ -259,13 +259,16 @@ def los_indicator(env_real, role, ground, uav):
     """LoS state of one ground-to-UAV link, straight from its definition.
 
     The UAV snaps to its grid cell (``quantize`` above); the cell's sha256
-    uniform falls below the logistic LoS probability at the elevation of the
-    cell's center.
+    uniform falls below the logistic LoS probability at the elevation
+    arctan2(dz, hypot(dx, dy)) of the cell center's offset from the ground
+    node, computed on one-element arrays.
     """
     cell = quantize(env_real, uav)
-    ex, ey, eh = env_real.grid_step
-    _, angles = link_geometry(ground, Vec3(cell[0] * ex, cell[1] * ey, cell[2] * eh))
-    p = los_probability(angles.elevation, env_real.env)
+    center = (c * step for c, step in zip(cell, env_real.grid_step))
+    dx, dy, dz = (np.array([c - g]) for c, g in zip(center, (ground.x, ground.y, ground.z)))
+    if dx[0] == dy[0] == dz[0] == 0.0:
+        raise DegenerateGeometryError("the cell's center is the ground node")
+    p = los_probability(np.arctan2(dz, np.hypot(dx, dy)), env_real.env)[0]
     return hash_uniform(env_real.master_seed, env_real.trial_index, role, *cell) < p
 
 

@@ -394,9 +394,6 @@ class TestLosCells:
             real.los_route(ROLE_S2D, Vec3(0, 0, 0), ([1], [1], [1]))
         with pytest.raises(ValueError):
             real.los_indicator(ROLE_S2D, Vec3(0, 0, 0), Vec3(1, 1, 1))
-        # the bound reads a run's offsets at its spans' ends
-        with pytest.raises(ValueError, match="nondecreasing"):
-            real.los_route(ROLE_S2V, Vec3(0, 0, 0), ([2, 1], [1], [1]))
 
     def test_quantize_axes_matches_oracle(self):
         real = EnvironmentRealization(ENV, 0, 0, grid_step=(2.0, 1.0, 0.5))
@@ -438,18 +435,13 @@ def _indicator_cells(real, role, ground, cells):
     ]
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Elevations sent down the scalar rule (_cell_los), in call order."""
-    calls = []
-    scalar = channel.los_probability
-
-    def counted(elevation, env):
-        calls.append(elevation)
-        return scalar(elevation, env)
-
-    monkeypatch.setattr(channel, "los_probability", counted)
-    return calls
+def _decided(real, role, ground, cells):
+    """The cells' states, asserting that the route, los_indicator at each
+    center and the per-cell definition decide every cell alike."""
+    got = _route_states(real, role, ground, cells).tolist()
+    assert got == _oracle_cells(real, role, ground, cells)
+    assert _indicator_cells(real, role, ground, cells) == got
+    return got
 
 
 def _near_tie(seed, trial, ground, a):
@@ -465,172 +457,97 @@ def _near_tie(seed, trial, ground, a):
     raise AssertionError("no cell admits a tie")
 
 
-def _overflow_edge_states(cells, fallbacks):
-    """Checks the route and los_indicator against the definition on cells
-    whose first sits at math.exp's overflow edge for los_a = 100 and seven
-    los_b an ulp apart; returns that cell's elevation and the route's
-    fallbacks."""
-    ground = Vec3(0.0, 0.0, 0.0)
-    _, angles = link_geometry(ground, Vec3(*map(float, cells[0])))
-    edge = math.log(np.finfo(float).max) / (100.0 - math.degrees(angles.elevation))
-    reals = []
-    for step in range(-3, 4):
-        env = EnvParams(los_a=100.0, los_b=edge * (1.0 + step * 2.0**-52))
-        real = EnvironmentRealization(env, 1, 1)
-        got = _route_states(real, ROLE_S2V, ground, cells).tolist()
-        assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
-        reals.append((real, got))
-    routed = list(fallbacks)
-    for real, got in reals:
-        assert _indicator_cells(real, ROLE_S2V, ground, cells) == got
-    return angles.elevation, routed
+def _los_chain(dx, dy, dz, env):
+    """The rule's probability: los_probability at arctan2(dz, hypot(dx, dy))."""
+    return los_probability(np.arctan2(dz, np.hypot(dx, dy)), env)
 
 
 class TestLosScreen:
-    """The route's bound and the scalar rule it leaves every other cell to,
-    and los_indicator, against the definition."""
+    """The route, los_indicator and the definition on the cells where the
+    rule's arithmetic is at its edges: elevation 90 deg, an exponential
+    that overflows, and a uniform on its probability."""
 
-    def test_cells_straight_above_the_ground_node(self, fallbacks):
-        # p = 0.85 at 90 deg: both states occur. The bound is p at 90 deg
-        # (horiz 0): the cells above it are NLoS, the others take the
-        # scalar route
+    @pytest.mark.parametrize("model", [(27.23, 0.08), (100.0, 10.0)])
+    def test_rule_is_the_same_on_every_length(self, model):
+        # numpy picks SIMD loops by length and alignment; the route decides
+        # a pass's cells in one call and los_indicator one cell, so the
+        # chain must give each element the same bits at every length, from
+        # the start or to the end of an array, and on a lone scalar
+        env = EnvParams(los_a=model[0], los_b=model[1])
+        rng = np.random.default_rng(21)
+        n = 4096
+        dx, dy = rng.uniform(-500.0, 500.0, (2, n))
+        dz = rng.uniform(0.5, 300.0, n)
+        dx[:64] = dy[:64] = 0.0
+        full = _los_chain(dx, dy, dz, env)
+        if model[1] > 1.0:
+            assert 0 < (full == 0.0).sum() < n
+        for m in range(1, n + 1):
+            head = _los_chain(dx[:m], dy[:m], dz[:m], env)
+            tail = _los_chain(dx[n - m :], dy[n - m :], dz[n - m :], env)
+            assert head.tobytes() == full[:m].tobytes()
+            assert tail.tobytes() == full[n - m :].tobytes()
+        for i in range(0, n, 61):
+            assert _los_chain(float(dx[i]), float(dy[i]), float(dz[i]), env) == full[i]
+
+    def test_cells_straight_above_the_ground_node(self):
+        # p = 0.85 at 90 deg (horiz 0, arctan2 gives pi/2): both states occur
         env = EnvParams(los_a=27.23, los_b=0.08)
         real = EnvironmentRealization(env, 3, 4)
         ground = Vec3(5.0, 7.0, 0.0)
         cells = np.array([(5, 7, k) for k in range(1, 120)])
-        got = _route_states(real, ROLE_V2D, ground, cells).tolist()
-        assert got == _oracle_cells(real, ROLE_V2D, ground, cells)
-        assert 0 < sum(got) < len(cells)
+        got = _decided(real, ROLE_V2D, ground, cells)
         p90 = los_probability(math.pi / 2, env)
         us = [hash_uniform(3, 4, ROLE_V2D, *cell) for cell in cells.tolist()]
         assert min(abs(u - p90) for u in us) > 1e-6
-        assert 0 < sum(u < p90 for u in us) < len(cells)
-        assert fallbacks == [math.pi / 2] * sum(u < p90 for u in us)
-        assert _indicator_cells(real, ROLE_V2D, ground, cells) == got
+        assert got == [u < p90 for u in us]
+        assert 0 < sum(got) < len(cells)
 
-    def test_exp_overflow_model(self, fallbacks):
+    def test_exp_overflow_model(self):
         # los_a = 100, los_b = 10: the exponential overflows below ~29 deg
         real = EnvironmentRealization(EnvParams(los_a=100.0, los_b=10.0), 5, 6)
-        ground = Vec3(0.0, 0.0, 0.0)
         rng = np.random.default_rng(0)
         cells = np.column_stack(
             [rng.integers(1, 300, 400), rng.integers(-300, 300, 400), rng.integers(1, 200, 400)]
         )
         elevation = np.arctan(cells[:, 2] / np.hypot(cells[:, 0], cells[:, 1]))
         assert (np.degrees(elevation) < 29.0).mean() > 0.5
-        got = _route_states(real, ROLE_S2V, ground, cells).tolist()
-        assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
-        assert fallbacks == []
-        assert _indicator_cells(real, ROLE_S2V, ground, cells) == got
+        _decided(real, ROLE_S2V, Vec3(0.0, 0.0, 0.0), cells)
 
-    def test_exponent_at_the_overflow_edge(self, fallbacks):
-        # a companion at the ground node's height turns the bound off, so
-        # both cells take the scalar rule
-        elevation, routed = _overflow_edge_states([(40, 30, 20), (40, 30, 0)], fallbacks)
-        assert routed == [elevation, 0.0] * 7
+    def test_exponent_at_the_overflow_edge(self):
+        # los_a = 100 and seven los_b an ulp apart put the first cell's
+        # exponent on exp's overflow edge; its companion lies at the ground
+        # node's height, at elevation 0
+        cells = [(40, 30, 20), (40, 30, 0)]
+        ground = Vec3(0.0, 0.0, 0.0)
+        _, angles = link_geometry(ground, Vec3(*map(float, cells[0])))
+        edge = math.log(np.finfo(float).max) / (100.0 - math.degrees(angles.elevation))
+        for step in range(-3, 4):
+            env = EnvParams(los_a=100.0, los_b=edge * (1.0 + step * 2.0**-52))
+            assert _decided(EnvironmentRealization(env, 1, 1), ROLE_S2V, ground, cells) == [False] * 2
 
-    def test_bound_at_the_overflow_edge(self, fallbacks):
-        # alone, the cell sets the bound, whose exponent sits on math.exp's
-        # edge: the bound decides it
-        _, routed = _overflow_edge_states([(40, 30, 20)], fallbacks)
-        assert routed == []
-
-    def test_bound_past_the_overflow_edge_with_a_small_los_a(self, fallbacks):
-        # los_a = 2.5: a * exp(edge - 1) stays finite, so the held exponent
-        # gives a bound of 5.6e-309, below 2**-1022
+    def test_bound_past_the_overflow_edge_with_a_small_los_a(self):
+        # los_a = 2.5, los_b = 1000: the exponential overflows at every
+        # cell, so p = 0 and no cell has LoS
         env = EnvParams(los_a=2.5, los_b=1000.0)
         real = EnvironmentRealization(env, 2, 9)
-        ground = Vec3(0.0, 0.0, 0.0)
         cells = [(1000 + n, n, 20) for n in range(50)]
         with pytest.raises(OverflowError):
             math.exp(-env.los_b * (math.degrees(math.atan(20 / 1000)) - env.los_a))
-        assert 0.0 < channel._los_probability_bound(1000.0, 0.0, 20.0, env) < 2.0**-1022
-        got = _route_states(real, ROLE_S2V, ground, cells).tolist()
-        assert got == _oracle_cells(real, ROLE_S2V, ground, cells) == [False] * 50
-        assert fallbacks == []
-
-    def test_bound_of_one_screens_nothing(self, fallbacks):
-        # los_a = 1, los_b = 10: exp underflows above ~76 deg, so the
-        # bound at the near-vertical cell is 1.0 and every cell takes the
-        # scalar rule
-        env = EnvParams(los_a=1.0, los_b=10.0)
-        real = EnvironmentRealization(env, 4, 2)
-        ground = Vec3(0.0, 0.0, 0.0)
-        rng = np.random.default_rng(4)
-        cells = np.column_stack(
-            [rng.integers(1, 400, 300), rng.integers(0, 400, 300), rng.integers(1, 12, 300)]
-        )
-        cells[0] = (1, 0, 100)
-        assert channel._los_probability_bound(1.0, 0.0, 100.0, env) == 1.0
-        got = _route_states(real, ROLE_S2V, ground, cells).tolist()
-        assert len(fallbacks) == len(cells)
-        assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
-        assert 0 < sum(got) < len(cells)
-
-    def test_scalar_rule_takes_exactly_the_cells_at_or_below_the_bound(self, fallbacks):
-        # the high-rise model: the cells whose uniform lies at or below
-        # hi = p_hi + tol * p_hi, and no others, go through _cell_los, in
-        # cell order
-        env = EnvParams(los_a=27.23, los_b=0.08)
-        real = EnvironmentRealization(env, 7, 5)
-        ground = Vec3(0.0, 0.0, 0.0)
-        rng = np.random.default_rng(7)
-        cells = np.column_stack(
-            [rng.integers(20, 60, 300), rng.integers(10, 50, 300), rng.integers(5, 40, 300)]
-        )
-        p_hi = channel._los_probability_bound(
-            float(cells[:, 0].min()), float(cells[:, 1].min()), float(cells[:, 2].max()), env
-        )
-        hi = p_hi + 1e-9 * p_hi
-        want = [
-            link_geometry(ground, Vec3(*map(float, cell)))[1].elevation
-            for cell in cells.tolist()
-            if hash_uniform(7, 5, ROLE_S2V, *cell) <= hi
-        ]
-        got = _route_states(real, ROLE_S2V, ground, cells).tolist()
-        assert fallbacks == want
-        assert 0 < len(want) < len(cells)
-        assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
-
-    def test_uniform_within_the_margin_of_the_bound(self, fallbacks, monkeypatch):
-        # a LoS cell whose uniform lies just below its probability sets the
-        # bound alone; moved down by the error LosRoute states, the bound
-        # still leaves the cell to the scalar rule
-        seed, ground, a = 11, Vec3(0.0, 0.0, 0.0), 27.23
-        for trial in range(40):
-            cell, b = _near_tie(seed, trial, ground, a)
-            env = EnvParams(los_a=a, los_b=b)
-            u = hash_uniform(seed, trial, ROLE_S2V, *cell)
-            _, angles = link_geometry(ground, Vec3(*map(float, cell)))
-            p = los_probability(angles.elevation, env)
-            moved = 1.0 - 1e-12 * max(1.0, b)
-            if p * moved < u < p:
-                break
-        else:
-            raise AssertionError("no LoS near-tie")
-        bound = channel._los_probability_bound
-        assert bound(*map(float, cell), env) == p
-        monkeypatch.setattr(channel, "_los_probability_bound", lambda *args: bound(*args) * moved)
-        real = EnvironmentRealization(env, seed, trial)
-        assert _route_states(real, ROLE_S2V, ground, [cell]).tolist() == [True]
-        assert _oracle_cells(real, ROLE_S2V, ground, [cell]) == [True]
-        assert fallbacks == [angles.elevation]
+        assert los_probability(math.atan(20 / 1000), env) == 0.0
+        assert _decided(real, ROLE_S2V, Vec3(0.0, 0.0, 0.0), cells) == [False] * 50
 
     def test_integral_float_cells_past_2_62(self):
         real = EnvironmentRealization(ENV, 1, 2)
-        ground = Vec3(1.0, 2.0, 0.0)
-        big = 2.0**63
         cells = np.array(
             [
-                [big, 3.0, 5.0],
-                [-big, big, 7.0],
+                [2.0**63, 3.0, 5.0],
+                [-(2.0**63), 2.0**63, 7.0],
                 [2.0**70, -(2.0**64), 2.0**62 + 2048],
                 [5.0, 5.0, 2.0**66],
             ]
         )
-        got = _route_states(real, ROLE_S2V, ground, cells).tolist()
-        assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
-        assert _indicator_cells(real, ROLE_S2V, ground, cells) == got
+        _decided(real, ROLE_S2V, Vec3(1.0, 2.0, 0.0), cells)
 
     def test_empty_input(self):
         real = EnvironmentRealization(ENV, 1, 1)
@@ -639,27 +556,24 @@ class TestLosScreen:
             assert out.dtype == bool and out.shape == (0,)
 
     @pytest.mark.parametrize("sign", [-1, 0, 1])
-    def test_near_tie_takes_the_scalar_route(self, sign, fallbacks):
+    def test_near_tie_takes_the_scalar_route(self, sign):
         # a cell whose uniform lies on its probability, with los_b at the
-        # tie and an ulp either side, is decided by the scalar rule as the
-        # definition decides it, among 299 other cells
+        # tie and an ulp either side, is decided alike by the route among
+        # 299 other cells and by los_indicator alone
         seed, trial, ground, a = 11, 3, Vec3(0.0, 0.0, 0.0), 27.23
         cell, b = _near_tie(seed, trial, ground, a)
         env = EnvParams(los_a=a, los_b=b * (1.0 + sign * 2.0**-52))
         real = EnvironmentRealization(env, seed, trial)
         u = hash_uniform(seed, trial, ROLE_S2V, *cell)
         _, angles = link_geometry(ground, Vec3(*map(float, cell)))
-        p = los_probability(angles.elevation, env)
-        assert abs(u - p) <= 1e-12 * p
+        assert abs(u - los_probability(angles.elevation, env)) <= 1e-12 * u
         rng = np.random.default_rng(seed)
         cells = np.column_stack(
             [rng.integers(1, 80, 300), rng.integers(1, 80, 300), rng.integers(1, 120, 300)]
         )
         cells[150] = cell
-        got = _route_states(real, ROLE_S2V, ground, cells).tolist()
-        assert got == _oracle_cells(real, ROLE_S2V, ground, cells)
-        assert angles.elevation in fallbacks
-        assert _indicator_cells(real, ROLE_S2V, ground, [cell]) == [got[150]]
+        got = _decided(real, ROLE_S2V, ground, cells)
+        assert _decided(real, ROLE_S2V, ground, [cell]) == [got[150]]
 
 
 class TestDigestUniforms:

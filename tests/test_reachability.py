@@ -33,7 +33,7 @@ SRC = Path(os.path.realpath(fdrelay.__file__)).parent
 # go stale.
 ALLOWED = {
     # acceptance criterion 10 repairs constant-ratio pairs with these;
-    # ROADMAP item 7 plans to run _repair_pair in the AIS loop
+    # ROADMAP item 10 plans to run _repair_pair in the AIS loop
     "beamforming.cm_repair",
     "beamforming._repair_pair",
     "beamforming._constant_ratio",
