@@ -123,10 +123,13 @@ def normalize_cm(w: np.ndarray, cap: float) -> Beamformer:
     Zero elements have no phase; they map to cap * exp(j0) by convention.
     The division forms 1 / |w|, which overflows for |w| <= 2**-1024, so such
     an element is first lifted by an exact power of two, as in the matched
-    filter; that leaves its phase alone.
+    filter; that leaves its phase alone. Without such an element, or a NaN,
+    the masked division below gives every element the bits of the plain one.
     """
     w = np.asarray(w, dtype=complex)
     mags = np.abs(w)
+    if np.minimum.reduce(mags) > 2.0**-1024:
+        return Beamformer(cap * w / mags, cap=cap)
     if np.fmin.reduce(mags) <= 2.0**-1024:
         w = w.copy()
         w[mags <= 2.0**-1024] *= 2.0**512

@@ -385,8 +385,9 @@ class LosRoute:
     cells (integral floats, as quantize_axes gives them; ints give the same
     keys and centers); a cell is one position on each run. Each run's
     offsets from the ground node are computed once. :meth:`decide` takes
-    one pass's cells as a table of (j, k) positions and segments (i, a, b):
-    position i on the x run with each of the table's entries a to b - 1.
+    one pass's cells as a table of (j, k) positions and an int64 (n, 3)
+    array of segments (i, a, b): position i on the x run with each of the
+    table's entries a to b - 1.
     It formats the key fragments ``b"%d|" % j`` and ``b"%d" % k`` of the y
     and z runs over the pass's spans, hashes a segment's
     ``b"master_seed|trial_index|role|%d|" % i`` once and copies that sha256
@@ -403,11 +404,11 @@ class LosRoute:
         self._offsets = tuple(run * step - g for run, step, g in zip(axes, real.grid_step, ground))
 
     def decide(self, spans, bj, bk, segments):
-        """The LoS cells among the segments (i, a, b), each position i on
-        the x run with the entries a to b - 1 of the table of positions
-        bj, bk on the y and z runs. Every cell lies within ``spans``, each
-        run's (lo, hi) of positions, inclusive. Returns the cells'
-        positions i and table entries, in segment order."""
+        """The LoS cells among the segments, rows (i, a, b) of an int64
+        array, each position i on the x run with the entries a to b - 1 of
+        the table of positions bj, bk on the y and z runs. Every cell lies
+        within ``spans``, each run's (lo, hi) of positions, inclusive.
+        Returns the cells' positions i and table entries, in segment order."""
         cx, cy, cz = self._axes
         (y0, y1), (z0, z1) = spans[1:]
         ky = np.array([b"%d|" % c for c in cy[y0 : y1 + 1].tolist()], dtype=object)
@@ -417,7 +418,7 @@ class LosRoute:
         sha = hashlib.sha256
         digests = []
         add = digests.append
-        for i, a, b in segments:
+        for i, a, b in segments.tolist():
             head = sha(fmt % cx[i].item())
             for tail in tails[a:b]:
                 h = head.copy()
@@ -425,7 +426,7 @@ class LosRoute:
                 add(h.digest())
         u = _digest_uniforms(b"".join(digests))
         # each cell's run position i and table entry
-        i, a, b = np.array(segments, dtype=np.int64).reshape(-1, 3).T
+        i, a, b = segments.T
         n = b - a
         bi = i.repeat(n)
         at = (b - n.cumsum()).repeat(n) + np.arange(u.size)

@@ -292,18 +292,19 @@ def los_adjusted_position(
         spans = ((i_range[0] - i0, i_range[1] - i0), (j_range[0] - j0, j_range[1] - j0), (0, k_top))
         pat_j, pat_k, face = _ring_pattern(t, j_range, k_top)
         pat_j = pat_j - j0
-        segments = [(i - i0, a, b) for i, a, b in _ring_slices(t, i_range, face, pat_j.size)]
-        probed += -(-sum(b - a for _, a, b in segments) // _BLOCK) * _BLOCK
+        slices = _ring_slices(t, i_range, face, pat_j.size)
+        probed += -(-sum(b - a for _, a, b in slices) // _BLOCK) * _BLOCK
         if probed > LOS_PROBE_BUDGET:
             raise NoLosPositionError(
                 f"no LoS position within the probe budget of {LOS_PROBE_BUDGET} cells"
             )
+        segments = np.array(slices, dtype=np.int64).reshape(-1, 3) - (i0, 0, 0)
         bi, at = s2v.decide(spans, pat_j, pat_k, segments)
         if not bi.size:
             continue
         # the V2D route decides the S2V hits, each a segment of one cell
-        segments = [(i, n, n + 1) for n, i in enumerate(bi.tolist())]
-        bi, hit = v2d.decide(spans, pat_j[at], pat_k[at], segments)
+        n = np.arange(bi.size)
+        bi, hit = v2d.decide(spans, pat_j[at], pat_k[at], np.array((bi, n, n + 1)).T)
         if bi.size:
             at = at[hit]
             bj, bk = pat_j[at], pat_k[at]

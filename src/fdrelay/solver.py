@@ -24,10 +24,11 @@ element along a noise phase, which can miss the interference cap.
 
 Bit identity. The seeded outputs of every trial are fixed, so the loops are
 made cheaper without moving an output bit: reductions call the ufunc
-directly (np.add.reduce gives the bits of np.sum on the same contiguous 1-D
-operand), loop invariants are hoisted, numpy's Python wrappers are
-replaced by the expressions they evaluate (np.linalg.norm of a complex
-vector is sqrt(re.re + im.im), np.max is np.maximum.reduce), the kink
+directly (np.add.reduce gives the bits of np.sum on the same 1-D operand),
+loop invariants are hoisted, numpy's Python wrappers are replaced by the
+expressions they evaluate (np.linalg.norm of a complex vector is
+sqrt(re.re + im.im), np.max is np.maximum.reduce, np.argmin(a) is
+a.argmin(), np.flatnonzero(m) of a 1-D m is m.nonzero()[0]), the kink
 test screens its candidates by the values of D at the anchors, which the
 smooth start needs anyway, before the exact test (see _kink_point), and
 each Weiszfeld step skips its exact anchor test when the step's own
@@ -35,18 +36,25 @@ reciprocal sum rules an anchor out (see _weiszfeld). That screen rests on
 monotone rounding alone, so it holds for every input, and it switches
 itself off where a weight is zero or NaN. A magnitude needed twice (|i_hat|
 per solve, |resid| and |i_hat| per recovery rung) is taken once. The
-Weiszfeld loop allocates its four step arrays (diff = points - z, d = |diff|,
-inv = w / d and moment = points * inv) once per call, and each step writes
-into them through a ufunc's positional output argument, such as
-np.subtract(points, z, diff). A ufunc given an output array runs the same
-inner loop over the same operands as the expression that allocates its
-result, so only the allocation goes. Three facts of numpy 2.4.6 are
-relied on. np.abs of a complex array can differ by one ulp from
-the scalar abs(z), which is libm hypot, so an array that must reproduce a
-scalar abs(z) uses np.hypot. An elementwise ufunc gives an element the
-same bits over a whole array as over a masked part of it, so
-np.abs(x)[mask] stands for np.abs(x[mask]). And a reduction along the last
-axis of a contiguous 2-D array gives each row the bits of np.sum on that row.
+matched filter and the anchor set-up mask out zero, subnormal, NaN and
+non-carrier elements only where there are some. The Weiszfeld loop
+allocates its step arrays once per call (diff = points - z, d = |diff|,
+moment = points * inv, and a zeroed complex inv_c whose real part is
+inv = w / d), and each step writes into them through a ufunc's positional
+output argument, such as np.subtract(points, z, diff). A ufunc given an
+output array runs the same inner loop over the same operands as the
+expression that allocates its result, so only the allocation goes. Five
+facts of numpy 2.4.6 are relied on. np.abs of a complex array can differ
+by one ulp from the scalar abs(z), which is libm hypot, so an array that
+must reproduce a scalar abs(z) uses np.hypot. An elementwise ufunc gives
+an element the same bits over a whole array as over a masked part of it,
+so np.abs(x)[mask] stands for np.abs(x[mask]). A reduction along the last
+axis of a contiguous 2-D array gives each row the bits of np.sum on that
+row, so _newton_polish sums its three Hessian rows in one call.
+np.add.reduce sums a strided 1-D view, such as inv, in the order of a
+contiguous copy. And numpy has no complex x float64 loop: it casts the
+float64 x to (x, +0.0) in a buffer and runs the complex loop, so
+points * inv_c gives the bits of points * inv without the cast.
 tests/test_solver.py pins the outputs of a seeded battery by sha256.
 """
 
@@ -136,7 +144,8 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
     w_min = float(np.minimum.reduce(weights))
     # each step writes into these (see "Bit identity" in the module docstring)
     diff, moment = np.empty_like(points), np.empty_like(points)
-    d, inv = np.empty(points.shape), np.empty(points.shape)
+    d, inv_c = np.empty(points.shape), np.zeros(points.shape, dtype=complex)
+    inv = inv_c.real
     z = z0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_WEISZFELD_ITERS):
@@ -171,7 +180,7 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
                 s = add(inv)
                 if s < _NORMAL_MIN:
                     raise SolverError("Weiszfeld reciprocal sum underflows past the 2**512 rescale")
-            multiply(points, inv, moment)
+            multiply(points, inv_c, moment)
             z_new = complex(add(moment) / s)
             if abs(z_new - z) <= 1e-15 * scale:
                 return z_new
@@ -188,6 +197,7 @@ def _newton_polish(z: complex, points: np.ndarray, weights: np.ndarray) -> compl
 
     grad_floor = 1e-15 * add(weights)
     f = value(z)
+    hess = np.empty((3, points.size))  # rows summed in one call (see "Bit identity")
     for _ in range(_NEWTON_ITERS):
         d = z - points
         r = absolute(d)
@@ -200,9 +210,10 @@ def _newton_polish(z: complex, points: np.ndarray, weights: np.ndarray) -> compl
         # 2x2 Hessian of sum w*|z - p| in real coordinates
         ux, uy = u.real, u.imag
         wr = weights / r
-        hxx = float(add(wr * (1.0 - ux * ux)))
-        hyy = float(add(wr * (1.0 - uy * uy)))
-        hxy = float(add(wr * (-ux * uy)))
+        np.multiply(wr, 1.0 - ux * ux, hess[0])
+        np.multiply(wr, 1.0 - uy * uy, hess[1])
+        np.multiply(wr, -ux * uy, hess[2])
+        hxx, hyy, hxy = add(hess, axis=1).tolist()
         det = hxx * hyy - hxy * hxy
         if det <= 0:
             break
@@ -253,9 +264,9 @@ def _kink_point(
     test accepts, and the exact test run on the survivors in index order
     returns what it returns alone.
     """
-    k = int(np.argmin(d_vals))
+    k = int(d_vals.argmin())
     margin = 1e-9 * (np.add.reduce(weights) + drift + d_vals[k]) * (1.0 + mags + mags[k])
-    for idx in np.flatnonzero(d_vals <= d_vals[k] + margin):
+    for idx in (d_vals <= d_vals[k] + margin).nonzero()[0]:
         p = points[idx]
         same = np.abs(points - p) <= _TIE * (1.0 + abs(p))
         same[idx] = True
@@ -334,7 +345,7 @@ def _recover_primal(
         target = eta * cmath.exp(1j * cmath.phase(rest))
     else:
         target = eta * cmath.exp(-1j * cmath.phase(z_star))
-    idx = np.flatnonzero(active & (i_mag > 0))
+    idx = (active & (i_mag > 0)).nonzero()[0]
     _fill_free_elements(w, idx, i_hat, target - rest, cap)
     return w
 
@@ -398,15 +409,19 @@ def solve_bf_subproblem_report(
 
     # matched constant-magnitude filter whenever it already meets the cap;
     # built from the raw channel so the closed form is recovered bit-exactly
-    w_mf = np.zeros_like(h_sig)
     mag = np.abs(h_sig)
-    nz = mag > 0
-    h_nz = h_sig[nz]
-    if np.minimum.reduce(mag) < _NORMAL_MIN:
-        # a subnormal element would underflow cap * h to 0 (or overflow the
-        # division); an exact power of two lifts it and leaves its phase alone
-        h_nz[mag[nz] < _NORMAL_MIN] *= 2.0**512
-    w_mf[nz] = cap * h_nz / np.abs(h_nz)
+    mag_min = np.minimum.reduce(mag)
+    if mag_min >= _NORMAL_MIN:
+        w_mf = cap * h_sig / mag
+    else:
+        w_mf = np.zeros_like(h_sig)
+        nz = mag > 0
+        h_nz = h_sig[nz]
+        if mag_min < _NORMAL_MIN:
+            # a subnormal element would underflow cap * h to 0 (or overflow the
+            # division); an exact power of two lifts it and leaves its phase alone
+            h_nz[mag[nz] < _NORMAL_MIN] *= 2.0**512
+        w_mf[nz] = cap * h_nz / np.abs(h_nz)
     if int_norm == 0.0 or abs(np.vdot(w_mf, h_int)) <= eta:
         obj = float(np.vdot(w_mf, h_sig).real)
         return w_mf, SolveInfo(obj, obj, 0.0, 0.0, 0.0, "shortcut", 0j)
@@ -416,11 +431,15 @@ def solve_bf_subproblem_report(
 
     # dual route: minimize D over the ratio points, the origin, and the plane
     i_mag = np.abs(i_hat)
-    carriers = i_mag > 1e-14
-    points = s_hat[carriers] / i_hat[carriers]
-    weights = cap * i_mag[carriers]
-    all_points = np.concatenate([points, [0.0 + 0.0j]])
-    all_weights = np.concatenate([weights, [eta_hat]])
+    s_c, i_c, mag_c = s_hat, i_hat, i_mag
+    if not np.minimum.reduce(i_mag) > 1e-14:
+        carriers = i_mag > 1e-14
+        s_c, i_c, mag_c = s_hat[carriers], i_hat[carriers], i_mag[carriers]
+    m = mag_c.size  # the carriers' ratio points and weights, then the origin's
+    all_points, all_weights = np.zeros(m + 1, dtype=complex), np.empty(m + 1)
+    np.divide(s_c, i_c, all_points[:m])
+    np.multiply(cap, mag_c, all_weights[:m])
+    all_weights[m] = eta_hat
 
     # D at every anchor; hypot gives the bits of _dual_value's abs(z)
     mags = np.hypot(all_points.real, all_points.imag)
@@ -430,7 +449,7 @@ def solve_bf_subproblem_report(
     smooth = z_star is None
     if smooth:
         # start from the best anchor
-        z0 = all_points[int(np.argmin(d_vals))]
+        z0 = all_points[int(d_vals.argmin())]
         z_w = _weiszfeld(all_points, all_weights, z0)
         z_star = _newton_polish(z_w, all_points, all_weights)
     if abs(z_star) <= (1e-9 if smooth else _TIE):

@@ -152,7 +152,8 @@ class TestNormalizeCm:
         # subnormal magnitudes down to 2**-1023, where 1 / |w| is still finite
         [1e-308 + 0j, 6e-309 + 8e-309j, -1.5e-308j, 2.0**-1023 + 0j],
         [complex("nan+1j"), complex(1.0, float("nan")), complex("nan"), 1 + 1j],
-    ], ids=["zero", "subnormal", "nan"])
+        list(np.random.default_rng(3).normal(size=(16, 2)) @ [1, 1j]),
+    ], ids=["zero", "subnormal", "nan", "zero_free"])
     def test_matches_the_mask_formula(self, w):
         # the bits of writing cap * w / |w| through a mask, |w| > 0, over a cap fill
         w, cap = np.array(w), 0.5

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from fdrelay import config, harness
+from fdrelay import beamforming, config, harness, solver
 from trialbench import checks
 from trialbench.spans import _NAME, SPAN_BINDINGS, Tracer
 from trialbench.workloads import WORKLOADS
@@ -34,6 +34,28 @@ def test_traced_trial_calls_every_binding_and_four_solves_per_pass():
     assert calls["solver.solve_bf_subproblem"] == 4 * passes
     # one start per position; the steered baseline is the proposed loop's start
     assert calls["beamforming.initial_state"] == 2
+
+
+def test_every_solve_goes_through_the_audited_binding(monkeypatch):
+    # checks.SolveAudit swaps beamforming.solve_bf_subproblem and certifies
+    # each solve by calling solver.solve_bf_subproblem_report; a solve that
+    # reaches the report by another road would escape the audit
+    calls = Counter()
+
+    def counted(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args):
+            calls[attr] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(beamforming, "solve_bf_subproblem")
+    counted(solver, "solve_bf_subproblem_report")
+    harness.run_trial(config.build_scenario({}), 0)
+    assert calls["solve_bf_subproblem"] > 0
+    assert calls["solve_bf_subproblem_report"] == calls["solve_bf_subproblem"]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

@@ -300,7 +300,8 @@ def _route_states(real, role, ground, cells):
     runs, at = zip(*(np.unique(column, return_inverse=True) for column in cells.T))
     route = real.los_route(role, ground, runs)
     spans = [(0, len(run) - 1) for run in runs]
-    _, hits = route.decide(spans, at[1], at[2], [(i, n, n + 1) for n, i in enumerate(at[0].tolist())])
+    n = np.arange(len(cells))
+    _, hits = route.decide(spans, at[1], at[2], np.array((at[0], n, n + 1)).T)
     states = np.zeros(len(cells), dtype=bool)
     states[hits] = True
     return states
@@ -375,7 +376,7 @@ class TestLosCells:
                     segments.append([i, n, n + 1])
             assert len(segments) < 40
             hashed.clear()
-            route.decide(spans, at[1], at[2], [tuple(s) for s in segments])
+            route.decide(spans, at[1], at[2], np.array(segments, dtype=np.int64))
             cells = zip(*(a[p].tolist() for a, p in zip(axes, at)))
             assert hashed == [b"".join(hashlib.sha256(key % cell).digest() for cell in cells)]
 

@@ -103,6 +103,47 @@ class TestCertificates:
             infos.append(info)
         assert infos[0].objective == pytest.approx(infos[1].objective, rel=1e-12)
 
+    @pytest.mark.parametrize("element", [None, (0j, 0j), (5e-324 + 5e-324j, 2.2e-311 + 0j),
+                                         (0.7 - 0.2j, 1e-17 + 1e-17j)],
+                             ids=["all_normal", "zero", "subnormal", "non_carrier"])
+    def test_matched_filter_and_anchors_have_the_masked_bits(self, element, monkeypatch):
+        # an all-normal, all-carrier instance takes the unmasked matched
+        # filter and anchor set-up; one zero, subnormal or non-carrier
+        # element takes the masked one; both certify with the masked bits
+        h_sig, h_int = _instance(np.random.default_rng(11), 8)
+        if element is not None:
+            h_sig[3], h_int[3] = element
+        cap = 1.0 / math.sqrt(8)
+        mag = np.abs(h_sig)
+        nz = mag > 0
+        h_nz = h_sig[nz]
+        h_nz[mag[nz] < solver._NORMAL_MIN] *= 2.0**512
+        w_mf = np.zeros_like(h_sig)
+        w_mf[nz] = cap * h_nz / np.abs(h_nz)
+        s_hat, i_hat = h_sig / np.linalg.norm(h_sig), h_int / np.linalg.norm(h_int)
+        carriers = np.abs(i_hat) > 1e-14
+        anchors = np.concatenate([s_hat[carriers] / i_hat[carriers], [0j]])
+        eta_mf = abs(np.vdot(w_mf, h_int))
+        eta_hat = 0.2 * eta_mf / np.linalg.norm(h_int)
+        anchor_weights = np.concatenate([cap * np.abs(i_hat)[carriers], [eta_hat]])
+
+        seen = []
+        kink_point = solver._kink_point
+
+        def spy(points, weights, *args):
+            seen.append((points.copy(), weights.copy()))
+            return kink_point(points, weights, *args)
+
+        monkeypatch.setattr(solver, "_kink_point", spy)
+        w, info = solve_bf_subproblem_report(h_sig, h_int, eta_mf, cap)
+        assert info.method == "shortcut"
+        assert w.tobytes() == w_mf.tobytes()
+        w, info = solve_bf_subproblem_report(h_sig, h_int, 0.2 * eta_mf, cap)
+        assert info.method == "dual"
+        assert solver._certified(info)
+        assert seen[0][0].tobytes() == anchors.tobytes()
+        assert seen[0][1].tobytes() == anchor_weights.tobytes()
+
     @pytest.mark.parametrize("sig_flat, int_flat, eta_frac", [
         ([-2.0, 0.0, 0.0, 1e-08, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
          [-1.5, 1.5, -2.0, 2.0, 0.0, -1.0, 0.0, 0.0, -0.5, 1.5], 0.53125),
@@ -598,7 +639,8 @@ class TestWeiszfeldScreen:
         {},
         {**{key: 8 for key in ("m_s", "n_s", "m_r", "n_r", "m_t", "n_t", "m_d", "n_d")},
          "delta_m_deg": 10.0},
-    ], ids=["paper_default", "large_array_misaligned"])
+        {"los_a": 27.23, "los_b": 0.08, "dn_rule": "fixed", "dn_x": 560.0, "dn_y": 420.0},
+    ], ids=["paper_default", "large_array_misaligned", "los_starved"])
     def test_trial_calls_match_unscreened_loop(self, overrides, monkeypatch):
         calls = []
         screened = solver._weiszfeld
