@@ -384,16 +384,16 @@ class LosRoute:
     ``axes`` holds three runs of grid indices, the search box's i, j and k
     cells (integral floats, as quantize_axes gives them; ints give the same
     keys and centers); a cell is one position on each run. Each run's
-    offsets from the ground node are computed once. :meth:`decide` takes
-    one pass's cells as a table of (j, k) positions and an int64 (n, 3)
-    array of segments (i, a, b): position i on the x run with each of the
-    table's entries a to b - 1.
+    offsets from the ground node are computed once. :meth:`decide` takes a
+    pass's cells as three equal-length int arrays, each cell's positions
+    bi, bj and bk on the x, y and z runs, in any order.
     It formats the key fragments ``b"%d|" % j`` and ``b"%d" % k`` of the y
-    and z runs over the pass's spans, hashes a segment's
-    ``b"master_seed|trial_index|role|%d|" % i`` once and copies that sha256
-    state per cell, so each cell hashes the bytes of its
-    ``"master_seed|trial_index|role|i|j|k"`` key. Then one _los_rule call
-    decides every cell. A pass leaves no state behind.
+    and z runs between the pass's least and greatest positions, hashes
+    ``b"master_seed|trial_index|role|%d|" % i`` once per run of consecutive
+    cells with the same bi and copies that sha256 state per cell, so each
+    cell hashes the bytes of its ``"master_seed|trial_index|role|i|j|k"``
+    key. Then one _los_rule call decides every cell. A pass leaves no state
+    behind.
     """
 
     def __init__(self, real: EnvironmentRealization, role: str, ground: Vec3, axes) -> None:
@@ -403,36 +403,31 @@ class LosRoute:
         ground = (ground.x, ground.y, ground.z)
         self._offsets = tuple(run * step - g for run, step, g in zip(axes, real.grid_step, ground))
 
-    def decide(self, spans, bj, bk, segments):
-        """The LoS cells among the segments, rows (i, a, b) of an int64
-        array, each position i on the x run with the entries a to b - 1 of
-        the table of positions bj, bk on the y and z runs. Every cell lies
-        within ``spans``, each run's (lo, hi) of positions, inclusive.
-        Returns the cells' positions i and table entries, in segment order."""
+    def decide(self, bi, bj, bk):
+        """The LoS state of each cell at positions bi, bj, bk on the x, y
+        and z runs: one bool per cell, in input order."""
+        if not bi.size:
+            return np.zeros(0, dtype=bool)
         cx, cy, cz = self._axes
-        (y0, y1), (z0, z1) = spans[1:]
-        ky = np.array([b"%d|" % c for c in cy[y0 : y1 + 1].tolist()], dtype=object)
-        kz = np.array([b"%d" % c for c in cz[z0 : z1 + 1].tolist()], dtype=object)
-        tails = (ky[bj - y0] + kz[bk - z0]).tolist()
+        y0, z0 = bj.min(), bk.min()
+        ky = np.array([b"%d|" % c for c in cy[y0 : bj.max() + 1].tolist()], dtype=object)
+        kz = np.array([b"%d" % c for c in cz[z0 : bk.max() + 1].tolist()], dtype=object)
+        tails = (ky[:, None] + kz)[bj - y0, bk - z0].tolist()
+        # the cells from one start to the next share their x position
+        starts = (np.flatnonzero(bi[1:] != bi[:-1]) + 1).tolist()
         fmt = self._head
         sha = hashlib.sha256
         digests = []
         add = digests.append
-        for i, a, b in segments.tolist():
-            head = sha(fmt % cx[i].item())
+        for x, a, b in zip(cx[bi[[0, *starts]]].tolist(), [0, *starts], [*starts, bi.size]):
+            head = sha(fmt % x)
             for tail in tails[a:b]:
                 h = head.copy()
                 h.update(tail)
                 add(h.digest())
         u = _digest_uniforms(b"".join(digests))
-        # each cell's run position i and table entry
-        i, a, b = segments.T
-        n = b - a
-        bi = i.repeat(n)
-        at = (b - n.cumsum()).repeat(n) + np.arange(u.size)
         ox, oy, oz = self._offsets
-        los = _los_rule(u, ox[bi], oy[bj[at]], oz[bk[at]], self._env)
-        return bi[los], at[los]
+        return _los_rule(u, ox[bi], oy[bj], oz[bk], self._env)
 
 
 def channel_from_paths(

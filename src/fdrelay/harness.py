@@ -259,7 +259,7 @@ class Placement:
     env_real: EnvironmentRealization
     p_star: Vec3  # closed-form optimum on the SN-DN segment
     rho: float  # its segment fraction
-    designed: Vec3  # nearest dual-LoS grid point, or p_star on fallback
+    designed: Vec3  # closest dual-LoS cell of the first ring with one, or p_star on fallback
     fallback: bool  # no grid point of the box has LoS on both links
 
 

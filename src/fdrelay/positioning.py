@@ -2,8 +2,9 @@
 
 The conditional optimum places the relay on the segment between the two
 ground nodes at the minimum height, balancing the two links' ideal-beamforming
-rate upper bounds. The deployed position then moves to the nearest grid point
-whose two links both draw line-of-sight in the trial's environment.
+rate upper bounds. The deployed position then moves to the closest grid point,
+in the first cubic ring around it that holds one, whose two links both draw
+line-of-sight in the trial's environment (a later ring can hold a closer one).
 """
 
 from __future__ import annotations
@@ -169,37 +170,32 @@ def strict_upper_bounds(h_s2v, h_v2d, budget: LinkBudget) -> tuple[float, float]
 
 
 @functools.lru_cache(maxsize=64)
-def _ring_pattern(t, j_range, k_top):
-    """Ring t's table of (j, k) pairs, j in j_range and 0 <= k <= k_top: its
-    face, every pair, then its rim, the pairs with |j| == t or k == t; and
-    the face's size.
+def _ring_tables(t, j_range, k_top):
+    """Ring t's (2, n) tables of (j, k) pairs, j in j_range and
+    0 <= k <= k_top: its face, every pair, and its rim, the pairs with
+    |j| == t or k == t.
 
     Kept per (t, j_range, k_top), read-only: the rings of most searches
     repeat these, since only the box's edges clip them.
     """
-    face_j, face_k = np.divmod(
-        np.arange((j_range[1] + 1 - j_range[0]) * (k_top + 1)), k_top + 1
-    )
-    face_j += j_range[0]
-    on_rim = (np.abs(face_j) == t) | (face_k == t)
-    pattern = np.concatenate((face_j, face_j[on_rim])), np.concatenate((face_k, face_k[on_rim]))
-    for table in pattern:
-        table.setflags(write=False)
-    return (*pattern, face_j.size)
+    face = np.divmod(np.arange((j_range[1] + 1 - j_range[0]) * (k_top + 1)), k_top + 1)
+    face = np.array(face) + ((j_range[0],), (0,))
+    rim = face[:, (np.abs(face[0]) == t) | (face[1] == t)]
+    face.setflags(write=False)
+    rim.setflags(write=False)
+    return face, rim
 
 
-@functools.lru_cache(maxsize=64)
-def _ring_slices(t, i_range, face, size):
-    """Ring t's x-slices, in i order, as segments (i, a, b): slice i takes
-    the entries a to b - 1 of _ring_pattern's table, the face for
-    |i| == t and the rim otherwise. Slices with an empty rim are left out,
-    so a ring costs O(its cells + 1). Kept like _ring_pattern."""
-    rim = range(max(i_range[0], 1 - t), min(i_range[1], t - 1) + 1) if size > face else ()
-    return (
-        ((-t, 0, face),) * (i_range[0] == -t)
-        + tuple((i, face, size) for i in rim)
-        + ((t, 0, face),) * (i_range[1] == t)
-    )
+def _ring_cells(t, i_range, j_range, k_top):
+    """Ring t's cells max(|i|, |j|, k) == t, i in i_range, as arrays i, j,
+    k in (i, j, k) order: x-slice i takes _ring_tables' face for |i| == t
+    and its rim otherwise."""
+    face, rim = _ring_tables(t, j_range, k_top)
+    i = np.arange(i_range[0], i_range[1] + 1)
+    on_face = np.abs(i) == t
+    rims = (rim[:, None] + np.zeros((i.size - on_face.sum(), 1), dtype=rim.dtype)).reshape(2, -1)
+    jk = [face] * (i_range[0] == -t) + [rims] + [face] * (i_range[1] == t)
+    return (i.repeat(np.where(on_face, face.shape[1], rim.shape[1])), *np.concatenate(jk, axis=1))
 
 
 def _index_candidates(lo, hi, origin, step, n_min, n_max) -> np.ndarray:
@@ -220,30 +216,31 @@ def los_adjusted_position(
     box: FeasibleBox,
     dn: Vec3,
 ) -> Vec3:
-    """Nearest dual-LoS grid point around the closed-form optimum.
+    """First-ring closest dual-LoS grid point around the closed-form optimum.
 
     The S2V link starts at SOURCE and the V2D link ends at ``dn``. Expands
     cubic neighborhood rings around p_star by the field's ``grid_step``
     (heights only upward from h_min), fully evaluating each ring before
-    choosing the member closest to p_star; exact distance ties are broken
-    uniformly with the trial seed. Raises :class:`NoLosPositionError` once
-    the box is exhausted or a ring would take the search past
-    LOS_PROBE_BUDGET S2V cells (a ring's cells counted in whole blocks of
-    _BLOCK: the ring holding the block that passes the budget is not
-    decided), and ValueError when p_star lacks LoS and an axis of the box
-    spans more than MAX_AXIS_STEPS grid steps.
+    choosing the member closest to p_star, and stops at the first ring with
+    a hit: ring t's face centers lie t steps away but ring t - 1's corners
+    up to sqrt(3)(t - 1), so a later ring can hold a closer hit. Exact
+    distance ties are broken uniformly with the trial seed. Raises
+    :class:`NoLosPositionError` once the box is exhausted or a ring would
+    take the search past LOS_PROBE_BUDGET S2V cells (a ring's cells counted
+    in whole blocks of _BLOCK: the ring holding the block that passes the
+    budget is not decided), and ValueError when p_star lacks LoS and an
+    axis of the box spans more than MAX_AXIS_STEPS grid steps.
 
     p_star's own cell is decided by ``los_indicator``. The box is a product
     of three intervals, so each axis's in-box indices form one run, found
-    once with their coordinates and grid cells. A ring is a table of (j, k)
-    pairs, its face and its rim, read by each x-slice in (i, j, k) order.
-    One ``los_route`` per role holds the runs (:class:`LosRoute`). Per ring,
-    one S2V call decides the ring's slices over its table, then one V2D
-    call decides the S2V hits, a table of their own, one segment each. The
-    coordinates and cells are the ones the cell-by-cell loop computes, and
-    LosRoute decides every cell by the field's one rule, as that loop and
-    ``los_indicator`` do (tests/oracles.py keeps the loop), so the hits,
-    their order and the chosen point are the same to the bit.
+    once with their coordinates and grid cells; a cell is a position on
+    each run. One ``los_route`` per role holds the runs (:class:`LosRoute`).
+    Per ring, _ring_cells lists the ring's cells in (i, j, k) order, one
+    S2V ``decide`` call decides them, then one V2D call decides the S2V
+    hits. The coordinates and cells are the ones the cell-by-cell loop
+    computes, and LosRoute decides every cell by the field's one rule, as
+    that loop and ``los_indicator`` do (tests/oracles.py keeps the loop),
+    so the hits, their order and the chosen point are the same to the bit.
     """
     if not box.contains(p_star):
         raise ValueError("designed position lies outside the feasible box")
@@ -287,28 +284,20 @@ def los_adjusted_position(
 
     probed = 0
     for t in range(1, t_cap + 1):
-        i_range, j_range, k_top = (max(-t, i0), min(t, i1)), (max(-t, j0), min(t, j1)), min(t, k1)
-        # the ring's spans as positions on the runs
-        spans = ((i_range[0] - i0, i_range[1] - i0), (j_range[0] - j0, j_range[1] - j0), (0, k_top))
-        pat_j, pat_k, face = _ring_pattern(t, j_range, k_top)
-        pat_j = pat_j - j0
-        slices = _ring_slices(t, i_range, face, pat_j.size)
-        probed += -(-sum(b - a for _, a, b in slices) // _BLOCK) * _BLOCK
+        i_range, j_range = (max(-t, i0), min(t, i1)), (max(-t, j0), min(t, j1))
+        bi, bj, bk = _ring_cells(t, i_range, j_range, min(t, k1))
+        probed += -(-bi.size // _BLOCK) * _BLOCK
         if probed > LOS_PROBE_BUDGET:
             raise NoLosPositionError(
                 f"no LoS position within the probe budget of {LOS_PROBE_BUDGET} cells"
             )
-        segments = np.array(slices, dtype=np.int64).reshape(-1, 3) - (i0, 0, 0)
-        bi, at = s2v.decide(spans, pat_j, pat_k, segments)
-        if not bi.size:
-            continue
-        # the V2D route decides the S2V hits, each a segment of one cell
-        n = np.arange(bi.size)
-        bi, hit = v2d.decide(spans, pat_j[at], pat_k[at], np.array((bi, n, n + 1)).T)
-        if bi.size:
-            at = at[hit]
-            bj, bk = pat_j[at], pat_k[at]
-            hits = list(zip(xs[bi].tolist(), ys[bj].tolist(), zs[bk].tolist()))
+        # the ring's cells as positions on the runs; V2D decides the S2V hits
+        bi, bj = bi - i0, bj - j0
+        hit = s2v.decide(bi, bj, bk)
+        bi, bj, bk = bi[hit], bj[hit], bk[hit]
+        hit = v2d.decide(bi, bj, bk)
+        if hit.any():
+            hits = list(zip(xs[bi[hit]].tolist(), ys[bj[hit]].tolist(), zs[bk[hit]].tolist()))
             origin = (p_star.x, p_star.y, p_star.z)
             dists = [math.dist(origin, h) for h in hits]
             best = min(dists)

@@ -273,7 +273,8 @@ def los_indicator(env_real, role, ground, uav):
 
 
 def los_ring_search(env_real, p_star, box, dn):
-    """Nearest dual-LoS grid point around p_star, one cell at a time.
+    """The closest dual-LoS grid point of the first ring around p_star that
+    holds one, one cell at a time.
 
     Takes ``los_adjusted_position``'s arguments.
 

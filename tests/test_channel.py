@@ -295,16 +295,10 @@ LOS_MODELS = ((11.95, 0.14), (27.23, 0.08), (100.0, 10.0))
 
 def _route_states(real, role, ground, cells):
     """LoS states of (n, 3) cells through one LosRoute over the sorted
-    values of their columns, one segment per cell."""
+    values of their columns."""
     cells = np.asarray(cells).reshape(-1, 3)
     runs, at = zip(*(np.unique(column, return_inverse=True) for column in cells.T))
-    route = real.los_route(role, ground, runs)
-    spans = [(0, len(run) - 1) for run in runs]
-    n = np.arange(len(cells))
-    _, hits = route.decide(spans, at[1], at[2], np.array((at[0], n, n + 1)).T)
-    states = np.zeros(len(cells), dtype=bool)
-    states[hits] = True
-    return states
+    return real.los_route(role, ground, runs).decide(*at)
 
 
 class TestLosCells:
@@ -343,11 +337,12 @@ class TestLosCells:
     @pytest.mark.parametrize("role", [ROLE_S2V, ROLE_V2D])
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_route_keys_are_the_cell_keys(self, role, dtype, monkeypatch):
-        # ring by ring, an i fragment hashed once per segment and a (j, k)
-        # tail per cell hash the bytes of the
-        # "master_seed|trial_index|role|%d|%d|%d" key of every cell; the y
-        # and z fragments hold only the spans' entries (the others are NaN,
-        # which b"%d" refuses)
+        # ring by ring, an i fragment hashed once per run of equal x
+        # positions and a (j, k) tail per cell hash the bytes of the
+        # "master_seed|trial_index|role|%d|%d|%d" key of every cell, in input
+        # order; the y and z fragments hold only the entries between the
+        # least and greatest positions (the others are NaN, which b"%d"
+        # refuses)
         seed, trial = 12, 34
         real = EnvironmentRealization(ENV, seed, trial)
         axes = [np.arange(-40, 41).astype(dtype), np.arange(-25.0, 30.0), np.arange(0.0, 33.0)]
@@ -361,24 +356,20 @@ class TestLosCells:
         rng = np.random.default_rng(0)
         key = f"{seed}|{trial}|{role}|%d|%d|%d".encode()
         for t in range(1, 36):
-            spans = [(max(0, o - t), min(len(a) - 1, o + t)) for o, a in zip(origin, axes)]
-            spans.append((0, min(t, len(axes[2]) - 1)))
-            for run, axis, (lo, hi) in zip(runs[1:], axes[1:], spans[1:]):
+            bounds = [(max(0, o - t), min(len(a) - 1, o + t)) for o, a in zip(origin, axes)]
+            bounds.append((0, min(t, len(axes[2]) - 1)))
+            at = [rng.integers(lo, hi + 1, 40) for lo, hi in bounds]
+            for run, axis, p in zip(runs[1:], axes[1:], at[1:]):
                 run[:] = np.nan
-                run[lo : hi + 1] = axis[lo : hi + 1]
-            at = [rng.integers(lo, hi + 1, 40) for lo, hi in spans]
-            at[0].sort()
-            segments = []  # runs of equal i
-            for n, i in enumerate(at[0].tolist()):
-                if segments and segments[-1][0] == i:
-                    segments[-1][2] = n + 1
-                else:
-                    segments.append([i, n, n + 1])
-            assert len(segments) < 40
-            hashed.clear()
-            route.decide(spans, at[1], at[2], np.array(segments, dtype=np.int64))
-            cells = zip(*(a[p].tolist() for a, p in zip(axes, at)))
-            assert hashed == [b"".join(hashlib.sha256(key % cell).digest() for cell in cells)]
+                run[p.min() : p.max() + 1] = axis[p.min() : p.max() + 1]
+            # the x positions sorted, where some cells share a head, and shuffled
+            sorted_x = np.sort(at[0])
+            assert (sorted_x[1:] == sorted_x[:-1]).any()
+            for x in (sorted_x, rng.permutation(at[0])):
+                hashed.clear()
+                route.decide(x, at[1], at[2])
+                cells = zip(*(a[p].tolist() for a, p in zip(axes, (x, *at[1:]))))
+                assert hashed == [b"".join(hashlib.sha256(key % cell).digest() for cell in cells)]
 
     def test_cell_on_the_ground_node_is_degenerate(self):
         real = EnvironmentRealization(ENV, 1, 1)

@@ -351,10 +351,9 @@ class TestProbeBudgetHeadroom:
             if role == ROLE_S2V:
                 decide = out.decide
 
-                def charged(spans, bj, bk, segments):
-                    cells = sum(b - a for _, a, b in segments)
-                    charges[-1] += -(-cells // positioning._BLOCK)
-                    return decide(spans, bj, bk, segments)
+                def charged(bi, bj, bk):
+                    charges[-1] += -(-bi.size // positioning._BLOCK)
+                    return decide(bi, bj, bk)
 
                 out.decide = charged
             return out

@@ -22,6 +22,8 @@ from fdrelay.positioning import (
     FeasibleBox,
     LinkBudget,
     NoLosPositionError,
+    _ring_cells,
+    _ring_tables,
     approx_upper_bounds,
     conditional_optimal_position,
     los_adjusted_position,
@@ -150,6 +152,31 @@ class TestBounds:
             assert b1 >= a1 - 1e-9
 
 
+class TestRingCells:
+    def test_matches_brute_force(self):
+        # every clipping of rings 1-3: clipped i and j ranges, boxes one cell
+        # wide, k_top < t, i ranges that miss +-t and, where the j range
+        # misses +-t too, rings with an empty rim
+        for t in range(1, 4):
+            ranges = [(lo, hi) for lo in range(-t, 1) for hi in range(0, t + 1)]
+            for i_range in ranges:
+                for j_range in ranges:
+                    for k_top in range(t + 1):
+                        want = [
+                            (i, j, k)
+                            for i in range(i_range[0], i_range[1] + 1)
+                            for j in range(j_range[0], j_range[1] + 1)
+                            for k in range(k_top + 1)
+                            if max(abs(i), abs(j), k) == t
+                        ]
+                        cells = _ring_cells(t, i_range, j_range, k_top)
+                        assert list(zip(*(c.tolist() for c in cells))) == want
+
+    def test_tables_are_read_only(self):
+        for table in _ring_tables(3, (-3, 2), 3):
+            assert not table.flags.writeable
+
+
 class _StubRealization(EnvironmentRealization):
     """LoS field overridden by an explicit set of allowed cells."""
 
@@ -171,15 +198,9 @@ class _StubRoute:
         self._allowed = allowed
         self._axes = axes
 
-    def decide(self, spans, bj, bk, segments):
-        tails = list(zip(self._axes[1][bj].tolist(), self._axes[2][bk].tolist()))
-        hits = [
-            (i, n)
-            for i, a, b in segments
-            for n in range(a, b)
-            if (self._axes[0][i].item(), *tails[n]) in self._allowed
-        ]
-        return np.array(hits, dtype=np.int64).reshape(-1, 2).T
+    def decide(self, bi, bj, bk):
+        cells = zip(*(axis[b].tolist() for axis, b in zip(self._axes, (bi, bj, bk))))
+        return np.array([cell in self._allowed for cell in cells], dtype=bool)
 
 
 class TestLosAdjustedPosition:
