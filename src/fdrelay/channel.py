@@ -66,21 +66,19 @@ class Vec3:
 
 
 SOURCE = Vec3(0.0, 0.0, 0.0)  # the ground source; the box and closed form assume it
+ELEMENT_SPACING = 0.5  # UPA element spacing, wavelengths
 
 
 @dataclass(frozen=True)
 class UpaSpec:
-    """Uniform planar array: ``rows x cols`` elements, spacing in wavelengths."""
+    """Uniform planar array: ``rows x cols`` elements, ELEMENT_SPACING apart."""
 
     rows: int
     cols: int
-    spacing_over_lambda: float = 0.5
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("UPA needs at least one element per axis")
-        if self.spacing_over_lambda <= 0:
-            raise ValueError("element spacing must be positive")
 
     @property
     def n_tot(self) -> int:
@@ -185,7 +183,7 @@ def steering_matrix(upa: UpaSpec, angles: Sequence[AngleSet]) -> np.ndarray:
     cos_az = np.array([math.cos(a.azimuth) for a in angles])[:, None, None]
     sin_az = np.array([math.sin(a.azimuth) for a in angles])[:, None, None]
     wave = np.array(
-        [2.0 * math.pi * upa.spacing_over_lambda * math.cos(a.elevation) for a in angles]
+        [2.0 * math.pi * ELEMENT_SPACING * math.cos(a.elevation) for a in angles]
     )[:, None, None]
     m = np.arange(upa.rows, dtype=float)[:, None]
     n = np.arange(upa.cols, dtype=float)[None, :]
@@ -425,6 +423,7 @@ class LosRoute:
                 h = head.copy()
                 h.update(tail)
                 add(h.digest())
+        del tails  # per cell: the join and the rule need only the digests
         u = _digest_uniforms(b"".join(digests))
         ox, oy, oz = self._offsets
         return _los_rule(u, ox[bi], oy[bj], oz[bk], self._env)
@@ -492,7 +491,7 @@ def _panel_element_positions(upa: UpaSpec, env: EnvParams, center_z: float) -> n
     The m index runs along the body x-axis, n along y; the grid is centered
     on the panel center.
     """
-    d = upa.spacing_over_lambda * env.wavelength
+    d = ELEMENT_SPACING * env.wavelength
     m = (np.arange(upa.rows) - (upa.rows - 1) / 2.0) * d
     n = (np.arange(upa.cols) - (upa.cols - 1) / 2.0) * d
     xs = np.repeat(m, upa.cols)

@@ -33,12 +33,12 @@ _SLACK = 1e-9  # box membership tolerance, meters
 # search builds each axis's run of indices before its first ring, and a
 # longer run only grows toward memory no search could finish with
 MAX_AXIS_STEPS = 2**20
-# S2V cells one LoS search may decide, each ring charged as its cells
-# rounded up to whole blocks of _BLOCK so that the rings are bounded too (a
-# box one cell wide and tall has two cells a ring). The pinned and
-# benchmark searches charge at most 52 blocks (test_positioning.py); a box
-# with no dual-LoS cell near p_star would otherwise be scanned whole: 13M
-# cells, ~20 s, for the default box at los_a = 100, los_b = 10.
+# S2V cells one LoS search may decide, each ring charged as its cells rounded
+# up to whole blocks of _BLOCK so that the rings are bounded too (a box one
+# cell wide and tall has two cells a ring). The pinned and benchmark searches
+# charge at most 52 blocks (tests/test_harness.py::TestProbeBudgetHeadroom);
+# a box with no dual-LoS cell near p_star would otherwise be scanned whole:
+# 13M cells, ~20 s, for the default box at los_a = 100, los_b = 10.
 LOS_PROBE_BUDGET = 2**20
 
 
@@ -64,17 +64,10 @@ class FeasibleBox:
             raise ValueError("need 0 < h_min <= h_max")
 
     def contains(self, p: Vec3) -> bool:
-        return bool(self.contains_xyz(p.x, p.y, p.z))
-
-    def contains_xyz(self, x, y, z):
-        """contains() on coordinates: floats, or numpy arrays elementwise."""
         return (
-            (-_SLACK <= x)
-            & (x <= self.x_d + _SLACK)
-            & (-_SLACK <= y)
-            & (y <= self.y_d + _SLACK)
-            & (self.h_min - _SLACK <= z)
-            & (z <= self.h_max + _SLACK)
+            -_SLACK <= p.x <= self.x_d + _SLACK
+            and -_SLACK <= p.y <= self.y_d + _SLACK
+            and self.h_min - _SLACK <= p.z <= self.h_max + _SLACK
         )
 
 
@@ -198,16 +191,19 @@ def _ring_cells(t, i_range, j_range, k_top):
     return (i.repeat(np.where(on_face, face.shape[1], rim.shape[1])), *np.concatenate(jk, axis=1))
 
 
-def _index_candidates(lo, hi, origin, step, n_min, n_max) -> np.ndarray:
-    """Indices in [n_min, n_max] whose coordinate origin + n * step may lie in [lo, hi].
-
-    One index of margin on each side absorbs rounding; the exact box test
-    runs on the coordinates.
-    """
-    return np.arange(
+def _axis_run(lo, hi, origin, step, n_min, n_max):
+    """(first, last, coordinates) of the indices n in [n_min, n_max] whose
+    coordinate origin + n * step lies in [lo, hi] up to _SLACK. One step of
+    margin around [lo, hi] absorbs rounding; coordinates grow with n, so the
+    hits form one run."""
+    n = np.arange(
         max(n_min, math.floor((lo - _SLACK - origin) / step) - 1),
         min(n_max, math.ceil((hi + _SLACK - origin) / step) + 1) + 1,
     )
+    c = origin + n * step
+    inside = (lo - _SLACK <= c) & (c <= hi + _SLACK)
+    first, last = n[inside][[0, -1]].tolist()
+    return first, last, c[inside]
 
 
 def los_adjusted_position(
@@ -232,9 +228,11 @@ def los_adjusted_position(
     axis of the box spans more than MAX_AXIS_STEPS grid steps.
 
     p_star's own cell is decided by ``los_indicator``. The box is a product
-    of three intervals, so each axis's in-box indices form one run, found
-    once with their coordinates and grid cells; a cell is a position on
-    each run. One ``los_route`` per role holds the runs (:class:`LosRoute`).
+    of three intervals and p_star lies in it, so one _axis_run call per axis
+    finds that axis's in-box indices, one run, with their coordinates;
+    quantize_axes snaps the coordinates to grid cells, and a cell is a
+    position on each run. One ``los_route`` per role holds the runs
+    (:class:`LosRoute`).
     Per ring, _ring_cells lists the ring's cells in (i, j, k) order, one
     S2V ``decide`` call decides them, then one V2D call decides the S2V
     hits. The coordinates and cells are the ones the cell-by-cell loop
@@ -264,20 +262,10 @@ def los_adjusted_position(
     t_h = math.ceil((box.h_max - box.h_min) / eh)
     t_cap = max(t_x, t_y, t_h)
 
-    # Each axis's in-box indices, their coordinates and grid cells. p_star
-    # lies in the box, so its other two coordinates leave one axis to test;
-    # a coordinate grows with its index, so each axis keeps one run.
-    i = _index_candidates(0.0, box.x_d, p_star.x, ex, -t_cap, t_cap)
-    j = _index_candidates(0.0, box.y_d, p_star.y, ey, -t_cap, t_cap)
-    k = _index_candidates(box.h_min, box.h_max, box.h_min, eh, 0, t_cap)
-    xs, ys, zs = p_star.x + i * ex, p_star.y + j * ey, box.h_min + k * eh
-    in_x = box.contains_xyz(xs, p_star.y, p_star.z)
-    in_y = box.contains_xyz(p_star.x, ys, p_star.z)
-    in_z = box.contains_xyz(p_star.x, p_star.y, zs)
-    i0, i1 = i[in_x][[0, -1]].tolist()
-    j0, j1 = j[in_y][[0, -1]].tolist()
-    k1 = int(k[in_z][-1])
-    xs, ys, zs = xs[in_x], ys[in_y], zs[in_z]
+    # p_star lies in the box, so each axis's own interval decides its run
+    i0, i1, xs = _axis_run(0.0, box.x_d, p_star.x, ex, -t_cap, t_cap)
+    j0, j1, ys = _axis_run(0.0, box.y_d, p_star.y, ey, -t_cap, t_cap)
+    _, k1, zs = _axis_run(box.h_min, box.h_max, box.h_min, eh, 0, t_cap)
     axes = env_real.quantize_axes(xs, ys, zs)
     s2v = env_real.los_route(ROLE_S2V, SOURCE, axes)
     v2d = env_real.los_route(ROLE_V2D, dn, axes)
@@ -292,7 +280,8 @@ def los_adjusted_position(
                 f"no LoS position within the probe budget of {LOS_PROBE_BUDGET} cells"
             )
         # the ring's cells as positions on the runs; V2D decides the S2V hits
-        bi, bj = bi - i0, bj - j0
+        bi -= i0
+        bj -= j0
         hit = s2v.decide(bi, bj, bk)
         bi, bj, bk = bi[hit], bj[hit], bk[hit]
         hit = v2d.decide(bi, bj, bk)

@@ -154,11 +154,12 @@ def n2_dense_best(h_sig: np.ndarray, h_int: np.ndarray, eta: float, cap: float) 
 
 def steering_vector(upa, angles) -> np.ndarray:
     """One UPA response, element by element as the formula reads: phase
-    2*pi*(d/lambda)*cos(el)*(m*cos(az) + n*sin(az)), m outermost."""
+    2*pi*(d/lambda)*cos(el)*(m*cos(az) + n*sin(az)), m outermost, with
+    d/lambda = 0.5."""
     m = np.arange(upa.rows, dtype=float)[:, None]
     n = np.arange(upa.cols, dtype=float)[None, :]
     proj = m * math.cos(angles.azimuth) + n * math.sin(angles.azimuth)
-    phase = 2.0 * math.pi * upa.spacing_over_lambda * math.cos(angles.elevation) * proj
+    phase = 2.0 * math.pi * 0.5 * math.cos(angles.elevation) * proj
     return np.exp(1j * phase).ravel()
 
 

@@ -22,6 +22,7 @@ from fdrelay.positioning import (
     FeasibleBox,
     LinkBudget,
     NoLosPositionError,
+    _axis_run,
     _ring_cells,
     _ring_tables,
     approx_upper_bounds,
@@ -177,6 +178,68 @@ class TestRingCells:
             assert not table.flags.writeable
 
 
+class TestAxisRun:
+    @staticmethod
+    def _scan(box, p, axis, origin, step, n_min, n_max):
+        """Every n in [n_min, n_max] whose point, p with coordinate ``axis``
+        moved to origin + n * step, the box contains: (first, last, coords)."""
+        hits = []
+        for n in range(n_min, n_max + 1):
+            c = origin + n * step
+            q = [p.x, p.y, p.z]
+            q[axis] = c
+            if box.contains(Vec3(*q)):
+                hits.append((n, c))
+        return hits[0][0], hits[-1][0], [c for _, c in hits]
+
+    def _run(self, box, p, axis, step, n_min, n_max):
+        """_axis_run on one axis of the box, as the search calls it, checked
+        against the scan."""
+        lo, hi, origin = (
+            (0.0, box.x_d, p.x), (0.0, box.y_d, p.y), (box.h_min, box.h_max, box.h_min)
+        )[axis]
+        first, last, coords = _axis_run(lo, hi, origin, step, n_min, n_max)
+        got = (first, last, coords.tolist())
+        assert got == self._scan(box, p, axis, origin, step, n_min, n_max)
+        return got
+
+    def test_edge_on_the_grid_up_to_rounding(self):
+        # 0.1 + 2 * 0.1 rounds above x_d = 0.3; the slack keeps that cell
+        box = _box(0.3, 1.0, 100.0, 110.0)
+        first, last, xs = self._run(box, Vec3(0.1, 0.5, 100.0), 0, 0.1, -5, 5)
+        assert (first, last) == (-1, 2)
+        assert xs[-1] > 0.3
+
+    def test_zero_extent_axis_keeps_the_clamped_cells(self):
+        # with a 1e-12 step, _SLACK spans 1000 steps each side; the clamp
+        # [n_min, n_max] is what keeps a single cell
+        box = _box(40.0, 0.0, 100.0, 110.0)
+        p = Vec3(20.0, 0.0, 100.0)
+        assert self._run(box, p, 1, 1e-12, 0, 0) == (0, 0, [0.0])
+        assert self._run(box, p, 1, 1e-12, -3, 3)[:2] == (-3, 3)
+
+    @pytest.mark.parametrize("step", [0.1, 0.7, 1.0, 3.0])
+    def test_heights_start_at_h_min(self, step):
+        box = _box(40.0, 30.0, 100.0, 110.0)
+        t_h = math.ceil(10.0 / step)
+        first, last, zs = self._run(box, Vec3(20.0, 15.0, 105.0), 2, step, 0, t_h)
+        assert first == 0 and zs[0] == 100.0
+        assert last in (t_h - 1, t_h)
+
+    def test_matches_the_scan_on_decimal_grids(self):
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            step = float(rng.choice([0.1, 0.3, 0.7, 1.0, 1.0 / 3.0]))
+            extent = round(float(rng.uniform(0.0, 5.0)), 1)
+            box = _box(extent, extent, 100.0, 100.0 + extent)
+            c = round(float(rng.uniform(0.0, extent)), 1)
+            p = Vec3(c, c, 100.0 + c)
+            t = math.ceil(extent / step) + 2
+            for axis in (0, 1):
+                self._run(box, p, axis, step, -t, t)
+            self._run(box, p, 2, step, 0, t)
+
+
 class _StubRealization(EnvironmentRealization):
     """LoS field overridden by an explicit set of allowed cells."""
 
@@ -229,11 +292,7 @@ class TestLosAdjustedPosition:
         out = los_adjusted_position(real, p_star, self._box(), self.DN)
         assert (out.x, out.y, out.z) == (21.0, 15.0, 100.0)
 
-    def test_tie_break_is_seeded_and_valid(self, monkeypatch):
-        # with 2-cell blocks the tied hits of ring 1 fall in different
-        # blocks; the V2D pass over the ring keeps their (i, j, k) order,
-        # which decides the tie-break draw
-        monkeypatch.setattr(positioning, "_BLOCK", 2)
+    def test_tie_break_is_seeded_and_valid(self):
         p_star = Vec3(20, 15, 100)
         ties = {(21, 15, 100), (19, 16, 100), (20, 16, 100), (20, 14, 100)}
         real = _StubRealization(ENV, ties)
@@ -274,7 +333,7 @@ class TestLosAdjustedPosition:
         assert box.contains(out)
 
     def test_reaches_the_box_corners(self):
-        # the ring blocks are clipped to the box; its far corners stay in reach
+        # the rings are clipped to the box; its far corners stay in reach
         p_star = Vec3(20, 15, 100)
         for corner in ((40, 30, 110), (0, 0, 110), (0, 30, 100), (40, 0, 105)):
             real = _StubRealization(ENV, {corner})

@@ -87,8 +87,8 @@ def _run_everything(tmp_path: Path) -> None:
         scenario = build_scenario(dict(workload.overrides))
         for trial_index in (0, 1):
             harness.run_trial(scenario, trial_index)
-    # the relay sits straight above the source, so the LoS route's screen
-    # sends its cells to the scalar rule
+    # the position command; the closed form puts the relay straight above
+    # the source (rho = 0), so its search decides S2V cells at 90 deg
     above = tmp_path / "above.cfg"
     above.write_text("p_s_tot_dbm = -60\n")
     assert main(["position", "--config", str(above)]) == 0
