@@ -18,7 +18,7 @@ import numpy as np
 from .channel import AngleSet, LinkSet, UpaSpec, steering_vector
 from .positioning import LinkBudget
 from .rates import EffectiveGains, PowerPair, achievable_rates, effective_gains, optimal_powers
-from .solver import solve_bf_subproblem, solver_error_context
+from .solver import SolverError, solve_bf_subproblem
 
 CM_TOL = 1e-9  # constant-modulus classification tolerance
 
@@ -290,8 +290,10 @@ def ais_iterate(state: AisState, links: LinkSet, budget: LinkBudget) -> AisState
     s2v, v2d, s2d, si = links.s2v, links.v2d, links.s2d, links.si
 
     def update(w: Beamformer, h_sig: np.ndarray, h_int: np.ndarray, mu: float, name: str) -> Beamformer:
-        with solver_error_context(f"AIS pass {state.k + 1}, {name}"):
+        try:
             return normalize_cm(solve_bf_subproblem(h_sig, h_int, sch.eta_floor + mu, w.cap), w.cap)
+        except SolverError as exc:
+            raise SolverError(f"AIS pass {state.k + 1}, {name}: {exc}") from exc
 
     mu1 = sch.mu_si / sch.kappa
     mu_si = mu1 / sch.kappa

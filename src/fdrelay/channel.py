@@ -18,7 +18,7 @@ import functools
 import hashlib
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -436,14 +436,19 @@ def channel_from_paths(
 
     The steering vectors of each side are built as one matrix. The rank-1
     terms are added in component order, one at a time; a matrix product
-    would reorder the sums and change the last bits.
+    would reorder the sums and change the last bits. Each term is formed in
+    one buffer, the outer product first, then times the gain as the left
+    operand, as in ``gain * np.outer(a, b)``; ``term *= gain`` rounds otherwise.
     """
     components = tuple(components)
     a_rx = steering_matrix(rx_upa, [comp.arrival for comp in components])
     a_tx_conj = steering_matrix(tx_upa, [comp.departure for comp in components]).conj()
     entries = np.zeros((rx_upa.n_tot, tx_upa.n_tot), dtype=complex)
+    term = np.empty_like(entries)
     for comp, row_rx, row_tx in zip(components, a_rx, a_tx_conj):
-        entries += comp.gain * np.outer(row_rx, row_tx)
+        np.multiply(row_rx[:, None], row_tx, term)
+        np.multiply(comp.gain, term, term)
+        entries += term
     return ChannelMatrix(entries=entries, role=role, components=components)
 
 
@@ -473,14 +478,11 @@ def build_farfield_channel(
         if env_real.los_indicator(role, ground, uav):
             _, los_angles = link_geometry(ground, uav)
             beta0 = los_path_gain(dist, env_real.env)
-            components.append(
-                PathComponent(
-                    gain=complex(beta0), departure=los_angles, arrival=los_angles, is_los=True
-                )
-            )
+            components.append(PathComponent(complex(beta0), los_angles, los_angles, is_los=True))
 
     for draw in env_real.nlos_draws(role):
-        components.append(replace(draw, gain=nlos_path_gain(dist, env_real.env, draw.gain)))
+        gain = nlos_path_gain(dist, env_real.env, draw.gain)
+        components.append(PathComponent(gain, draw.departure, draw.arrival, is_los=False))
 
     return channel_from_paths(role, components, tx_upa, rx_upa)
 

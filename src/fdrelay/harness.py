@@ -308,9 +308,7 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
     def misaligned(links: LinkSet) -> LinkSet:
         # each link set takes a fresh stream, so both draw the same block;
         # at delta 0 nothing is drawn and no stream is built
-        rng = None
-        if scenario.delta_m_deg:
-            rng = trial_rng(scenario.master_seed, trial_index, TAG_MISALIGN)
+        rng = trial_rng(scenario.master_seed, trial_index, TAG_MISALIGN) if scenario.delta_m_deg else None
         return apply_misalignment(links, scenario.delta_m_deg, rng)
 
     links_des_eval = misaligned(links_des)

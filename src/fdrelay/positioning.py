@@ -184,11 +184,14 @@ def _ring_cells(t, i_range, j_range, k_top):
     k in (i, j, k) order: x-slice i takes _ring_tables' face for |i| == t
     and its rim otherwise."""
     face, rim = _ring_tables(t, j_range, k_top)
-    i = np.arange(i_range[0], i_range[1] + 1)
-    on_face = np.abs(i) == t
-    rims = (rim[:, None] + np.zeros((i.size - on_face.sum(), 1), dtype=rim.dtype)).reshape(2, -1)
-    jk = [face] * (i_range[0] == -t) + [rims] + [face] * (i_range[1] == t)
-    return (i.repeat(np.where(on_face, face.shape[1], rim.shape[1])), *np.concatenate(jk, axis=1))
+    lo, hi = i_range
+    first, last = lo == -t, hi == t  # |i| <= t: only the end slices can be faces
+    # one count per x-slice; a bool bound leaves its end out when False
+    sizes = np.full(hi + 1 - lo, rim.shape[1])
+    sizes[:first] = sizes[sizes.size - last :] = face.shape[1]
+    rims = (rim[:, None] + np.zeros((sizes.size - first - last, 1), dtype=rim.dtype)).reshape(2, -1)
+    jk = [face] * first + [rims] + [face] * last
+    return (np.arange(lo, hi + 1).repeat(sizes), *np.concatenate(jk, axis=1))
 
 
 def _axis_run(lo, hi, origin, step, n_min, n_max):

@@ -34,16 +34,19 @@ smooth start needs anyway, before the exact test (see _kink_point), and
 each Weiszfeld step skips its exact anchor test when the step's own
 reciprocal sum rules an anchor out (see _weiszfeld). That screen rests on
 monotone rounding alone, so it holds for every input, and it switches
-itself off where a weight is zero or NaN. A magnitude needed twice (|i_hat|
-per solve, |resid| and |i_hat| per recovery rung) is taken once. The
-matched filter and the anchor set-up mask out zero, subnormal, NaN and
-non-carrier elements only where there are some. The Weiszfeld loop
-allocates its step arrays once per call (diff = points - z, d = |diff|,
-moment = points * inv, and a zeroed complex inv_c whose real part is
-inv = w / d), and each step writes into them through a ufunc's positional
-output argument, such as np.subtract(points, z, diff). A ufunc given an
-output array runs the same inner loop over the same operands as the
-expression that allocates its result, so only the allocation goes. Five
+itself off where a weight is zero or NaN. Each recovery rung forms its
+residual s_hat - z i_hat and that residual's magnitude once, for its dual
+value and its recovery, and |s_hat| and |i_hat| are taken once per solve.
+The matched filter and the anchor set-up mask out zero, subnormal, NaN and
+non-carrier elements only where there are some, and a recovery masks only
+where some residual is within its tolerance, zero or NaN. The anchor
+residuals are formed in one array, and the Weiszfeld loop allocates its
+step arrays once per call (diff = points - z, d = |diff|, moment =
+points * inv, and a zeroed complex inv_c whose real part is inv = w / d);
+each step writes into them through a ufunc's positional output argument,
+such as np.subtract(points, z, diff). A ufunc given an output array runs
+the same inner loop over the same operands as the expression that
+allocates its result, so only the allocation goes. Five
 facts of numpy 2.4.6 are relied on. np.abs of a complex array can differ
 by one ulp from the scalar abs(z), which is libm hypot, so an array that
 must reproduce a scalar abs(z) uses np.hypot. An elementwise ufunc gives
@@ -110,10 +113,6 @@ def _phase_align(w: np.ndarray, h_sig: np.ndarray) -> np.ndarray:
     if abs(c) == 0.0:
         return w
     return w * cmath.exp(1j * cmath.phase(c))
-
-
-def _dual_value(z: complex, s_hat: np.ndarray, i_hat: np.ndarray, eta: float, cap: float) -> float:
-    return cap * float(np.add.reduce(np.abs(s_hat - z * i_hat))) + eta * abs(z)
 
 
 def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
@@ -308,34 +307,30 @@ def _fill_free_elements(
 
 
 def _recover_primal(
-    z_star: complex,
-    s_hat: np.ndarray,
-    i_hat: np.ndarray,
-    eta: float,
-    cap: float,
-    tol: float,
+    z_star: complex, resid: np.ndarray, resid_mag: np.ndarray, s_mag: np.ndarray,
+    i_hat: np.ndarray, i_mag: np.ndarray, eta: float, cap: float, tol: float,
 ) -> np.ndarray:
     """Closed-form primal from the dual minimizer.
 
-    Elements whose residual s_hat - z*i_hat is nonzero (above ``tol``, relative)
-    saturate the cap along the residual phase; the residual-zero group absorbs
-    the interference, filled greedily so at most one element stays strictly
-    inside its cap.
+    Elements whose residual ``resid`` = s_hat - z*i_hat is nonzero (above
+    ``tol``, relative) saturate the cap along the residual phase; the
+    residual-zero group absorbs the interference, filled greedily so at most
+    one element stays strictly inside its cap. ``resid_mag``, ``s_mag`` and
+    ``i_mag`` are |resid|, |s_hat| and |i_hat|.
     With z* nonzero the constraint is active at phase -arg(z*); with z* zero
     the constraint is slack at the optimum, so the free elements only cancel
     whatever leakage exceeds the cap eta.
     """
-    n = s_hat.size
-    w = np.zeros(n, dtype=complex)
-    resid = s_hat - z_star * i_hat
-    resid_mag, i_mag = np.abs(resid), np.abs(i_hat)
     # the absolute floor matters: on the normalized problem an element whose
     # residual is below tol contributes nothing to the objective but may
     # carry full interference-cancellation capacity
-    scale = np.abs(s_hat) + abs(z_star) * i_mag
-    active = resid_mag <= tol * np.maximum(scale, 1.0)
-    outside = ~active
-    nz = outside & (resid_mag > 0)
+    floor = tol * np.maximum(s_mag + abs(z_star) * i_mag, 1.0)
+    if np.logical_and.reduce(resid_mag > floor):
+        # no free element and no zero residual: every element saturates
+        return cap * resid / resid_mag
+    w = np.zeros(resid.size, dtype=complex)
+    active = resid_mag <= floor
+    nz = ~active & (resid_mag > 0)
     w[nz] = cap * resid[nz] / resid_mag[nz]
 
     rest = complex(np.vdot(w, i_hat))
@@ -441,9 +436,10 @@ def solve_bf_subproblem_report(
     np.multiply(cap, mag_c, all_weights[:m])
     all_weights[m] = eta_hat
 
-    # D at every anchor; hypot gives the bits of _dual_value's abs(z)
+    # D at every anchor; hypot gives the bits of a rung's abs(z)
     mags = np.hypot(all_points.real, all_points.imag)
-    resid = s_hat - all_points[:, None] * i_hat
+    resid = np.multiply(all_points[:, None], i_hat)
+    np.subtract(s_hat, resid, resid)
     d_vals = cap * np.add.reduce(np.abs(resid), axis=1) + eta_hat * mags
     z_star = _kink_point(all_points, all_weights, mags, d_vals, cap * h_sig.size)
     smooth = z_star is None
@@ -469,21 +465,20 @@ def solve_bf_subproblem_report(
     rungs = [(z_star, 1e-12), (z_star, 1e-8), (z_star, 1e-6)]
     if 0.0 < abs(z_star) <= 1e-6:
         rungs.append((0j, 1e-6))
+    s_mag = np.abs(s_hat)
     for z, tol in rungs:
-        dual_hat = _dual_value(z, s_hat, i_hat, eta_hat, cap)
-        w = _recover_primal(z, s_hat, i_hat, eta_hat, cap, tol)
+        resid = s_hat - z * i_hat
+        resid_mag = np.abs(resid)
+        dual_hat = cap * float(np.add.reduce(resid_mag)) + eta_hat * abs(z)
+        w = _recover_primal(z, resid, resid_mag, s_mag, i_hat, i_mag, eta_hat, cap, tol)
         w = _feasibility_polish(w, i_hat, eta_hat, cap)
         w = _phase_align(w, h_sig)
         # gap and violations on the normalized problem, bounds in original scaling
         primal = float(np.vdot(w, s_hat).real)
         info = SolveInfo(
-            primal * sig_norm,
-            dual_hat * sig_norm,
-            (dual_hat - primal) / max(1.0, dual_hat),
+            primal * sig_norm, dual_hat * sig_norm, (dual_hat - primal) / max(1.0, dual_hat),
             max(0.0, abs(np.vdot(w, i_hat)) - eta_hat),
-            max(0.0, float(np.maximum.reduce(np.abs(w))) - cap),
-            "dual",
-            z,
+            max(0.0, float(np.maximum.reduce(np.abs(w))) - cap), "dual", z,
         )
         if _certified(info):
             return w, info

@@ -2,9 +2,10 @@
 
 Each oracle recomputes an answer from the raw problem statement with dense
 search instead of the library's algebra, so agreement is evidence rather
-than tautology. ``weiszfeld``, ``kink_point``, ``los_indicator`` and
-``los_ring_search`` are the exceptions: they are the plain loops that the
-solver's screened Weiszfeld step and kink test, ``channel.LosRoute``,
+than tautology. ``weiszfeld``, ``kink_point``, ``recover_primal``,
+``los_indicator`` and ``los_ring_search`` are the exceptions: they are the
+plain loops and the masked construction that the solver's screened
+Weiszfeld step, kink test and primal recovery, ``channel.LosRoute``,
 ``EnvironmentRealization.los_indicator`` and the array LoS ring search must
 reproduce bit for bit. ``quantize`` and ``hash_uniform`` define the LoS
 field's grid snap and uniform draw, one point at a time.
@@ -12,6 +13,7 @@ field's grid snap and uniform draw, one point at a time.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 
@@ -27,7 +29,7 @@ from fdrelay.channel import (
     los_probability,
 )
 from fdrelay.positioning import NoLosPositionError
-from fdrelay.solver import _NORMAL_MIN, _WEISZFELD_ITERS, SolverError
+from fdrelay.solver import _NORMAL_MIN, _WEISZFELD_ITERS, SolverError, _fill_free_elements
 
 
 def rho_grid_argmax(
@@ -229,6 +231,28 @@ def kink_point(points: np.ndarray, weights: np.ndarray, *screen_args):
         if abs(pull) <= weights[same].sum() * (1.0 + 1e-12):
             return p
     return None
+
+
+def recover_primal(z_star, s_hat, i_hat, eta, cap, tol):
+    """The closed-form primal, built on masks whatever the residuals: each
+    element whose residual lies above its tolerance and is nonzero saturates
+    the cap along the residual phase, and the free elements (within
+    tolerance, nonzero interference) take the greedy fill."""
+    w = np.zeros(s_hat.size, dtype=complex)
+    resid = s_hat - z_star * i_hat
+    resid_mag, i_mag = np.abs(resid), np.abs(i_hat)
+    active = resid_mag <= tol * np.maximum(np.abs(s_hat) + abs(z_star) * i_mag, 1.0)
+    nz = ~active & (resid_mag > 0)
+    w[nz] = cap * resid[nz] / resid_mag[nz]
+    rest = complex(np.vdot(w, i_hat))
+    if abs(z_star) == 0.0:
+        if abs(rest) <= eta:
+            return w
+        target = eta * cmath.exp(1j * cmath.phase(rest))
+    else:
+        target = eta * cmath.exp(-1j * cmath.phase(z_star))
+    _fill_free_elements(w, np.flatnonzero(active & (i_mag > 0)), i_hat, target - rest, cap)
+    return w
 
 
 def quantize(env_real, position):

@@ -17,12 +17,14 @@ from fdrelay.channel import (
     DegenerateGeometryError,
     EnvParams,
     EnvironmentRealization,
+    PathComponent,
     UpaSpec,
     Vec3,
     _digest_uniforms,
     build_farfield_channel,
     build_links,
     build_si_channel,
+    channel_from_paths,
     link_geometry,
     los_path_gain,
     los_probability,
@@ -547,7 +549,7 @@ class TestLosRuleEdges:
             assert out.dtype == bool and out.shape == (0,)
 
     @pytest.mark.parametrize("sign", [-1, 0, 1])
-    def test_near_tie_takes_the_scalar_route(self, sign):
+    def test_near_tie_is_decided_alike(self, sign):
         # a cell whose uniform lies on its probability, with los_b at the
         # tie and an ulp either side, is decided alike by the route among
         # 299 other cells and by los_indicator alone
@@ -601,6 +603,29 @@ class TestFarfieldChannel:
             a_tx = steering_vector(UpaSpec(2, 2), comp.departure)
             acc += comp.gain * np.outer(a_rx, a_tx.conj())
         assert np.allclose(ch.entries, acc, atol=1e-18)
+
+    @pytest.mark.parametrize("size", [4, 8])
+    @pytest.mark.parametrize("los", [False, True])
+    def test_ray_sum_has_the_plain_sum_bits(self, size, los):
+        # each term formed in one buffer, gain times the outer product, and
+        # added in component order: the bits of the plain accumulation
+        rng = np.random.default_rng(10 * size + los)
+        upa = UpaSpec(size, size)
+
+        def angles():
+            return AngleSet(rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, 2.0 * math.pi))
+
+        comps = [PathComponent(complex(*rng.normal(0.0, 1e-6, 2)), angles(), angles(), False)
+                 for _ in range(4)]
+        if los:
+            a = angles()
+            comps.insert(0, PathComponent(complex(rng.uniform(1e-6, 1e-4)), a, a, True))
+        acc = np.zeros((size * size, size * size), dtype=complex)
+        for comp in comps:
+            a_rx, a_tx = steering_vector(upa, comp.arrival), steering_vector(upa, comp.departure)
+            acc += comp.gain * np.outer(a_rx, a_tx.conj())
+        ch = channel_from_paths(ROLE_S2V, comps, upa, upa)
+        assert ch.entries.tobytes() == acc.tobytes()
 
     def test_shape_is_rx_by_tx(self):
         ch = self._channel(ROLE_S2V)

@@ -18,7 +18,7 @@ from fdrelay.solver import (
     solve_bf_subproblem,
     solve_bf_subproblem_report,
 )
-from oracles import kink_point, n2_dense_best, weiszfeld
+from oracles import kink_point, n2_dense_best, recover_primal, weiszfeld
 
 
 def _instance(rng, n):
@@ -143,6 +143,28 @@ class TestCertificates:
         assert solver._certified(info)
         assert seen[0][0].tobytes() == anchors.tobytes()
         assert seen[0][1].tobytes() == anchor_weights.tobytes()
+
+    @pytest.mark.parametrize("case", ["all_normal", "zero", "kink", "nan", "origin", "origin_kink"])
+    def test_recovery_has_the_masked_bits(self, case):
+        # every residual above its tolerance takes the whole-array recovery;
+        # a zero residual, one within tolerance (a kink, a free element) or
+        # a NaN one takes the masked construction; both give its bits
+        s_hat, i_hat = _instance(np.random.default_rng(12), 8)
+        s_hat, i_hat = s_hat / np.linalg.norm(s_hat), i_hat / np.linalg.norm(i_hat)
+        z = 0j if case.startswith("origin") else 0.3 - 0.4j
+        if case == "zero":
+            s_hat[3] = (z * i_hat)[3]
+        elif case.endswith("kink"):
+            s_hat[3] = (z * i_hat)[3] + 3e-14j
+        elif case == "nan":
+            s_hat[3] = complex("nan")
+        cap, eta, tol = 1.0 / math.sqrt(8), 0.05, 1e-12
+        resid = s_hat - z * i_hat
+        resid_mag, s_mag, i_mag = np.abs(resid), np.abs(s_hat), np.abs(i_hat)
+        whole = np.all(resid_mag > tol * np.maximum(s_mag + abs(z) * i_mag, 1.0))
+        assert whole == (case in ("all_normal", "origin"))
+        w = solver._recover_primal(z, resid, resid_mag, s_mag, i_hat, i_mag, eta, cap, tol)
+        assert w.tobytes() == recover_primal(z, s_hat, i_hat, eta, cap, tol).tobytes()
 
     @pytest.mark.parametrize("sig_flat, int_flat, eta_frac", [
         ([-2.0, 0.0, 0.0, 1e-08, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
