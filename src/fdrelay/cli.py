@@ -3,7 +3,7 @@
 `position`, `converge` and `trial` run the one trial named by --trial-index,
 so any trial of a sweep replays from its config, seed and trial index.
 Exit codes: 0 success, 2 configuration or usage error (a value that overflows
-a float included), 3 numerical failure.
+a float included), 3 numerical failure or out of memory.
 All CSV output uses ',' separators and '.' decimals; reruns with the same
 seed and arguments produce byte-identical files.
 """
@@ -78,7 +78,8 @@ def _scenario_from_args(args: argparse.Namespace, **flags: int | None) -> Scenar
     overrides = load_config(args.config) if args.config else {}
     flags["master_seed"] = args.seed
     overrides.update({key: value for key, value in flags.items() if value is not None})
-    return build_scenario(overrides)
+    args.scenario = build_scenario(overrides)  # main names its panels on a MemoryError
+    return args.scenario
 
 
 @contextlib.contextmanager
@@ -221,6 +222,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        sc = args.scenario
+        sizes = ", ".join(f"{u.rows}x{u.cols}" for u in (sc.upa_s, sc.upa_r, sc.upa_t, sc.upa_d))
+        print(f"out of memory at panels s, r, t, d of {sizes} elements", file=sys.stderr)
         return 3
 
 

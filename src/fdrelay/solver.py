@@ -23,42 +23,42 @@ even within 1e-9, is a real multiplier: zeroing it saturates that point's
 element along a noise phase, which can miss the interference cap.
 
 Bit identity. The seeded outputs of every trial are fixed, so the loops are
-made cheaper without moving an output bit: reductions call the ufunc
-directly (np.add.reduce gives the bits of np.sum on the same 1-D operand),
-loop invariants are hoisted, numpy's Python wrappers are replaced by the
-expressions they evaluate (np.linalg.norm of a complex vector is
-sqrt(re.re + im.im), np.max is np.maximum.reduce, np.argmin(a) is
-a.argmin(), np.flatnonzero(m) of a 1-D m is m.nonzero()[0]), the kink
-test screens its candidates by the values of D at the anchors, which the
-smooth start needs anyway, before the exact test (see _kink_point), and
-each Weiszfeld step skips its exact anchor test when the step's own
-reciprocal sum rules an anchor out (see _weiszfeld). That screen rests on
-monotone rounding alone, so it holds for every input, and it switches
-itself off where a weight is zero or NaN. Each recovery rung forms its
-residual s_hat - z i_hat and that residual's magnitude once, for its dual
-value and its recovery, and |s_hat| and |i_hat| are taken once per solve.
-The matched filter and the anchor set-up mask out zero, subnormal, NaN and
-non-carrier elements only where there are some, and a recovery masks only
-where some residual is within its tolerance, zero or NaN. The anchor
-residuals are formed in one array, and the Weiszfeld loop allocates its
-step arrays once per call (diff = points - z, d = |diff|, moment =
-points * inv, and a zeroed complex inv_c whose real part is inv = w / d);
-each step writes into them through a ufunc's positional output argument,
-such as np.subtract(points, z, diff). A ufunc given an output array runs
-the same inner loop over the same operands as the expression that
-allocates its result, so only the allocation goes. Five
-facts of numpy 2.4.6 are relied on. np.abs of a complex array can differ
-by one ulp from the scalar abs(z), which is libm hypot, so an array that
-must reproduce a scalar abs(z) uses np.hypot. An elementwise ufunc gives
-an element the same bits over a whole array as over a masked part of it,
-so np.abs(x)[mask] stands for np.abs(x[mask]). A reduction along the last
-axis of a contiguous 2-D array gives each row the bits of np.sum on that
-row, so _newton_polish sums its three Hessian rows in one call.
-np.add.reduce sums a strided 1-D view, such as inv, in the order of a
-contiguous copy. And numpy has no complex x float64 loop: it casts the
-float64 x to (x, +0.0) in a buffer and runs the complex loop, so
-points * inv_c gives the bits of points * inv without the cast.
-tests/test_solver.py pins the outputs of a seeded battery by sha256.
+made cheaper without moving an output bit. Reductions call the ufunc
+directly (np.add.reduce gives the bits of np.sum on a 1-D operand), and
+numpy's Python wrappers give way to the expressions they evaluate
+(np.linalg.norm of a complex vector is sqrt(re.re + im.im), np.max is
+np.maximum.reduce, np.argmin(a) is a.argmin(), np.flatnonzero(m) of a 1-D m
+is m.nonzero()[0]). _kink_point and _weiszfeld screen their exact tests.
+Each recovery rung forms s_hat - z i_hat and its magnitude once, |s_hat|
+and |i_hat| are taken once per solve, and the anchor residuals are one
+array. The matched filter and the anchor set-up mask out zero, subnormal,
+NaN and non-carrier elements only where there are some, and a recovery
+masks only where some residual is within its tolerance, zero or NaN. The
+Weiszfeld loop allocates its step arrays once per call (diff = points - z,
+d = |diff|, moment = points * inv, and a zeroed complex inv_c whose real
+part is inv = w / d) and writes into them through a ufunc's positional
+output. A step on ~17 elements costs what numpy charges per call, and a
+fresh numpy scalar, or a Python scalar converted to an array, adds to that.
+So the Weiszfeld and Newton steps pass their scalars through 0-d arrays
+made once per call: the iterate goes into a 0-d complex z_buf that the
+subtraction takes, np.subtract(points, z_buf, diff), and a sum reduces into
+a 0-d float, np.add.reduce(inv, 0, None, s_buf), which .item() reads back
+as a Python float. These facts of numpy 2.4.6 are relied on. A ufunc given
+an output array, 0-d included, runs the inner loop of the expression that
+allocates its result, over the same operands. A 0-d complex128 holding a
+Python complex is the operand that complex becomes, .item() returns the
+exact double, and np.complex128 / float divides by the value np.float64
+held. np.abs of a complex array can differ by one ulp from the scalar
+abs(z), which is libm hypot, so an array that must reproduce a scalar
+abs(z) uses np.hypot. An elementwise ufunc gives an element the same bits
+over a whole array as over a masked part of it, so np.abs(x)[mask] stands
+for np.abs(x[mask]). A reduction along the last axis of a contiguous 2-D
+array gives each row the bits of np.sum on that row, so _newton_polish sums
+its three Hessian rows in one call. np.add.reduce sums a strided 1-D view,
+such as inv, in the order of a contiguous copy. And numpy has no complex x
+float64 loop: it casts the float64 x to (x, +0.0) in a buffer and runs the
+complex loop, so points * inv_c gives the bits of points * inv without the
+cast. tests/test_solver.py pins the outputs of a seeded battery by sha256.
 """
 
 from __future__ import annotations
@@ -145,15 +145,17 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
     diff, moment = np.empty_like(points), np.empty_like(points)
     d, inv_c = np.empty(points.shape), np.zeros(points.shape, dtype=complex)
     inv = inv_c.real
+    s_buf, z_buf = np.empty(()), np.empty((), dtype=complex)
     z = z0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_WEISZFELD_ITERS):
-            subtract(points, z, diff)
+            z_buf[()] = z
+            subtract(points, z_buf, diff)
             absolute(diff, d)
             scale = 1.0 + abs(z)
             tie = _TIE * scale
             divide(weights, d, inv)
-            s = add(inv)
+            s = add(inv, 0, None, s_buf).item()
             if not s < w_min / tie and fmin(d) <= tie:
                 # sitting on an anchor: step off along the descent direction;
                 # the anchors within the kink test's tie tolerance count as
@@ -190,15 +192,17 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
 def _newton_polish(z: complex, points: np.ndarray, weights: np.ndarray) -> complex:
     """Damped Newton on the smooth Fermat-Weber objective near the optimum."""
     absolute, add, fmin = np.abs, np.add.reduce, np.fmin.reduce
+    z_buf, f_buf = np.empty((), dtype=complex), np.empty(())
 
     def value(zz: complex) -> float:
-        return float(add(weights * absolute(points - zz)))
+        z_buf[()] = zz
+        return add(weights * absolute(points - z_buf), 0, None, f_buf).item()
 
     grad_floor = 1e-15 * add(weights)
     f = value(z)
     hess = np.empty((3, points.size))  # rows summed in one call (see "Bit identity")
     for _ in range(_NEWTON_ITERS):
-        d = z - points
+        d = z_buf - points  # value() last wrote z into z_buf
         r = absolute(d)
         if fmin(r) < 1e-300:
             break
@@ -270,10 +274,10 @@ def _kink_point(
         same = np.abs(points - p) <= _TIE * (1.0 + abs(p))
         same[idx] = True
         # with every point tied to p the pull is an empty sum, 0
-        rest_p = points[~same]
-        rest_w = weights[~same]
-        u = (p - rest_p) / np.abs(p - rest_p)
-        if abs(complex(np.add.reduce(rest_w * u))) <= np.add.reduce(weights[same]) * (1.0 + 1e-12):
+        rest = ~same
+        toward = p - points[rest]
+        u = toward / np.abs(toward)
+        if abs(complex(np.add.reduce(weights[rest] * u))) <= np.add.reduce(weights[same]) * (1.0 + 1e-12):
             return p
     return None
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fdrelay
-from fdrelay import beamforming, cli, harness
+from fdrelay import beamforming, channel, cli, harness
 from fdrelay.cli import main
 from fdrelay.config import ConfigError, DEFAULTS, build_scenario, load_config, parse_config
 from fdrelay.harness import Scenario, place_relay, run_trial
@@ -324,6 +324,22 @@ class TestExitCodes:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "master_seed=7 trial_index=1: random position: AIS pass 2, w_s: stub failure" in err
+
+    @pytest.mark.parametrize("argv", [["trial"], ["converge"], ["sweep", "--sweep", "delta_m_deg=0"]])
+    def test_out_of_memory_exits_3_naming_the_panels(self, argv, tmp_path, monkeypatch, capsys):
+        # a stand-in for the allocation that fails first at 64x64 panels;
+        # no real allocation is attempted
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 384. MiB for an array with shape (4096, 4096, 3)")
+
+        monkeypatch.setattr(channel, "si_element_distances", no_memory)
+        path = tmp_path / "panels.cfg"
+        path.write_text(FAST_CFG + "m_s = 1\nn_s = 2\nm_r = 3\nn_r = 4\nm_t = 2\nn_t = 1\nm_d = 4\nn_d = 3\n")
+        out = tmp_path / "o.csv"
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "out of memory at panels s, r, t, d of 1x2, 3x4, 2x1, 4x3 elements\n"
+        assert not out.exists()
 
     def test_trial_index_and_flag_scope(self, fast_config, capsys):
         assert main(["trial", "--config", fast_config, "--trial-index", "-1"]) == 2

@@ -18,7 +18,7 @@ from fdrelay.solver import (
     solve_bf_subproblem,
     solve_bf_subproblem_report,
 )
-from oracles import kink_point, n2_dense_best, recover_primal, weiszfeld
+from oracles import kink_point, n2_dense_best, newton_polish, recover_primal, weiszfeld
 
 
 def _instance(rng, n):
@@ -602,6 +602,15 @@ def _weiszfeld_cases(draw):
     return points, weights, z0
 
 
+# trials of the three trialbench workloads
+_WORKLOAD_OVERRIDES = pytest.mark.parametrize("overrides", [
+    {},
+    {**{key: 8 for key in ("m_s", "n_s", "m_r", "n_r", "m_t", "n_t", "m_d", "n_d")},
+     "delta_m_deg": 10.0},
+    {"los_a": 27.23, "los_b": 0.08, "dn_rule": "fixed", "dn_x": 560.0, "dn_y": 420.0},
+], ids=["paper_default", "large_array_misaligned", "los_starved"])
+
+
 class TestWeiszfeldScreen:
     """The screened Weiszfeld loop returns the bits of the loop that tests
     every step for an anchor (tests/oracles.py), and warns nowhere."""
@@ -651,18 +660,25 @@ class TestWeiszfeldScreen:
         elif all(np.isfinite(points)):
             assert all(math.isfinite(part) for part in (float.fromhex(h) for h in new))
 
+    def test_rescaled_mean_steps_finish_as_the_unscreened_loop(self):
+        # every w / d is subnormal, so every mean step lifts the weights by
+        # 2**512, and the loop still converges: it takes the mean steps of
+        # the lifted weights, bit for bit
+        rng = np.random.default_rng(5)
+        points = rng.normal(size=17) + 1j * rng.normal(size=17)
+        weights, z0 = rng.uniform(1.0, 2.0, 17) * 1e-311, 0.1 + 0.1j
+        assert np.add.reduce(weights / np.abs(points - z0)) < solver._NORMAL_MIN
+        new, ref = self._both(points, weights, z0)
+        assert new == ref == _bits(solver._weiszfeld(points, weights * 2.0**512, z0))
+        assert new != _bits(z0)
+
     @given(case=_weiszfeld_cases())
     @settings(max_examples=300)
     def test_matches_unscreened_loop(self, case):
         new, ref = self._both(*case)
         assert new == ref
 
-    @pytest.mark.parametrize("overrides", [
-        {},
-        {**{key: 8 for key in ("m_s", "n_s", "m_r", "n_r", "m_t", "n_t", "m_d", "n_d")},
-         "delta_m_deg": 10.0},
-        {"los_a": 27.23, "los_b": 0.08, "dn_rule": "fixed", "dn_x": 560.0, "dn_y": 420.0},
-    ], ids=["paper_default", "large_array_misaligned", "los_starved"])
+    @_WORKLOAD_OVERRIDES
     def test_trial_calls_match_unscreened_loop(self, overrides, monkeypatch):
         calls = []
         screened = solver._weiszfeld
@@ -679,6 +695,46 @@ class TestWeiszfeldScreen:
         assert len(calls) > 10
         for points, weights, z0, z in calls:
             assert _bits(z) == _bits(weiszfeld(points, weights, z0))
+
+
+class TestNewtonBuffers:
+    """The buffered Newton polish returns the bits of the plain loop, which
+    forms each value and step from fresh arrays (tests/oracles.py)."""
+
+    def test_seeded_instances_match_plain_loop(self):
+        moved = 0
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 66))
+            points = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10 ** rng.uniform(-3, 3)
+            weights = rng.uniform(0.01, 1.0, n)
+            # a cold start, and one a little off the Weiszfeld point, where
+            # the line search compares values that differ in the last bits
+            median = weiszfeld(points, weights, complex(rng.normal(), rng.normal()))
+            for z0 in (complex(rng.normal(), rng.normal()), median * (1 + 1e-9j)):
+                z = solver._newton_polish(z0, points, weights)
+                assert _bits(z) == _bits(newton_polish(z0, points, weights)), (seed, z0)
+                moved += z != z0
+        assert moved > 200
+
+    @_WORKLOAD_OVERRIDES
+    def test_trial_calls_match_plain_loop(self, overrides, monkeypatch):
+        calls = []
+        buffered = solver._newton_polish
+
+        def spy(z0, points, weights):
+            z = buffered(z0, points, weights)
+            calls.append((z0, points.copy(), weights.copy(), z))
+            return z
+
+        monkeypatch.setattr(solver, "_newton_polish", spy)
+        scenario = config.build_scenario(overrides)
+        # large_array_misaligned's first polish that moves is in trial 2
+        for trial in range(4):
+            harness.run_trial(scenario, trial)
+        assert len(calls) > 10 and any(z != z0 for z0, _, _, z in calls)
+        for z0, points, weights, z in calls:
+            assert _bits(z) == _bits(newton_polish(z0, points, weights))
 
 
 class TestNumericBranches:
