@@ -124,7 +124,8 @@ def normalize_cm(w: np.ndarray, cap: float) -> Beamformer:
     The division forms 1 / |w|, which overflows for |w| <= 2**-1024, so such
     an element is first lifted by an exact power of two, as in the matched
     filter; that leaves its phase alone. Without such an element, or a NaN,
-    the masked division below gives every element the bits of the plain one.
+    the plain division skips the mask and gives every element the bits of
+    the masked one (BENCH_22.json).
     """
     w = np.asarray(w, dtype=complex)
     mags = np.abs(w)

@@ -268,7 +268,8 @@ def _digest_uniforms(digests: bytes) -> np.ndarray:
     """The LoS field's uniform in [0, 1) of each 32-byte sha256 digest in
     ``digests``: its first 8 bytes as a big-endian integer over 2**64.
 
-    numpy rounds the uint64 to float64 to nearest, as ``int / float`` does.
+    numpy rounds the uint64 to float64 to nearest, as ``int / float`` does
+    (BENCH_10.json).
     """
     return np.frombuffer(digests, ">u8")[::4] / 2.0**64
 
@@ -390,8 +391,8 @@ class LosRoute:
     ``b"master_seed|trial_index|role|%d|" % i`` once per run of consecutive
     cells with the same bi and copies that sha256 state per cell, so each
     cell hashes the bytes of its ``"master_seed|trial_index|role|i|j|k"``
-    key. Then one _los_rule call decides every cell. A pass leaves no state
-    behind.
+    key (BENCH_17.json, BENCH_19.json). Then one _los_rule call decides
+    every cell. A pass leaves no state behind.
     """
 
     def __init__(self, real: EnvironmentRealization, role: str, ground: Vec3, axes) -> None:
@@ -436,19 +437,14 @@ def channel_from_paths(
 
     The steering vectors of each side are built as one matrix. The rank-1
     terms are added in component order, one at a time; a matrix product
-    would reorder the sums and change the last bits. Each term is formed in
-    one buffer, the outer product first, then times the gain as the left
-    operand, as in ``gain * np.outer(a, b)``; ``term *= gain`` rounds otherwise.
+    would reorder the sums and change the last bits.
     """
     components = tuple(components)
     a_rx = steering_matrix(rx_upa, [comp.arrival for comp in components])
     a_tx_conj = steering_matrix(tx_upa, [comp.departure for comp in components]).conj()
     entries = np.zeros((rx_upa.n_tot, tx_upa.n_tot), dtype=complex)
-    term = np.empty_like(entries)
     for comp, row_rx, row_tx in zip(components, a_rx, a_tx_conj):
-        np.multiply(row_rx[:, None], row_tx, term)
-        np.multiply(comp.gain, term, term)
-        entries += term
+        entries += comp.gain * np.outer(row_rx, row_tx)
     return ChannelMatrix(entries=entries, role=role, components=components)
 
 
@@ -514,8 +510,13 @@ def si_element_distances(env: EnvParams, tx_upa: UpaSpec, rx_upa: UpaSpec) -> np
     offset = env.panel_separation * env.wavelength
     tx_pos = _panel_element_positions(tx_upa, env, 0.0)
     rx_pos = _panel_element_positions(rx_upa, env, offset)
-    diff = rx_pos[:, None, :] - tx_pos[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    # ((0 + dx²) + dy²) + dz² in place: np.sum's bits over an (N_r, N_t, 3) diff (BENCH_28.json)
+    dist = np.zeros((rx_upa.n_tot, tx_upa.n_tot))
+    axis = np.empty_like(dist)
+    for k in range(3):
+        np.subtract.outer(rx_pos[:, k], tx_pos[:, k], out=axis)
+        dist += np.multiply(axis, axis, out=axis)
+    return np.sqrt(dist, out=dist)
 
 
 @functools.cache

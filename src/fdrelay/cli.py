@@ -23,6 +23,7 @@ import sys
 from .channel import Vec3
 from .config import ConfigError, build_scenario, load_config
 from .harness import OutputRow, Scenario, SweepSpec, place_relay, run_sweep, run_trial
+from .harness import PanelMemoryError, panel_memory_context
 from .positioning import approx_upper_bounds
 from .solver import SolverError
 
@@ -78,8 +79,7 @@ def _scenario_from_args(args: argparse.Namespace, **flags: int | None) -> Scenar
     overrides = load_config(args.config) if args.config else {}
     flags["master_seed"] = args.seed
     overrides.update({key: value for key, value in flags.items() if value is not None})
-    args.scenario = build_scenario(overrides)  # main names its panels on a MemoryError
-    return args.scenario
+    return build_scenario(overrides)
 
 
 @contextlib.contextmanager
@@ -125,7 +125,7 @@ _CONVERGE_FIELDS = ("iteration", "rate", "si_gain", "s2d_gain", "p_s", "p_v")
 
 def cmd_converge(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    with _open_out(args.out) as out:
+    with _open_out(args.out) as out, panel_memory_context(scenario):
         result = run_trial(scenario, args.trial_index)
         traces = zip(result.rate_trace, result.si_gain_trace, result.s2d_gain_trace, result.power_trace)
         rows = [(k, rate, si, s2d, *powers) for k, (rate, si, s2d, powers) in enumerate(traces)]
@@ -175,7 +175,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_trial(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    with _open_out(args.out) as out:
+    with _open_out(args.out) as out, panel_memory_context(scenario):
         result = run_trial(scenario, args.trial_index)
         doc = {
             "trial_index": result.trial_index,
@@ -223,10 +223,8 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except MemoryError:
-        sc = args.scenario
-        sizes = ", ".join(f"{u.rows}x{u.cols}" for u in (sc.upa_s, sc.upa_r, sc.upa_t, sc.upa_d))
-        print(f"out of memory at panels s, r, t, d of {sizes} elements", file=sys.stderr)
+    except MemoryError as exc:
+        print(exc if isinstance(exc, PanelMemoryError) else "out of memory", file=sys.stderr)
         return 3
 
 

@@ -10,6 +10,7 @@ comparisons.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -357,6 +358,21 @@ def _run_trial_tuple(args: tuple[Scenario, int]) -> TrialResult:
         return run_trial(scenario, trial_index)
 
 
+class PanelMemoryError(MemoryError):
+    """Out of memory in a trial; the message names the scenario's panels."""
+
+
+@contextlib.contextmanager
+def panel_memory_context(scenario: Scenario):
+    """Re-raise a MemoryError raised within as a PanelMemoryError."""
+    try:
+        yield
+    except MemoryError as exc:
+        upas = (scenario.upa_s, scenario.upa_r, scenario.upa_t, scenario.upa_d)
+        sizes = ", ".join(f"{u.rows}x{u.cols}" for u in upas)
+        raise PanelMemoryError(f"out of memory at panels s, r, t, d of {sizes} elements") from exc
+
+
 def run_trials(scenario: Scenario) -> list[TrialResult]:
     """All trials of a scenario in trial-index order, whatever the worker count."""
     jobs = [(scenario, i) for i in range(scenario.trials)]
@@ -460,6 +476,6 @@ def run_sweep(spec: SweepSpec) -> list[OutputRow]:
     scenarios = [apply_sweep_value(spec.base, spec.param, value) for value in spec.values]
     rows: list[OutputRow] = []
     for value, scenario in zip(spec.values, scenarios):
-        results = run_trials(scenario)
-        rows.extend(aggregate(results, spec.param, value))
+        with panel_memory_context(scenario):
+            rows.extend(aggregate(run_trials(scenario), spec.param, value))
     return rows

@@ -22,43 +22,37 @@ tolerance (_TIE = 1e-12), where it is the origin's kink. One further out,
 even within 1e-9, is a real multiplier: zeroing it saturates that point's
 element along a noise phase, which can miss the interference cap.
 
-Bit identity. The seeded outputs of every trial are fixed, so the loops are
-made cheaper without moving an output bit. Reductions call the ufunc
-directly (np.add.reduce gives the bits of np.sum on a 1-D operand), and
-numpy's Python wrappers give way to the expressions they evaluate
-(np.linalg.norm of a complex vector is sqrt(re.re + im.im), np.max is
-np.maximum.reduce, np.argmin(a) is a.argmin(), np.flatnonzero(m) of a 1-D m
-is m.nonzero()[0]). _kink_point and _weiszfeld screen their exact tests.
-Each recovery rung forms s_hat - z i_hat and its magnitude once, |s_hat|
-and |i_hat| are taken once per solve, and the anchor residuals are one
-array. The matched filter and the anchor set-up mask out zero, subnormal,
-NaN and non-carrier elements only where there are some, and a recovery
-masks only where some residual is within its tolerance, zero or NaN. The
-Weiszfeld loop allocates its step arrays once per call (diff = points - z,
-d = |diff|, moment = points * inv, and a zeroed complex inv_c whose real
-part is inv = w / d) and writes into them through a ufunc's positional
-output. A step on ~17 elements costs what numpy charges per call, and a
-fresh numpy scalar, or a Python scalar converted to an array, adds to that.
-So the Weiszfeld and Newton steps pass their scalars through 0-d arrays
-made once per call: the iterate goes into a 0-d complex z_buf that the
-subtraction takes, np.subtract(points, z_buf, diff), and a sum reduces into
-a 0-d float, np.add.reduce(inv, 0, None, s_buf), which .item() reads back
-as a Python float. These facts of numpy 2.4.6 are relied on. A ufunc given
-an output array, 0-d included, runs the inner loop of the expression that
-allocates its result, over the same operands. A 0-d complex128 holding a
-Python complex is the operand that complex becomes, .item() returns the
-exact double, and np.complex128 / float divides by the value np.float64
-held. np.abs of a complex array can differ by one ulp from the scalar
-abs(z), which is libm hypot, so an array that must reproduce a scalar
+Bit identity. The seeded outputs of every trial are fixed, so the loops were
+made cheaper without moving an output bit; each device below names the
+BENCH_*.json that measured its gain. Reductions call the ufunc directly
+(np.add.reduce gives the bits of np.sum on a 1-D operand), and np.max,
+np.argmin, np.flatnonzero and np.linalg.norm give way to np.maximum.reduce,
+the array methods and sqrt(re.re + im.im) (BENCH_12.json, BENCH_22.json; the
+norm, BENCH_28.json). _kink_point (BENCH_11.json) and _weiszfeld
+(BENCH_12.json) screen their exact tests. |s_hat| and |i_hat| are taken once
+per solve (BENCH_15.json); the anchor residuals are one array, and each
+recovery rung forms s_hat - z i_hat and its magnitude once (BENCH_25.json).
+The matched filter and the anchor set-up mask out zero, subnormal, NaN and
+non-carrier elements only where there are some (BENCH_22.json), and a
+recovery masks only where some residual is within its tolerance, zero or NaN
+(BENCH_25.json). The Weiszfeld loop writes into step arrays allocated once
+per call (BENCH_15.json); w / d is the real part of a zeroed complex inv_c,
+so the moment points * inv_c needs no cast (BENCH_22.json); and the iterate
+and the sum pass through 0-d arrays, np.subtract(points, z_buf, diff) and
+np.add.reduce(inv, 0, None, s_buf).item() (BENCH_27.json). These facts of
+numpy 2.4.6 are relied on. A ufunc given an output array, 0-d included, runs
+the inner loop of the expression that allocates its result. A 0-d complex128
+holding a Python complex is the operand that complex becomes, .item()
+returns the exact double, and np.complex128 / float divides by the value
+np.float64 held. numpy has no complex x float64 loop: it casts x to (x,
++0.0) and runs the complex loop. np.abs of a complex array can differ by one
+ulp from the scalar abs(z), libm hypot, so an array that must reproduce
 abs(z) uses np.hypot. An elementwise ufunc gives an element the same bits
-over a whole array as over a masked part of it, so np.abs(x)[mask] stands
-for np.abs(x[mask]). A reduction along the last axis of a contiguous 2-D
-array gives each row the bits of np.sum on that row, so _newton_polish sums
-its three Hessian rows in one call. np.add.reduce sums a strided 1-D view,
-such as inv, in the order of a contiguous copy. And numpy has no complex x
-float64 loop: it casts the float64 x to (x, +0.0) in a buffer and runs the
-complex loop, so points * inv_c gives the bits of points * inv without the
-cast. tests/test_solver.py pins the outputs of a seeded battery by sha256.
+over a whole array as over a masked part of it. np.add.reduce sums a strided
+1-D view, such as inv, in the order of a contiguous copy, and a reduction
+along the last axis of a contiguous 2-D array gives each row the bits of
+np.sum on that row. tests/test_solver.py pins the outputs of a seeded
+battery by sha256.
 """
 
 from __future__ import annotations
@@ -191,20 +185,17 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
 
 def _newton_polish(z: complex, points: np.ndarray, weights: np.ndarray) -> complex:
     """Damped Newton on the smooth Fermat-Weber objective near the optimum."""
-    absolute, add, fmin = np.abs, np.add.reduce, np.fmin.reduce
-    z_buf, f_buf = np.empty((), dtype=complex), np.empty(())
+    absolute, add = np.abs, np.add.reduce
 
     def value(zz: complex) -> float:
-        z_buf[()] = zz
-        return add(weights * absolute(points - z_buf), 0, None, f_buf).item()
+        return float(add(weights * absolute(points - zz)))
 
     grad_floor = 1e-15 * add(weights)
     f = value(z)
-    hess = np.empty((3, points.size))  # rows summed in one call (see "Bit identity")
     for _ in range(_NEWTON_ITERS):
-        d = z_buf - points  # value() last wrote z into z_buf
+        d = z - points
         r = absolute(d)
-        if fmin(r) < 1e-300:
+        if np.fmin.reduce(r) < 1e-300:
             break
         u = d / r
         grad = complex(add(weights * u))
@@ -213,31 +204,24 @@ def _newton_polish(z: complex, points: np.ndarray, weights: np.ndarray) -> compl
         # 2x2 Hessian of sum w*|z - p| in real coordinates
         ux, uy = u.real, u.imag
         wr = weights / r
-        np.multiply(wr, 1.0 - ux * ux, hess[0])
-        np.multiply(wr, 1.0 - uy * uy, hess[1])
-        np.multiply(wr, -ux * uy, hess[2])
-        hxx, hyy, hxy = add(hess, axis=1).tolist()
+        hxx, hyy, hxy = add(wr * (1.0 - ux * ux)), add(wr * (1.0 - uy * uy)), add(wr * -(ux * uy))
         det = hxx * hyy - hxy * hxy
         if det <= 0:
             break
-        sx = (hyy * grad.real - hxy * grad.imag) / det
-        sy = (hxx * grad.imag - hxy * grad.real) / det
-        step = complex(sx, sy)
+        step = complex((hyy * grad.real - hxy * grad.imag) / det, (hxx * grad.imag - hxy * grad.real) / det)
         scale = 1.0
-        improved = False
         for _ in range(40):
             z_try = z - scale * step
             if z_try == z:
                 # rounding is monotone: every smaller step also lands on z
-                break
+                return z
             f_try = value(z_try)
             if f_try < f:
                 z, f = z_try, f_try
-                improved = True
                 break
             scale *= 0.5
-        if not improved:
-            break
+        else:
+            return z
     return z
 
 
@@ -398,12 +382,10 @@ def solve_bf_subproblem_report(
     if cap <= 0:
         raise ValueError("element magnitude cap must be positive")
 
-    # np.linalg.norm's own expression for a complex vector, without its wrapper
     sig_norm = math.sqrt(h_sig.real.dot(h_sig.real) + h_sig.imag.dot(h_sig.imag))
     int_norm = math.sqrt(h_int.real.dot(h_int.real) + h_int.imag.dot(h_int.imag))
     if sig_norm == 0.0:
-        w = np.zeros_like(h_sig)
-        return w, SolveInfo(0.0, 0.0, 0.0, 0.0, 0.0, "shortcut", 0j)
+        return np.zeros_like(h_sig), SolveInfo(0.0, 0.0, 0.0, 0.0, 0.0, "shortcut", 0j)
     s_hat = h_sig / sig_norm
 
     # matched constant-magnitude filter whenever it already meets the cap;

@@ -2,11 +2,10 @@
 
 Each oracle recomputes an answer from the raw problem statement with dense
 search instead of the library's algebra, so agreement is evidence rather
-than tautology. ``weiszfeld``, ``newton_polish``, ``kink_point``,
-``recover_primal``, ``los_indicator`` and ``los_ring_search`` are the
-exceptions: they are the plain loops and the masked construction that the
-solver's screened and buffered Weiszfeld step, buffered Newton polish, kink
-test and primal recovery, ``channel.LosRoute``,
+than tautology. ``weiszfeld``, ``kink_point``, ``recover_primal``,
+``los_indicator`` and ``los_ring_search`` are the exceptions: they are the
+plain loops and the masked construction that the solver's screened and
+buffered Weiszfeld step, kink test and primal recovery, ``channel.LosRoute``,
 ``EnvironmentRealization.los_indicator`` and the array LoS ring search must
 reproduce bit for bit. ``quantize`` and ``hash_uniform`` define the LoS
 field's grid snap and uniform draw, one point at a time.
@@ -31,7 +30,6 @@ from fdrelay.channel import (
 )
 from fdrelay.positioning import NoLosPositionError
 from fdrelay.solver import (
-    _NEWTON_ITERS,
     _NORMAL_MIN,
     _WEISZFELD_ITERS,
     SolverError,
@@ -212,48 +210,6 @@ def weiszfeld(points: np.ndarray, weights: np.ndarray, z0: complex) -> complex:
         if abs(z_new - z) <= 1e-15 * (1.0 + abs(z)):
             return z_new
         z = z_new
-    return z
-
-
-def newton_polish(z: complex, points: np.ndarray, weights: np.ndarray) -> complex:
-    """Damped Newton on the Fermat-Weber sum, each value and step formed from
-    a fresh array: ``float(add(weights * absolute(points - z)))`` and
-    ``z - points``, with no buffer."""
-    absolute, add = np.abs, np.add.reduce
-
-    def value(zz: complex) -> float:
-        return float(add(weights * absolute(points - zz)))
-
-    grad_floor = 1e-15 * add(weights)
-    f = value(z)
-    for _ in range(_NEWTON_ITERS):
-        d = z - points
-        r = absolute(d)
-        if np.fmin.reduce(r) < 1e-300:
-            break
-        u = d / r
-        grad = complex(add(weights * u))
-        if abs(grad) <= grad_floor:
-            break
-        ux, uy = u.real, u.imag
-        wr = weights / r
-        hxx, hyy, hxy = add(wr * (1.0 - ux * ux)), add(wr * (1.0 - uy * uy)), add(wr * -(ux * uy))
-        det = hxx * hyy - hxy * hxy
-        if det <= 0:
-            break
-        step = complex((hyy * grad.real - hxy * grad.imag) / det, (hxx * grad.imag - hxy * grad.real) / det)
-        scale = 1.0
-        for _ in range(40):
-            z_try = z - scale * step
-            if z_try == z:
-                return z
-            f_try = value(z_try)
-            if f_try < f:
-                z, f = z_try, f_try
-                break
-            scale *= 0.5
-        else:
-            return z
     return z
 
 

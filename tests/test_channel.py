@@ -17,14 +17,12 @@ from fdrelay.channel import (
     DegenerateGeometryError,
     EnvParams,
     EnvironmentRealization,
-    PathComponent,
     UpaSpec,
     Vec3,
     _digest_uniforms,
     build_farfield_channel,
     build_links,
     build_si_channel,
-    channel_from_paths,
     link_geometry,
     los_path_gain,
     los_probability,
@@ -604,29 +602,6 @@ class TestFarfieldChannel:
             acc += comp.gain * np.outer(a_rx, a_tx.conj())
         assert np.allclose(ch.entries, acc, atol=1e-18)
 
-    @pytest.mark.parametrize("size", [4, 8])
-    @pytest.mark.parametrize("los", [False, True])
-    def test_ray_sum_has_the_plain_sum_bits(self, size, los):
-        # each term formed in one buffer, gain times the outer product, and
-        # added in component order: the bits of the plain accumulation
-        rng = np.random.default_rng(10 * size + los)
-        upa = UpaSpec(size, size)
-
-        def angles():
-            return AngleSet(rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, 2.0 * math.pi))
-
-        comps = [PathComponent(complex(*rng.normal(0.0, 1e-6, 2)), angles(), angles(), False)
-                 for _ in range(4)]
-        if los:
-            a = angles()
-            comps.insert(0, PathComponent(complex(rng.uniform(1e-6, 1e-4)), a, a, True))
-        acc = np.zeros((size * size, size * size), dtype=complex)
-        for comp in comps:
-            a_rx, a_tx = steering_vector(upa, comp.arrival), steering_vector(upa, comp.departure)
-            acc += comp.gain * np.outer(a_rx, a_tx.conj())
-        ch = channel_from_paths(ROLE_S2V, comps, upa, upa)
-        assert ch.entries.tobytes() == acc.tobytes()
-
     def test_shape_is_rx_by_tx(self):
         ch = self._channel(ROLE_S2V)
         assert ch.entries.shape == (6, 4)
@@ -737,6 +712,21 @@ class TestSelfInterference:
         r44 = si_element_distances(ENV, UpaSpec(4, 4), UpaSpec(4, 4))
         assert r44.min() == pytest.approx(10.0 * ENV.wavelength, rel=1e-12)
         assert r44.max() > r44.min()
+
+    def test_distances_have_the_bits_of_the_3d_form(self):
+        # the in-place per-axis sum against np.sum over an (N_r, N_t, 3)
+        # difference, for square and rectangular panels, rx shape != tx too
+        offset = ENV.panel_separation * ENV.wavelength
+        for n in range(1, 17):
+            for m in sorted({1, max(1, n // 2), n, 16}):
+                tx = UpaSpec(n, m)
+                for rx_upa in (tx, UpaSpec(m, n), UpaSpec(17 - n, m)):
+                    tx_pos = channel._panel_element_positions(tx, ENV, 0.0)
+                    rx_pos = channel._panel_element_positions(rx_upa, ENV, offset)
+                    diff = rx_pos[:, None, :] - tx_pos[None, :, :]
+                    plain = np.sqrt(np.sum(diff * diff, axis=2))
+                    r = channel.si_element_distances(ENV, tx, rx_upa)
+                    assert r.tobytes() == plain.tobytes(), (tx, rx_upa)
 
     def test_si_has_no_farfield_components(self):
         ch = build_si_channel(ENV, UpaSpec(2, 2), UpaSpec(2, 2))

@@ -325,21 +325,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "master_seed=7 trial_index=1: random position: AIS pass 2, w_s: stub failure" in err
 
-    @pytest.mark.parametrize("argv", [["trial"], ["converge"], ["sweep", "--sweep", "delta_m_deg=0"]])
+    @pytest.mark.parametrize("argv", [
+        ["trial"], ["converge"], ["sweep", "--sweep", "delta_m_deg=0"],
+        # the 2x2 panels run, and the line names the swept 3x3 ones
+        ["sweep", "--sweep", "array=2,3"],
+    ])
     def test_out_of_memory_exits_3_naming_the_panels(self, argv, tmp_path, monkeypatch, capsys):
-        # a stand-in for the allocation that fails first at 64x64 panels;
-        # no real allocation is attempted
-        def no_memory(*args):
+        # a stand-in for the allocation that fails first at 64x64 panels,
+        # here at any transmit panel but 2x2; no real allocation is attempted
+        real = channel.si_element_distances
+
+        def no_memory(env, tx_upa, rx_upa):
+            if (tx_upa.rows, tx_upa.cols) == (2, 2):
+                return real(env, tx_upa, rx_upa)
             raise MemoryError("Unable to allocate 384. MiB for an array with shape (4096, 4096, 3)")
 
+        channel.build_si_channel.cache_clear()  # a cached channel would skip the stand-in
         monkeypatch.setattr(channel, "si_element_distances", no_memory)
         path = tmp_path / "panels.cfg"
         path.write_text(FAST_CFG + "m_s = 1\nn_s = 2\nm_r = 3\nn_r = 4\nm_t = 2\nn_t = 1\nm_d = 4\nn_d = 3\n")
         out = tmp_path / "o.csv"
         assert main([*argv, "--config", str(path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err == "out of memory at panels s, r, t, d of 1x2, 3x4, 2x1, 4x3 elements\n"
+        panels = "3x3, 3x3, 3x3, 3x3" if "array=2,3" in argv else "1x2, 3x4, 2x1, 4x3"
+        assert err == f"out of memory at panels s, r, t, d of {panels} elements\n"
         assert not out.exists()
+
+    def test_out_of_memory_before_the_scenario_exits_3(self, fast_config, monkeypatch, capsys):
+        def no_memory(path):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "load_config", no_memory)
+        assert main(["trial", "--config", fast_config]) == 3
+        assert capsys.readouterr().err == "out of memory\n"
 
     def test_trial_index_and_flag_scope(self, fast_config, capsys):
         assert main(["trial", "--config", fast_config, "--trial-index", "-1"]) == 2
