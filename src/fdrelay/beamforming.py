@@ -24,18 +24,6 @@ CM_TOL = 1e-9  # constant-modulus classification tolerance
 
 
 @dataclass(frozen=True)
-class Beamformer:
-    """Per-element complex weights with magnitude cap 1/sqrt(N)."""
-
-    weights: np.ndarray
-    cap: float
-
-    def __post_init__(self) -> None:
-        if np.maximum.reduce(np.abs(self.weights), axis=None) > self.cap + CM_TOL:
-            raise ValueError("beamformer exceeds its element magnitude cap")
-
-
-@dataclass(frozen=True)
 class SuppressionSchedule:
     """Interference-cap schedule: each solve caps its interference at
     eta_floor + mu, with mu shrunk by kappa before every solve.
@@ -70,12 +58,13 @@ def eta_floor_rule(p_s_tot: float, p_v_tot: float, noise1: float, noise2: float)
 
 @dataclass(frozen=True)
 class AisState:
-    """Loop state: the four beamformers, schedule, and per-iteration traces."""
+    """Loop state: the four arrays' complex weights, each element on the cap
+    circle of radius 1/sqrt(N), the schedule, and per-iteration traces."""
 
-    w_s: Beamformer
-    w_r: Beamformer
-    w_t: Beamformer
-    w_d: Beamformer
+    w_s: np.ndarray
+    w_r: np.ndarray
+    w_t: np.ndarray
+    w_d: np.ndarray
     schedule: SuppressionSchedule
     rate_trace: tuple[float, ...]
     gain_trace: tuple[EffectiveGains, ...]
@@ -102,12 +91,11 @@ def init_beamformers(
     upa_d: UpaSpec,
     s2v_angles: AngleSet,
     v2d_angles: AngleSet,
-) -> tuple[Beamformer, Beamformer, Beamformer, Beamformer]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Normalized LoS steering vectors for all four arrays."""
 
-    def bf(upa: UpaSpec, angles: AngleSet) -> Beamformer:
-        n = upa.n_tot
-        return Beamformer(steering_vector(upa, angles) / math.sqrt(n), cap=1.0 / math.sqrt(n))
+    def bf(upa: UpaSpec, angles: AngleSet) -> np.ndarray:
+        return steering_vector(upa, angles) / math.sqrt(upa.n_tot)
 
     return (
         bf(upa_s, s2v_angles),
@@ -117,7 +105,7 @@ def init_beamformers(
     )
 
 
-def normalize_cm(w: np.ndarray, cap: float) -> Beamformer:
+def normalize_cm(w: np.ndarray, cap: float) -> np.ndarray:
     """Push every element onto the constant-modulus circle of radius cap.
 
     Zero elements have no phase; they map to cap * exp(j0) by convention.
@@ -130,14 +118,14 @@ def normalize_cm(w: np.ndarray, cap: float) -> Beamformer:
     w = np.asarray(w, dtype=complex)
     mags = np.abs(w)
     if np.minimum.reduce(mags) > 2.0**-1024:
-        return Beamformer(cap * w / mags, cap=cap)
+        return cap * w / mags
     if np.fmin.reduce(mags) <= 2.0**-1024:
         w = w.copy()
         w[mags <= 2.0**-1024] *= 2.0**512
         mags = np.abs(w)
     out = np.full(w.shape, cap + 0j)
     np.divide(cap * w, mags, out=out, where=mags > 0)
-    return Beamformer(out, cap=cap)
+    return out
 
 
 def interior_census(w: np.ndarray, cap: float) -> int:
@@ -251,12 +239,12 @@ def cm_repair(
 
 def _evaluated_state(
     prev: AisState | None, links: LinkSet, budget: LinkBudget, schedule: SuppressionSchedule,
-    w_s: Beamformer, w_r: Beamformer, w_t: Beamformer, w_d: Beamformer,
+    w_s: np.ndarray, w_r: np.ndarray, w_t: np.ndarray, w_d: np.ndarray,
 ) -> AisState:
-    """Gains, optimal powers and rate of four beamformers, appended to the
+    """Gains, optimal powers and rate of four weight arrays, appended to the
     traces of ``prev``, or starting them when ``prev`` is None."""
     gains = effective_gains(
-        w_s.weights, w_r.weights, w_t.weights, w_d.weights,
+        w_s, w_r, w_t, w_d,
         links.s2v.entries, links.si.entries, links.v2d.entries, links.s2d.entries,
     )
     powers = optimal_powers(gains, budget.p_s_tot, budget.p_v_tot, budget.noise1, budget.noise2)
@@ -276,8 +264,8 @@ def initial_state(links: LinkSet, budget: LinkBudget, schedule: SuppressionSched
     )
     schedule = replace(
         schedule,
-        mu_si=float(abs(np.vdot(w_r.weights, links.si.entries @ w_t.weights))),
-        mu_s2d=float(abs(np.vdot(w_d.weights, links.s2d.entries @ w_s.weights))),
+        mu_si=float(abs(np.vdot(w_r, links.si.entries @ w_t))),
+        mu_s2d=float(abs(np.vdot(w_d, links.s2d.entries @ w_s))),
     )
     return _evaluated_state(None, links, budget, schedule, w_s, w_r, w_t, w_d)
 
@@ -285,14 +273,16 @@ def initial_state(links: LinkSet, budget: LinkBudget, schedule: SuppressionSched
 def ais_iterate(state: AisState, links: LinkSet, budget: LinkBudget) -> AisState:
     """One alternating pass over the four arrays plus the power update.
 
-    A SolverError names the pass (1-based) and the array it was solving.
+    Each array's element cap is 1/sqrt(N), fixed by its size. A SolverError
+    names the pass (1-based) and the array it was solving.
     """
     sch = state.schedule
     s2v, v2d, s2d, si = links.s2v, links.v2d, links.s2d, links.si
 
-    def update(w: Beamformer, h_sig: np.ndarray, h_int: np.ndarray, mu: float, name: str) -> Beamformer:
+    def update(w: np.ndarray, h_sig: np.ndarray, h_int: np.ndarray, mu: float, name: str) -> np.ndarray:
+        cap = 1.0 / math.sqrt(w.size)
         try:
-            return normalize_cm(solve_bf_subproblem(h_sig, h_int, sch.eta_floor + mu, w.cap), w.cap)
+            return normalize_cm(solve_bf_subproblem(h_sig, h_int, sch.eta_floor + mu, cap), cap)
         except SolverError as exc:
             raise SolverError(f"AIS pass {state.k + 1}, {name}: {exc}") from exc
 
@@ -300,10 +290,10 @@ def ais_iterate(state: AisState, links: LinkSet, budget: LinkBudget) -> AisState
     mu_si = mu1 / sch.kappa
     mu3 = sch.mu_s2d / sch.kappa
     mu_s2d = mu3 / sch.kappa
-    w_r = update(state.w_r, s2v.entries @ state.w_s.weights, si.entries @ state.w_t.weights, mu1, "w_r")
-    w_t = update(state.w_t, v2d.conj_t @ state.w_d.weights, si.conj_t @ w_r.weights, mu_si, "w_t")
-    w_s = update(state.w_s, s2v.conj_t @ w_r.weights, s2d.conj_t @ state.w_d.weights, mu3, "w_s")
-    w_d = update(state.w_d, v2d.entries @ w_t.weights, s2d.entries @ w_s.weights, mu_s2d, "w_d")
+    w_r = update(state.w_r, s2v.entries @ state.w_s, si.entries @ state.w_t, mu1, "w_r")
+    w_t = update(state.w_t, v2d.conj_t @ state.w_d, si.conj_t @ w_r, mu_si, "w_t")
+    w_s = update(state.w_s, s2v.conj_t @ w_r, s2d.conj_t @ state.w_d, mu3, "w_s")
+    w_d = update(state.w_d, v2d.entries @ w_t, s2d.entries @ w_s, mu_s2d, "w_d")
     schedule = SuppressionSchedule(sch.eta_floor, sch.kappa, mu_si, mu_s2d)
     return _evaluated_state(state, links, budget, schedule, w_s, w_r, w_t, w_d)
 

@@ -529,8 +529,13 @@ def build_si_channel(env: EnvParams, tx_upa: UpaSpec, rx_upa: UpaSpec) -> Channe
     built once per scenario and the one read-only matrix is shared.
     """
     r = si_element_distances(env, tx_upa, rx_upa)
-    amp = env.ref_amplitude * r ** (-env.alpha_los / 2.0)
-    entries = amp * np.exp(-2j * math.pi * r / env.wavelength)
+    # the plain expression's operations, in place in one complex buffer and r
+    entries = np.multiply(-2j * math.pi, r)
+    entries /= env.wavelength
+    np.exp(entries, out=entries)
+    amp = np.power(r, -env.alpha_los / 2.0, out=r)
+    np.multiply(env.ref_amplitude, amp, out=amp)
+    np.multiply(amp, entries, out=entries)
     return ChannelMatrix(entries=entries, role=ROLE_SI, components=())
 
 

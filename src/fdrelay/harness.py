@@ -193,27 +193,16 @@ def _perturbed_angles(angles: AngleSet, d_el: float, d_az: float) -> AngleSet:
     return AngleSet(el, wrap_azimuth(angles.azimuth + d_az))
 
 
-def apply_misalignment(
-    links: LinkSet, delta_m_deg: float, rng: np.random.Generator | None
-) -> LinkSet:
+def apply_misalignment(links: LinkSet, offsets: list | None) -> LinkSet:
     """Perturb every departure/arrival angle of the two relay links.
 
-    Offsets are delta times one block of uniforms on [-1/2, 1/2], the first
-    draw of the fresh stream ``rng``, so sweeps over delta with the same
-    trial seed are paired (common random numbers). With delta 0 nothing is
-    drawn, ``rng`` may be None, and the original links object is returned
-    unchanged.
+    ``offsets[l][n]`` holds the (departure elevation, departure azimuth,
+    arrival elevation, arrival azimuth) offsets in radians of link l (S2V,
+    then V2D) on path row n: the LoS path first, then each NLoS path. With
+    None the original links object is returned unchanged.
     """
-    if delta_m_deg == 0.0:
+    if offsets is None:
         return links
-    n_rows = 1 + max(
-        sum(1 for c in links.s2v.components if not c.is_los),
-        sum(1 for c in links.v2d.components if not c.is_los),
-    )
-    block = rng.uniform(-0.5, 0.5, size=(2, n_rows, 4))
-    # per link, per row (LoS first, then each NLoS path): the departure and
-    # arrival offsets (elevation, azimuth, elevation, azimuth)
-    offsets = (math.radians(delta_m_deg) * block).tolist()
 
     def perturb(channel, upa_tx, upa_rx, rows):
         comps = []
@@ -244,7 +233,7 @@ def _evaluate_rate(
 ) -> float:
     """End-to-end rate of a designed state against (possibly perturbed) channels."""
     gains = effective_gains(
-        state.w_s.weights, state.w_r.weights, state.w_t.weights, state.w_d.weights,
+        state.w_s, state.w_r, state.w_t, state.w_d,
         links.s2v.entries, links.si.entries, links.v2d.entries, links.s2d.entries,
     )
     _, _, r = achievable_rates(gains, state.powers, scenario.noise1, scenario.noise2)
@@ -306,14 +295,16 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
     rand_pos = _sample_random_position(placement)
     links_rand = build_links(placement.env_real, dn, rand_pos, *arrays, s2d=links_des.s2d)
 
-    def misaligned(links: LinkSet) -> LinkSet:
-        # each link set takes a fresh stream, so both draw the same block;
-        # at delta 0 nothing is drawn and no stream is built
-        rng = trial_rng(scenario.master_seed, trial_index, TAG_MISALIGN) if scenario.delta_m_deg else None
-        return apply_misalignment(links, scenario.delta_m_deg, rng)
-
-    links_des_eval = misaligned(links_des)
-    links_rand_eval = misaligned(links_rand)
+    # one block of pointing errors, delta times uniforms on [-1/2, 1/2], for
+    # both link sets; sweeps over delta with the same trial seed are paired
+    # (common random numbers), and at delta 0 no stream is built
+    offsets = None
+    if scenario.delta_m_deg > 0:
+        rng = trial_rng(scenario.master_seed, trial_index, TAG_MISALIGN)
+        block = rng.uniform(-0.5, 0.5, size=(2, 1 + scenario.env.num_nlos, 4))
+        offsets = (math.radians(scenario.delta_m_deg) * block).tolist()
+    links_des_eval = apply_misalignment(links_des, offsets)
+    links_rand_eval = apply_misalignment(links_rand, offsets)
 
     # the steered-beam baseline is the proposed loop's start
     schedule = scenario.schedule
@@ -374,12 +365,17 @@ def panel_memory_context(scenario: Scenario):
 
 
 def run_trials(scenario: Scenario) -> list[TrialResult]:
-    """All trials of a scenario in trial-index order, whatever the worker count."""
+    """All trials of a scenario in trial-index order, whatever the worker count.
+
+    The pool forks all its workers at the first job, so it holds no more
+    workers than there are trials.
+    """
     jobs = [(scenario, i) for i in range(scenario.trials)]
-    if scenario.workers > 1:
+    workers = min(scenario.workers, scenario.trials)
+    if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=scenario.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_trial_tuple, jobs))
     return list(map(_run_trial_tuple, jobs))
 

@@ -73,6 +73,7 @@ _TIE = 1e-12  # relative distance at which two points, or a kink and the origin,
 _WEISZFELD_ITERS = 200  # step cap of the geometric-median iteration
 _NEWTON_ITERS = 60  # step cap of the Newton polish
 _POLISH_ROUNDS = 12  # alternating projections of the feasibility polish
+_ANCHOR_BLOCK = 2**16  # elements of the anchor residual table formed at once
 
 
 class SolverError(RuntimeError):
@@ -422,11 +423,16 @@ def solve_bf_subproblem_report(
     np.multiply(cap, mag_c, all_weights[:m])
     all_weights[m] = eta_hat
 
-    # D at every anchor; hypot gives the bits of a rung's abs(z)
+    # D at every anchor, the table's rows formed a block at a time; hypot
+    # gives the bits of a rung's abs(z)
     mags = np.hypot(all_points.real, all_points.imag)
-    resid = np.multiply(all_points[:, None], i_hat)
-    np.subtract(s_hat, resid, resid)
-    d_vals = cap * np.add.reduce(np.abs(resid), axis=1) + eta_hat * mags
+    resid_sums = np.empty(m + 1)
+    rows = max(1, _ANCHOR_BLOCK // h_sig.size)
+    for lo in range(0, m + 1, rows):
+        resid = np.multiply(all_points[lo:lo + rows, None], i_hat)
+        np.subtract(s_hat, resid, resid)
+        resid_sums[lo:lo + rows] = np.add.reduce(np.abs(resid), axis=1)
+    d_vals = cap * resid_sums + eta_hat * mags
     z_star = _kink_point(all_points, all_weights, mags, d_vals, cap * h_sig.size)
     smooth = z_star is None
     if smooth:

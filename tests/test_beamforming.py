@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fdrelay.beamforming as beamforming
 from fdrelay.beamforming import (
+    CM_TOL,
     AisState,
-    Beamformer,
     SuppressionSchedule,
     ais_iterate,
     cm_repair,
@@ -51,9 +52,11 @@ def _budget():
     )
 
 
-def _on_cap(bf):
-    """Every element on the cap circle; Beamformer rejects any above it."""
-    return interior_census(bf.weights, bf.cap) == 0
+def _on_cap(w, cap=None):
+    """Every element on the cap circle, 1/sqrt(N) unless given: none inside
+    it and none above it."""
+    cap = 1.0 / math.sqrt(w.size) if cap is None else cap
+    return interior_census(w, cap) == 0 and np.max(np.abs(w)) <= cap + CM_TOL
 
 
 def _schedule():
@@ -69,12 +72,6 @@ def _run_ais(links, eps_r=0.01, max_iters=50):
     """run_ais from the steering-vector start."""
     start = initial_state(links, _budget(), _schedule())
     return run_ais(start, links, _budget(), eps_r, max_iters)
-
-
-class TestBeamformer:
-    def test_cap_violation_rejected(self):
-        with pytest.raises(ValueError, match="cap"):
-            Beamformer(np.array([0.6 + 0j, 0.1 + 0j]), cap=0.5)
 
 
 class TestSchedule:
@@ -104,10 +101,10 @@ class TestInitBeamformers:
         v2d = AngleSet(0.2, 5.0)
         w_s, w_r, w_t, w_d = init_beamformers(UPA4, UPA4, UPA4, UPA4, s2v, v2d)
         n = UPA4.n_tot
-        assert np.allclose(w_s.weights, steering_vector(UPA4, s2v) / math.sqrt(n))
-        assert np.allclose(w_r.weights, steering_vector(UPA4, s2v) / math.sqrt(n))
-        assert np.allclose(w_t.weights, steering_vector(UPA4, v2d) / math.sqrt(n))
-        assert np.allclose(w_d.weights, steering_vector(UPA4, v2d) / math.sqrt(n))
+        assert np.allclose(w_s, steering_vector(UPA4, s2v) / math.sqrt(n))
+        assert np.allclose(w_r, steering_vector(UPA4, s2v) / math.sqrt(n))
+        assert np.allclose(w_t, steering_vector(UPA4, v2d) / math.sqrt(n))
+        assert np.allclose(w_d, steering_vector(UPA4, v2d) / math.sqrt(n))
         assert all(_on_cap(bf) for bf in (w_s, w_r, w_t, w_d))
 
     def test_full_array_gain_on_pure_los_link(self):
@@ -116,7 +113,7 @@ class TestInitBeamformers:
         w_s, w_r, _, _ = init_beamformers(
             UPA4, UPA4, UPA4, UPA4, links.s2v_angles, links.v2d_angles
         )
-        got = abs(np.vdot(w_r.weights, links.s2v.entries @ w_s.weights)) ** 2
+        got = abs(np.vdot(w_r, links.s2v.entries @ w_s)) ** 2
         beta = los_path_gain(SN.distance_to(UAV), env)
         want = abs(beta) ** 2 * UPA4.n_tot * UPA4.n_tot
         assert got == pytest.approx(want, rel=1e-12)
@@ -127,25 +124,25 @@ class TestNormalizeCm:
         cap = 0.25
         w = rng.normal(size=8) + 1j * rng.normal(size=8)
         out = normalize_cm(w, cap)
-        assert np.max(np.abs(np.abs(out.weights) - cap)) <= 1e-15
-        assert _on_cap(out)
+        assert np.max(np.abs(np.abs(out) - cap)) <= 1e-15
+        assert _on_cap(out, cap)
 
     def test_phases_preserved(self, rng):
         cap = 0.5
         w = rng.normal(size=6) + 1j * rng.normal(size=6)
         out = normalize_cm(w, cap)
-        assert np.allclose(np.angle(out.weights), np.angle(w))
+        assert np.allclose(np.angle(out), np.angle(w))
 
     def test_zero_maps_to_real_cap(self):
         out = normalize_cm(np.array([0j, 1j]), 0.5)
-        assert out.weights[0] == 0.5 + 0j
-        assert out.weights[1] == pytest.approx(0.5j)
+        assert out[0] == 0.5 + 0j
+        assert out[1] == pytest.approx(0.5j)
 
     def test_already_cm_unchanged(self):
         cap = 1.0 / math.sqrt(4)
         w = cap * np.exp(1j * np.array([0.0, 0.5, 1.5, -2.2]))
         out = normalize_cm(w, cap)
-        assert np.allclose(out.weights, w, rtol=1e-15, atol=0)
+        assert np.allclose(out, w, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("w", [
         [0j, 1j, -0.0 + 0j, 3 - 4j],
@@ -161,7 +158,7 @@ class TestNormalizeCm:
         ref = np.full(w.shape, cap + 0j)
         nz = mags > 0
         ref[nz] = cap * w[nz] / mags[nz]
-        assert normalize_cm(w, cap).weights.tobytes() == ref.tobytes()
+        assert normalize_cm(w, cap).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("w", [
         [1e-320 + 0j],
@@ -173,7 +170,7 @@ class TestNormalizeCm:
         w, cap = np.array(w), 0.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = normalize_cm(w, cap).weights
+            out = normalize_cm(w, cap)
         assert np.max(np.abs(np.abs(out) - cap)) <= 1e-15
         assert np.array_equal(np.angle(out), np.angle(w))
         keep = np.abs(w) > 2.0**-1024
@@ -270,8 +267,8 @@ class TestInitialState:
         assert len(state.gain_trace) == 1
         assert len(state.power_trace) == 1
         assert all(_on_cap(bf) for bf in (state.w_s, state.w_r, state.w_t, state.w_d))
-        mu_si = abs(np.vdot(state.w_r.weights, links.si.entries @ state.w_t.weights))
-        mu_s2d = abs(np.vdot(state.w_d.weights, links.s2d.entries @ state.w_s.weights))
+        mu_si = abs(np.vdot(state.w_r, links.si.entries @ state.w_t))
+        mu_s2d = abs(np.vdot(state.w_d, links.s2d.entries @ state.w_s))
         assert state.schedule.mu_si == pytest.approx(mu_si)
         assert state.schedule.mu_s2d == pytest.approx(mu_s2d)
         assert state.powers == state.power_trace[0]
@@ -300,6 +297,28 @@ class TestAisIterate:
         assert s1.schedule.mu_s2d == (s0.schedule.mu_s2d / kappa) / kappa
         assert all(_on_cap(bf) for bf in (s1.w_s, s1.w_r, s1.w_t, s1.w_d))
 
+    def test_each_solve_takes_its_arrays_cap(self, monkeypatch):
+        # each array's cap is 1/sqrt(N) of its own size, the double that
+        # scales its steering start
+        upa_s, upa_r, upa_t, upa_d = UpaSpec(2, 3), UpaSpec(4, 4), UpaSpec(3, 3), UpaSpec(1, 5)
+        real = EnvironmentRealization(ENV, master_seed=7, trial_index=0)
+        links = build_links(real, DN, UAV, upa_s, upa_r, upa_t, upa_d)
+        budget = LinkBudget(
+            n_s2v=6 * 16, n_v2d=9 * 5, p_s_tot=0.1, p_v_tot=0.1, noise1=1e-14, noise2=1e-14
+        )
+        seen = []
+        solve = beamforming.solve_bf_subproblem
+
+        def spy(h_sig, h_int, eta, cap):
+            seen.append((h_sig.size, cap))
+            return solve(h_sig, h_int, eta, cap)
+
+        monkeypatch.setattr(beamforming, "solve_bf_subproblem", spy)
+        s1 = ais_iterate(initial_state(links, budget, _schedule()), links, budget)
+        # solved in the order w_r, w_t, w_s, w_d
+        assert seen == [(n, 1.0 / math.sqrt(n)) for n in (16, 9, 6, 5)]
+        assert all(_on_cap(w) for w in (s1.w_s, s1.w_r, s1.w_t, s1.w_d))
+
     def test_zero_interference_channels_give_matched_filters(self):
         # with the SI and direct channels nulled the caps are slack, so every
         # subproblem reduces to the matched filter of its signal product
@@ -325,9 +344,9 @@ class TestAisIterate:
         budget = _budget()
         s0 = initial_state(links0, budget, _schedule())
         s1 = ais_iterate(s0, links0, budget)
-        cap = s1.w_r.cap
-        want_r = cap * np.exp(1j * np.angle(links.s2v.entries @ s0.w_s.weights))
-        assert np.allclose(s1.w_r.weights, want_r, atol=1e-12)
+        cap = 1.0 / math.sqrt(UPA4.n_tot)
+        want_r = cap * np.exp(1j * np.angle(links.s2v.entries @ s0.w_s))
+        assert np.allclose(s1.w_r, want_r, atol=1e-12)
         assert s1.gain_trace[-1].g_si == 0.0
         assert s1.gain_trace[-1].g_s2d == 0.0
 

@@ -704,6 +704,38 @@ class TestSelfInterference:
         assert np.allclose(ch.entries, expected, rtol=1e-12)
         assert ch.entries.shape == (6, 6)
 
+    def test_entries_have_the_bits_of_the_plain_expression(self):
+        # the in-place build against the expression it replaces, for square
+        # and rectangular panels both ways round and three environments;
+        # alpha_los = 2 takes r to the power -1
+        from fdrelay.channel import si_element_distances
+
+        envs = (ENV, EnvParams(alpha_los=2.0, alpha_nlos=3.0), EnvParams(fc_hz=28e9, alpha_los=1.6))
+        shapes = ((1, 1), (2, 3), (3, 2), (4, 4), (1, 8), (8, 1), (5, 7))
+        for env in envs:
+            for tx in shapes:
+                for rx in shapes:
+                    tx_upa, rx_upa = UpaSpec(*tx), UpaSpec(*rx)
+                    r = si_element_distances(env, tx_upa, rx_upa)
+                    amp = env.ref_amplitude * r ** (-env.alpha_los / 2.0)
+                    plain = amp * np.exp(-2j * math.pi * r / env.wavelength)
+                    got = build_si_channel(env, tx_upa, rx_upa).entries
+                    assert got.tobytes() == plain.tobytes(), (env, tx, rx)
+
+    def test_build_holds_one_complex_buffer(self):
+        # the distances' buffer becomes the amplitudes, so the peak is the
+        # result plus one real array (three results before)
+        import tracemalloc
+
+        channel.build_si_channel.cache_clear()
+        tracemalloc.start()
+        try:
+            entries = build_si_channel(ENV, UpaSpec(16, 16), UpaSpec(16, 16)).entries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * entries.nbytes
+
     def test_panels_stack_vertically(self):
         from fdrelay.channel import si_element_distances
 

@@ -114,17 +114,20 @@ class TestMisalignment:
             FAST.upa_d,
         )
 
+    def _offsets(self, delta, trial=0):
+        # the block run_trial draws from the trial's TAG_MISALIGN stream
+        rng = trial_rng(FAST.master_seed, trial, TAG_MISALIGN)
+        block = rng.uniform(-0.5, 0.5, size=(2, 1 + FAST.env.num_nlos, 4))
+        return (math.radians(delta) * block).tolist()
+
     def test_zero_delta_returns_same_object(self):
         links = self._raw_links()
-        rng = trial_rng(FAST.master_seed, 0, 33)
-        state = rng.bit_generator.state
-        assert apply_misalignment(links, 0.0, rng) is links
-        assert rng.bit_generator.state == state  # nothing drawn
+        assert apply_misalignment(links, None) is links
 
     def test_offsets_bounded_and_gains_kept(self):
         links = self._raw_links()
         delta = 10.0
-        out = apply_misalignment(links, delta, trial_rng(FAST.master_seed, 0, 33))
+        out = apply_misalignment(links, self._offsets(delta))
         half = math.radians(delta) / 2
         for before, after in ((links.s2v, out.s2v), (links.v2d, out.v2d)):
             assert len(before.components) == len(after.components)
@@ -136,43 +139,44 @@ class TestMisalignment:
 
     def test_untouched_channels_pass_through(self):
         links = self._raw_links()
-        out = apply_misalignment(links, 5.0, trial_rng(FAST.master_seed, 0, 33))
+        out = apply_misalignment(links, self._offsets(5.0))
         assert out.si is links.si
         assert out.s2d is links.s2d
         assert out.s2v_angles == links.s2v_angles
 
     def test_same_rng_state_same_perturbation(self):
         links = self._raw_links()
-        out1 = apply_misalignment(links, 10.0, trial_rng(FAST.master_seed, 0, 33))
-        out2 = apply_misalignment(links, 10.0, trial_rng(FAST.master_seed, 0, 33))
+        out1 = apply_misalignment(links, self._offsets(10.0))
+        out2 = apply_misalignment(links, self._offsets(10.0))
         assert np.array_equal(out1.s2v.entries, out2.s2v.entries)
         assert np.array_equal(out1.v2d.entries, out2.v2d.entries)
 
     def test_entries_change_when_delta_positive(self):
         links = self._raw_links()
-        out = apply_misalignment(links, 10.0, trial_rng(FAST.master_seed, 0, 33))
+        out = apply_misalignment(links, self._offsets(10.0))
         assert not np.array_equal(out.s2v.entries, links.s2v.entries)
 
     def test_run_trial_builds_a_stream_only_where_it_draws(self, monkeypatch):
-        # delta 0 draws nothing and builds no TAG_MISALIGN stream; delta 10
-        # builds one per link set, and both draw the same offsets block
-        tags, states = [], []
+        # delta 0 builds no TAG_MISALIGN stream and passes no offsets; delta
+        # 10 builds one stream, and both link sets take its one block
+        tags, offsets = [], []
         build, apply = harness.trial_rng, harness.apply_misalignment
         monkeypatch.setattr(harness, "trial_rng", lambda *key: tags.append(key[2:]) or build(*key))
 
-        def recorded(links, delta, rng):
-            states.append(None if rng is None else rng.bit_generator.state)
-            return apply(links, delta, rng)
+        def recorded(links, block):
+            offsets.append(block)
+            return apply(links, block)
 
         monkeypatch.setattr(harness, "apply_misalignment", recorded)
         run_trial(FAST, 1)
         assert tags and (TAG_MISALIGN,) not in tags
-        assert states == [None, None]
+        assert offsets == [None, None]
         tags.clear()
-        states.clear()
+        offsets.clear()
         run_trial(replace(FAST, delta_m_deg=10.0), 1)
-        assert tags.count((TAG_MISALIGN,)) == 2
-        assert states[0] is not None and states[0] == states[1]
+        assert tags.count((TAG_MISALIGN,)) == 1
+        assert len(offsets) == 2 and offsets[0] is offsets[1]
+        assert offsets[0] == self._offsets(10.0, trial=1)
 
 
 class TestRunTrial:
@@ -438,6 +442,35 @@ class TestRunTrials:
         for a, b in zip(serial, parallel):
             assert a.rates == b.rates
             assert a.rate_trace == b.rate_trace
+
+    def test_pool_holds_no_more_workers_than_trials(self, monkeypatch):
+        # a stand-in pool records its size and maps in this process, so no
+        # worker is started whatever the requested count
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        results = run_trials(replace(FAST, trials=2, workers=64))
+        assert sizes == [2]
+        assert [r.trial_index for r in results] == [0, 1]
+        assert run_trials(replace(FAST, trials=3, workers=2)) == run_trials(replace(FAST, trials=3))
+        assert sizes == [2, 2]
+        run_trials(replace(FAST, trials=1, workers=8))
+        assert sizes == [2, 2]
 
 
 class TestAggregate:

@@ -759,3 +759,106 @@ class TestNumericBranches:
         mags = np.hypot(points.real, points.imag)
         d_vals = np.array([weights @ np.abs(points - p) for p in points])
         assert solver._kink_point(points, weights, mags, d_vals, 1.0) == points[0]
+
+
+class TestAnchorTable:
+    @pytest.mark.parametrize("block", [1, 40, 200])
+    def test_row_blocks_keep_the_bits(self, block, monkeypatch):
+        # each row of the anchor table reduces alone, so D at every anchor,
+        # and with it the solve, has the bits of the one-block table
+        rng = np.random.default_rng(13)
+        cases = []
+        for n in (2, 3, 5, 16, 33, 64):
+            h_sig, h_int = _instance(rng, n)
+            cap = 1.0 / math.sqrt(n)
+            cases.append((h_sig, h_int, 0.3 * cap * np.linalg.norm(h_int), cap))
+
+        def run():
+            d_bits = []
+            kink = solver._kink_point
+
+            def spy(points, weights, mags, d_vals, drift):
+                d_bits.append(d_vals.tobytes())
+                return kink(points, weights, mags, d_vals, drift)
+
+            with mock.patch.object(solver, "_kink_point", spy):
+                solves = [solve_bf_subproblem_report(*case) for case in cases]
+            return d_bits, [(w.tobytes(), info) for w, info in solves]
+
+        one_block = run()
+        assert len(one_block[0]) == len(cases)
+        monkeypatch.setattr(solver, "_ANCHOR_BLOCK", block)
+        assert run() == one_block
+
+    def test_large_array_peak_is_a_block(self):
+        # at N = 1024 the whole table would hold 1025 x 1024 complex residuals
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        n = 1024
+        h_sig, h_int = _instance(rng, n)
+        cap = 1.0 / math.sqrt(n)
+        tracemalloc.start()
+        try:
+            _, info = solve_bf_subproblem_report(h_sig, h_int, 0.3 * cap * np.linalg.norm(h_int), cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.method == "dual"
+        assert peak <= 3 * 2**20
+
+
+FUZZ_FAMILIES = ("decades_0", "decades_6", "decades_12", "near_origin", "zeroed", "cluster")
+
+
+def _fuzz_instance(rng, family, n):
+    """One seeded subproblem of a fuzz family, with N elements.
+
+    ``decades_d``: magnitudes 10^U(-d/2, d/2) with uniform phases. The rest
+    start from Gaussian channels: ``near_origin`` puts one ratio point
+    h_sig_n / h_int_n 1e-320 to 1e-5 from the origin, ``zeroed`` zeroes
+    about 40% of the interference elements, and ``cluster`` puts 2 to N
+    ratio points within 1e-14 to 1e-6 relative of one another.
+    """
+
+    def phases(k):
+        return np.exp(2j * np.pi * rng.uniform(size=k))
+
+    if family.startswith("decades_"):
+        half = int(family.split("_")[1]) / 2
+        h_sig = 10 ** rng.uniform(-half, half, n) * phases(n)
+        h_int = 10 ** rng.uniform(-half, half, n) * phases(n)
+    else:
+        h_sig, h_int = _instance(rng, n)
+        if family == "near_origin":
+            k = rng.integers(n)
+            h_sig[k] = h_int[k] * 10 ** rng.uniform(-320, -5) * phases(1)[0]
+        elif family == "zeroed":
+            h_int[rng.uniform(size=n) < 0.4] = 0
+        else:
+            m = rng.integers(2, n + 1)
+            idx = rng.choice(n, m, replace=False)
+            p = rng.normal() + 1j * rng.normal()
+            h_sig[idx] = h_int[idx] * p * (1 + 10 ** rng.uniform(-14, -6, m) * phases(m))
+    cap = 1.0 / math.sqrt(n)
+    eta = rng.uniform(0.01, 1.1) * cap * float(np.linalg.norm(h_int))
+    return h_sig, h_int, eta, cap
+
+
+class TestSeededFuzz:
+    @pytest.mark.parametrize("family", FUZZ_FAMILIES)
+    def test_every_solve_certifies(self, family):
+        # 1000 seeded instances a family, N from 2 to 64; every solve must
+        # meet the three tolerances, checked on w itself too
+        rng = np.random.default_rng([2029, FUZZ_FAMILIES.index(family)])
+        for i in range(1000):
+            n = int(rng.integers(2, 65))
+            h_sig, h_int, eta, cap = _fuzz_instance(rng, family, n)
+            w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
+            where = f"{family} instance {i} (N = {n})"
+            assert info.gap <= GAP_TOL, where
+            assert info.int_violation <= FEAS_TOL, where
+            assert info.cap_violation <= CAP_TOL, where
+            assert np.max(np.abs(w)) <= cap + CAP_TOL, where
+            int_norm = np.linalg.norm(h_int)
+            assert abs(np.vdot(w, h_int)) <= eta + FEAS_TOL * int_norm, where
