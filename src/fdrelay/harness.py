@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -368,10 +369,10 @@ def run_trials(scenario: Scenario) -> list[TrialResult]:
     """All trials of a scenario in trial-index order, whatever the worker count.
 
     The pool forks all its workers at the first job, so it holds no more
-    workers than there are trials.
+    workers than there are trials or CPUs.
     """
     jobs = [(scenario, i) for i in range(scenario.trials)]
-    workers = min(scenario.workers, scenario.trials)
+    workers = min(scenario.workers, scenario.trials, os.cpu_count() or 1)
     if workers > 1:
         import concurrent.futures
 

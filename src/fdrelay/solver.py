@@ -10,17 +10,16 @@ a planar weighted Fermat-Weber problem whose minimizer is either one of the
 ratio points h_sig_n / h_int_n, the origin, or a smooth stationary point.
 The primal is recovered in closed form: every element saturates its cap
 except (at most) those tied to the active ratio point, and a duality-gap
-certificate is computed for every solve. If the recovery misses it, further
-recoveries with looser residual tolerances let elements whose residual is
-rounding noise join the free group, and a smooth z* within 1e-6 of the
-origin is last tried as z = 0; a solve none certifies raises SolverError.
+certificate is computed for every solve. If the recovery misses it, a
+second at a looser residual tolerance lets elements whose residual is
+rounding noise join the free group, and a z* within 1e-6 of the origin is
+last tried as z = 0; a solve none certifies raises SolverError.
 
-A smooth minimizer within 1e-9 of the origin is snapped to z* = 0, since
-Newton fixes it only to the rounding of D and its phase is noise. A kink is
-an exact ratio point, so it is snapped only inside the kink test's tie
-tolerance (_TIE = 1e-12), where it is the origin's kink. One further out,
-even within 1e-9, is a real multiplier: zeroing it saturates that point's
-element along a noise phase, which can miss the interference cap.
+A kink within the kink test's tie tolerance (_TIE = 1e-12) of the origin is
+the origin's kink and is snapped to z* = 0. One further out is a real
+multiplier: zeroing it saturates that point's element along a noise phase,
+which can miss the interference cap. A smooth minimizer is never snapped;
+near the origin the z = 0 recovery stands in for it.
 
 Bit identity. The seeded outputs of every trial are fixed, so the loops were
 made cheaper without moving an output bit; each device below names the
@@ -434,27 +433,25 @@ def solve_bf_subproblem_report(
         resid_sums[lo:lo + rows] = np.add.reduce(np.abs(resid), axis=1)
     d_vals = cap * resid_sums + eta_hat * mags
     z_star = _kink_point(all_points, all_weights, mags, d_vals, cap * h_sig.size)
-    smooth = z_star is None
-    if smooth:
+    if z_star is None:
         # start from the best anchor
         z0 = all_points[int(d_vals.argmin())]
         z_w = _weiszfeld(all_points, all_weights, z0)
         z_star = _newton_polish(z_w, all_points, all_weights)
-    if abs(z_star) <= (1e-9 if smooth else _TIE):
-        # a vanishing multiplier is a slack constraint (see the module docstring)
+    elif abs(z_star) <= _TIE:
+        # the origin's kink: a slack constraint (see the module docstring)
         z_star = 0.0 + 0.0j
 
     # z* is fixed only to the rounding of D, so the residual phase of an
-    # element whose ratio point lies as close to z* is noise; at a looser tol
-    # such elements join the free group, at an objective cost of at most
-    # 2 * cap * their residuals. A smooth z* at a distance r from a cluster of
-    # ratio points is fixed only to about sqrt(eps * r), a phase error of
-    # sqrt(eps / r) seen from the cluster, so the last rungs free every
-    # element within 1e-6 and, for z* that close to the origin, take the
-    # constraint's phase -arg(z*) as noise too: z = 0
-    # recovers a slack constraint, and D(0) exceeds D(z*) by at most
+    # element whose ratio point lies as close to z* is noise. A smooth z* at
+    # a distance r from a cluster of ratio points is fixed only to about
+    # sqrt(eps * r), a phase error of sqrt(eps / r) seen from the cluster, so
+    # the second recovery frees every element within 1e-6, at an objective
+    # cost of at most 2 * cap * their residuals. For z* that close to the
+    # origin the last takes the constraint's phase -arg(z*) as noise too:
+    # z = 0 recovers a slack constraint, and D(0) exceeds D(z*) by at most
     # (sum of the weights) * |z*|
-    rungs = [(z_star, 1e-12), (z_star, 1e-8), (z_star, 1e-6)]
+    rungs = [(z_star, 1e-12), (z_star, 1e-6)]
     if 0.0 < abs(z_star) <= 1e-6:
         rungs.append((0j, 1e-6))
     s_mag = np.abs(s_hat)

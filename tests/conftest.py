@@ -26,6 +26,9 @@ settings.register_profile(
     "suite",
     deadline=None,
     max_examples=50,
+    # a failure replayed from a local .hypothesis database prints its
+    # @reproduce_failure line, so it can be replayed in a fresh clone
+    print_blob=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("suite")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -443,9 +444,11 @@ class TestRunTrials:
             assert a.rates == b.rates
             assert a.rate_trace == b.rate_trace
 
-    def test_pool_holds_no_more_workers_than_trials(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
         # a stand-in pool records its size and maps in this process, so no
-        # worker is started whatever the requested count
+        # worker is started whatever the requested count; the host reports
+        # 64 CPUs unless a test says otherwise
         import concurrent.futures
 
         sizes = []
@@ -464,13 +467,26 @@ class TestRunTrials:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        return sizes
+
+    def test_pool_holds_no_more_workers_than_trials(self, pool_sizes):
         results = run_trials(replace(FAST, trials=2, workers=64))
-        assert sizes == [2]
+        assert pool_sizes == [2]
         assert [r.trial_index for r in results] == [0, 1]
         assert run_trials(replace(FAST, trials=3, workers=2)) == run_trials(replace(FAST, trials=3))
-        assert sizes == [2, 2]
+        assert pool_sizes == [2, 2]
         run_trials(replace(FAST, trials=1, workers=8))
-        assert sizes == [2, 2]
+        assert pool_sizes == [2, 2]
+
+    def test_pool_holds_no_more_workers_than_cpus(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert run_trials(replace(FAST, workers=64)) == run_trials(FAST)
+        assert pool_sizes == [3]
+        # os.cpu_count() is None where the count is unknown: one worker, no pool
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert run_trials(replace(FAST, workers=64)) == run_trials(FAST)
+        assert pool_sizes == [3]
 
 
 class TestAggregate:

@@ -19,13 +19,15 @@ from fdrelay.solver import (
     solve_bf_subproblem_report,
 )
 from oracles import kink_point, n2_dense_best, recover_primal, weiszfeld
-
-
-def _instance(rng, n):
-    h_sig = rng.normal(size=n) + 1j * rng.normal(size=n)
-    h_int = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return h_sig, h_int
-
+from solver_corpus import (
+    FUZZ_FAMILIES,
+    NAMED,
+    failures,
+    from_flat,
+    fuzz_cases,
+    instance,
+    solve_recorded,
+)
 
 complex_arrays = st.integers(2, 24).flatmap(
     lambda n: st.tuples(
@@ -36,18 +38,12 @@ complex_arrays = st.integers(2, 24).flatmap(
 )
 
 
-def _to_vec(flat):
-    arr = np.asarray(flat)
-    half = arr.size // 2
-    return arr[:half] + 1j * arr[half:]
-
-
 class TestCertificates:
     @pytest.mark.parametrize("n", [2, 4, 16, 32])
     def test_random_instances_certify(self, rng, n):
         cap = 1.0 / math.sqrt(n)
         for _ in range(25):
-            h_sig, h_int = _instance(rng, n)
+            h_sig, h_int = instance(rng, n)
             mf_leak = cap * np.sum(np.abs(h_int))
             eta = rng.uniform(0.01, 1.1) * mf_leak
             w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
@@ -62,7 +58,7 @@ class TestCertificates:
     def test_matched_filter_when_constraint_slack(self, rng):
         n = 8
         cap = 1.0 / math.sqrt(n)
-        h_sig, h_int = _instance(rng, n)
+        h_sig, h_int = instance(rng, n)
         eta = cap * np.sum(np.abs(h_int)) * 1.001
         w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
         assert info.method == "shortcut"
@@ -86,13 +82,9 @@ class TestCertificates:
     def test_subnormal_interference_element_certifies(self):
         # the free-element fill divided by |i_hat_0| ~ 1.6e-311 and overflowed,
         # which left a NaN gap; with i_hat_0 = 0 the same solve certifies
-        n = 7
-        cap = 1.0 / math.sqrt(n)
-        h_sig = np.array([0, 1, 0, 0, 1, 0, 0], dtype=complex)
         infos = []
-        for h0 in (2.225073858507e-311, 0.0):
-            h_int = np.array([h0, 1, 0, 0, 1j, 0, 0])
-            eta = 0.5 * cap * np.sum(np.abs(h_int))
+        for name in ("subnormal_h_int", "zeroed_h_int"):
+            h_sig, h_int, eta, cap = NAMED[name].case
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
@@ -110,7 +102,7 @@ class TestCertificates:
         # an all-normal, all-carrier instance takes the unmasked matched
         # filter and anchor set-up; one zero, subnormal or non-carrier
         # element takes the masked one; both certify with the masked bits
-        h_sig, h_int = _instance(np.random.default_rng(11), 8)
+        h_sig, h_int = instance(np.random.default_rng(11), 8)
         if element is not None:
             h_sig[3], h_int[3] = element
         cap = 1.0 / math.sqrt(8)
@@ -149,7 +141,7 @@ class TestCertificates:
         # every residual above its tolerance takes the whole-array recovery;
         # a zero residual, one within tolerance (a kink, a free element) or
         # a NaN one takes the masked construction; both give its bits
-        s_hat, i_hat = _instance(np.random.default_rng(12), 8)
+        s_hat, i_hat = instance(np.random.default_rng(12), 8)
         s_hat, i_hat = s_hat / np.linalg.norm(s_hat), i_hat / np.linalg.norm(i_hat)
         z = 0j if case.startswith("origin") else 0.3 - 0.4j
         if case == "zero":
@@ -166,21 +158,10 @@ class TestCertificates:
         w = solver._recover_primal(z, resid, resid_mag, s_mag, i_hat, i_mag, eta, cap, tol)
         assert w.tobytes() == recover_primal(z, s_hat, i_hat, eta, cap, tol).tobytes()
 
-    @pytest.mark.parametrize("sig_flat, int_flat, eta_frac", [
-        ([-2.0, 0.0, 0.0, 1e-08, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
-         [-1.5, 1.5, -2.0, 2.0, 0.0, -1.0, 0.0, 0.0, -0.5, 1.5], 0.53125),
-        ([-1.5, 0.0, 0.0, 1e-08, 1.0, 1.0, 1.0, 2.0, 0.0, 2.0],
-         [-1.5, 1.5625, -1.0, 1.75, -0.5, -0.875, 0.0, 0.0, -0.5, 1.625], 0.5078125),
-    ])
-    def test_smooth_minimizer_beside_near_origin_ratio_point_certifies(
-        self, sig_flat, int_flat, eta_frac
-    ):
-        # element 3's ratio point lies ~5e-9 from the origin and the smooth
-        # minimizer ~1e-9 from both: snapped to zero, it left element 3
-        # saturated along a noise phase, and neither route certified
-        h_sig, h_int = _to_vec(sig_flat), _to_vec(int_flat)
-        cap = 1.0 / math.sqrt(h_sig.size)
-        eta = eta_frac * cap * np.sum(np.abs(h_int))
+    @pytest.mark.parametrize("name", ["smooth_beside_5e-9_ratio_a", "smooth_beside_5e-9_ratio_b"])
+    def test_smooth_minimizer_beside_near_origin_ratio_point_certifies(self, name):
+        # each case's history is in tests/solver_corpus.py's NAMED
+        h_sig, h_int, eta, cap = NAMED[name].case
         w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
         assert info.method == "dual"
         assert info.gap <= GAP_TOL
@@ -223,23 +204,12 @@ class TestCertificates:
         # ways, and the primal exceeds the dual by up to 4e-16 in 19 of these
         assert info.objective <= info.dual_bound * (1.0 + 1e-15)
 
-    @pytest.mark.parametrize("n, h_sig_at, h_int_at, eta_frac, snapped", [
-        (11, {2: 1e-9j, 7: -1.0, 10: 1j}, {2: 1.0, 7: 1j}, 0.5, False),
-        (11, {2: 1e-9j, 9: 2j}, {2: 1.875, 10: 1.125j}, 0.125, False),
-        (24, {0: 1.0, 1: 1j, 5: 4.6128082352751153e-306}, {0: 2.0, 1: 1j, 5: 1.5j, 23: 1.0},
-         0.125, True),
+    @pytest.mark.parametrize("name, snapped", [
+        ("kink_1e-9_raised", False), ("kink_1e-9_missed_eta", False), ("kink_tied_with_origin", True),
     ])
-    def test_kink_beside_origin_certifies(self, n, h_sig_at, h_int_at, eta_frac, snapped):
-        # the kink is element 2's or 5's ratio point. At 1e-9 from the origin
-        # it is a multiplier of its own: snapped to zero, it left element 2
-        # saturated along a noise phase, which raised SolverError on the
-        # first case and missed eta on the second. At 6e-306 it is tied with
-        # the origin in the kink test: not snapped, it missed the gap by 4.5e-3
-        h_sig, h_int = np.zeros(n, complex), np.zeros(n, complex)
-        h_sig[list(h_sig_at)] = list(h_sig_at.values())
-        h_int[list(h_int_at)] = list(h_int_at.values())
-        cap = 1.0 / math.sqrt(n)
-        eta = eta_frac * cap * np.sum(np.abs(h_int))
+    def test_kink_beside_origin_certifies(self, name, snapped):
+        # each case's history is in tests/solver_corpus.py's NAMED
+        h_sig, h_int, eta, cap = NAMED[name].case
         w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
         assert info.method == "dual"
         assert (info.z_star == 0) == snapped
@@ -248,29 +218,13 @@ class TestCertificates:
         assert info.cap_violation <= CAP_TOL
         assert abs(np.vdot(w, h_int)) <= eta + FEAS_TOL * max(1.0, eta)
 
-    @pytest.mark.parametrize("ratios, rest_sig, h_int, eta_frac, z_min, z_max", [
-        # ratio point 1e-15 from the origin: Weiszfeld once stepped off it only
-        # by ~1e-15 a step, pinned by the origin's 1/d weight, and the
-        # recovery at that z* missed the gap by 1.4e-2
-        ([1e-15], [-0.87 + 0.67j, 0.27 - 2.05j, 0.71 - 0.39j],
-         [-1.11 + 0.1j, -1.09 - 0.69j, 0.27 - 2.64j, 0.9 + 0.79j], 0.471, 1e-3, 1.0),
-        # smooth z* 8e-8 from two ratio points at 1e-7 and 1e-11j: their
-        # residual phases are noise, freed only at tol 1e-6 (gap was 1.6e-6)
-        ([1e-7, 1e-11j], [1.83 - 1.91j],
-         [0.25 - 0.32j, 0.36 - 0.37j, 0.36 + 1.59j], 0.291, 1e-8, 1e-6),
-        # smooth z* beside a ratio point at 1e-8: -arg(z*) itself is noise,
-        # and only the slack recovery at z = 0 certifies (gap was 1.2e-5)
-        ([1e-8j], [-0.7 + 1.87j, 2.65 - 0.11j],
-         [-0.54 + 0.72j, -0.42 - 1.21j, -1.09 + 0.49j], 0.472, 0.0, 0.0),
+    @pytest.mark.parametrize("name, z_min, z_max", [
+        ("cluster_1e-15_ratio", 1e-3, 1.0), ("cluster_1e-7_and_1e-11j", 1e-8, 1e-6),
+        ("cluster_1e-8j_slack", 0.0, 0.0),
     ])
-    def test_smooth_minimizer_beside_a_cluster_certifies(
-        self, ratios, rest_sig, h_int, eta_frac, z_min, z_max
-    ):
-        # the first elements' ratio points h_sig_n / h_int_n sit next to the origin
-        h_int = np.array(h_int)
-        h_sig = np.array([h_int[k] * r for k, r in enumerate(ratios)] + rest_sig)
-        cap = 1.0 / math.sqrt(h_sig.size)
-        eta = eta_frac * cap * np.sum(np.abs(h_int))
+    def test_smooth_minimizer_beside_a_cluster_certifies(self, name, z_min, z_max):
+        # each case's history is in tests/solver_corpus.py's NAMED
+        h_sig, h_int, eta, cap = NAMED[name].case
         w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
         assert info.method == "dual"
         assert z_min <= abs(info.z_star) <= z_max
@@ -293,7 +247,7 @@ class TestOracleAgreement:
     def test_two_element_instances_match_dense_oracle(self, rng):
         cap = 1.0 / math.sqrt(2)
         for k in range(10):
-            h_sig, h_int = _instance(rng, 2)
+            h_sig, h_int = instance(rng, 2)
             eta = rng.uniform(0.05, 1.1) * cap * np.sum(np.abs(h_int))
             w, _ = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
             mine = float(np.vdot(w, h_sig).real)
@@ -306,7 +260,7 @@ class TestOracleAgreement:
         n = 16
         cap = 1.0 / math.sqrt(n)
         for _ in range(10):
-            h_sig, h_int = _instance(rng, n)
+            h_sig, h_int = instance(rng, n)
             w_mf = cap * np.exp(1j * np.angle(h_sig))
             leak = abs(np.vdot(w_mf, h_int))
             eta = 0.25 * leak
@@ -330,8 +284,8 @@ class TestInvariances:
     @settings(max_examples=30)
     def test_output_feasible_on_arbitrary_inputs(self, data):
         sig_flat, int_flat, eta_frac = data
-        h_sig = _to_vec(sig_flat)
-        h_int = _to_vec(int_flat)
+        h_sig = from_flat(sig_flat)
+        h_int = from_flat(int_flat)
         n = h_sig.size
         cap = 1.0 / math.sqrt(n)
         eta = eta_frac * max(cap * np.sum(np.abs(h_int)), 1e-6)
@@ -345,7 +299,7 @@ class TestInvariances:
     def test_signal_phase_rotation_rotates_solution(self, rng):
         n = 6
         cap = 1.0 / math.sqrt(n)
-        h_sig, h_int = _instance(rng, n)
+        h_sig, h_int = instance(rng, n)
         eta = 0.3 * cap * np.sum(np.abs(h_int))
         w1, _ = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
         w2, _ = solve_bf_subproblem_report(h_sig * np.exp(0.7j), h_int, eta, cap)
@@ -356,7 +310,7 @@ class TestInvariances:
     def test_objective_scale_invariance_of_argmax(self, rng):
         n = 5
         cap = 1.0 / math.sqrt(n)
-        h_sig, h_int = _instance(rng, n)
+        h_sig, h_int = instance(rng, n)
         eta = 0.4 * cap * np.sum(np.abs(h_int))
         w1, _ = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
         w2, _ = solve_bf_subproblem_report(3.5 * h_sig, h_int, eta, cap)
@@ -367,7 +321,7 @@ class TestInvariances:
     def test_report_and_plain_wrapper_agree(self, rng):
         n = 4
         cap = 0.5
-        h_sig, h_int = _instance(rng, n)
+        h_sig, h_int = instance(rng, n)
         eta = 0.3 * cap * np.sum(np.abs(h_int))
         w_plain = solve_bf_subproblem(h_sig, h_int, eta, cap)
         w_rep, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
@@ -382,32 +336,32 @@ def _pin_battery():
     for n in (4, 16, 64):
         cap = 1.0 / math.sqrt(n)
         for frac in (0.02, 0.1, 0.25, 0.5):
-            h_sig, h_int = _instance(rng, n)
+            h_sig, h_int = instance(rng, n)
             cases.append((h_sig, h_int, frac * cap * np.sum(np.abs(h_int)), cap))
         # one dominant interference element: the kink sits on its ratio point
-        h_sig, h_int = _instance(rng, n)
+        h_sig, h_int = instance(rng, n)
         h_int[n // 2] *= 30.0
         cases.append((h_sig, h_int, 0.2 * cap * np.sum(np.abs(h_int)), cap))
     cap = 0.25
     # a zero signal element puts a ratio point on the origin, which is the kink
-    h_sig, h_int = _instance(rng, 16)
+    h_sig, h_int = instance(rng, 16)
     h_sig[3] = 0.0
     h_int[3] *= 10.0
     w_mf = cap * np.exp(1j * np.angle(h_sig)) * (h_sig != 0)
     cases.append((h_sig, h_int, 0.9 * abs(np.vdot(w_mf, h_int)), cap))
     # a cap just under the matched-filter leakage: the origin candidate itself
-    h_sig, h_int = _instance(rng, 16)
+    h_sig, h_int = instance(rng, 16)
     leak = abs(np.vdot(cap * np.exp(1j * np.angle(h_sig)), h_int))
     cases.append((h_sig, h_int, leak * (1.0 - 1e-13), cap))
     # duplicated ratio points (exact multiples), on the smooth path and at a kink
     for boost in (1.0, 30.0):
-        h_sig, h_int = _instance(rng, 16)
+        h_sig, h_int = instance(rng, 16)
         h_sig[5], h_int[5] = 2.0 * h_sig[4], 2.0 * h_int[4]
         h_sig[9], h_int[9] = h_sig[4], h_int[4]
         h_sig[[4, 5, 9]] *= boost
         h_int[[4, 5, 9]] *= boost
         cases.append((h_sig, h_int, 0.3 * cap * np.sum(np.abs(h_int)), cap))
-    h_sig, h_int = _instance(rng, 16)
+    h_sig, h_int = instance(rng, 16)
     cases.append((h_sig, h_int, 1.01 * cap * np.sum(np.abs(h_int)), cap))
     # element magnitudes over twelve decades; seed 289's kink lies 9.3e-11
     # from the origin
@@ -769,7 +723,7 @@ class TestAnchorTable:
         rng = np.random.default_rng(13)
         cases = []
         for n in (2, 3, 5, 16, 33, 64):
-            h_sig, h_int = _instance(rng, n)
+            h_sig, h_int = instance(rng, n)
             cap = 1.0 / math.sqrt(n)
             cases.append((h_sig, h_int, 0.3 * cap * np.linalg.norm(h_int), cap))
 
@@ -796,7 +750,7 @@ class TestAnchorTable:
 
         rng = np.random.default_rng(5)
         n = 1024
-        h_sig, h_int = _instance(rng, n)
+        h_sig, h_int = instance(rng, n)
         cap = 1.0 / math.sqrt(n)
         tracemalloc.start()
         try:
@@ -808,57 +762,27 @@ class TestAnchorTable:
         assert peak <= 3 * 2**20
 
 
-FUZZ_FAMILIES = ("decades_0", "decades_6", "decades_12", "near_origin", "zeroed", "cluster")
-
-
-def _fuzz_instance(rng, family, n):
-    """One seeded subproblem of a fuzz family, with N elements.
-
-    ``decades_d``: magnitudes 10^U(-d/2, d/2) with uniform phases. The rest
-    start from Gaussian channels: ``near_origin`` puts one ratio point
-    h_sig_n / h_int_n 1e-320 to 1e-5 from the origin, ``zeroed`` zeroes
-    about 40% of the interference elements, and ``cluster`` puts 2 to N
-    ratio points within 1e-14 to 1e-6 relative of one another.
-    """
-
-    def phases(k):
-        return np.exp(2j * np.pi * rng.uniform(size=k))
-
-    if family.startswith("decades_"):
-        half = int(family.split("_")[1]) / 2
-        h_sig = 10 ** rng.uniform(-half, half, n) * phases(n)
-        h_int = 10 ** rng.uniform(-half, half, n) * phases(n)
-    else:
-        h_sig, h_int = _instance(rng, n)
-        if family == "near_origin":
-            k = rng.integers(n)
-            h_sig[k] = h_int[k] * 10 ** rng.uniform(-320, -5) * phases(1)[0]
-        elif family == "zeroed":
-            h_int[rng.uniform(size=n) < 0.4] = 0
-        else:
-            m = rng.integers(2, n + 1)
-            idx = rng.choice(n, m, replace=False)
-            p = rng.normal() + 1j * rng.normal()
-            h_sig[idx] = h_int[idx] * p * (1 + 10 ** rng.uniform(-14, -6, m) * phases(m))
-    cap = 1.0 / math.sqrt(n)
-    eta = rng.uniform(0.01, 1.1) * cap * float(np.linalg.norm(h_int))
-    return h_sig, h_int, eta, cap
-
-
 class TestSeededFuzz:
     @pytest.mark.parametrize("family", FUZZ_FAMILIES)
     def test_every_solve_certifies(self, family):
         # 1000 seeded instances a family, N from 2 to 64; every solve must
         # meet the three tolerances, checked on w itself too
-        rng = np.random.default_rng([2029, FUZZ_FAMILIES.index(family)])
-        for i in range(1000):
-            n = int(rng.integers(2, 65))
-            h_sig, h_int, eta, cap = _fuzz_instance(rng, family, n)
-            w, info = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
-            where = f"{family} instance {i} (N = {n})"
-            assert info.gap <= GAP_TOL, where
-            assert info.int_violation <= FEAS_TOL, where
-            assert info.cap_violation <= CAP_TOL, where
-            assert np.max(np.abs(w)) <= cap + CAP_TOL, where
-            int_norm = np.linalg.norm(h_int)
-            assert abs(np.vdot(w, h_int)) <= eta + FEAS_TOL * int_norm, where
+        for i, (n, case) in enumerate(fuzz_cases(family, 2029, 1000)):
+            w, info = solve_bf_subproblem_report(*case)
+            assert not failures(case, w, info), f"{family} instance {i} (N = {n})"
+
+
+class TestRecoveries:
+    """Each route the dual solve keeps certifies a named instance that
+    fails without it: the recovery at z* and tol 1e-6 the 1e-7/1e-11j
+    cluster, the one at z = 0 the 1e-8j cluster and seed 821, the kink snap
+    the kink tied with the origin at the first recovery, and the feasibility
+    polish's final clip the decades_6 instance."""
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_instance_certifies_at_its_recovery(self, name):
+        case, recovery = NAMED[name]
+        w, info, seen = solve_recorded(case)
+        assert info.method == "dual"
+        assert not failures(case, w, info)
+        assert seen == recovery
