@@ -57,31 +57,36 @@ def eta_floor_rule(p_s_tot: float, p_v_tot: float, noise1: float, noise2: float)
 
 
 @dataclass(frozen=True)
+class AisPass:
+    """One record of the loop: the effective gains of a pass's weights (or
+    of the start's), the closed-form power pair they give, and its rate."""
+
+    rate: float
+    gains: EffectiveGains
+    powers: PowerPair
+
+
+@dataclass(frozen=True)
 class AisState:
     """Loop state: the four arrays' complex weights, each element on the cap
-    circle of radius 1/sqrt(N), the schedule, and per-iteration traces."""
+    circle of radius 1/sqrt(N), the schedule, and one record per pass, the
+    start's first."""
 
     w_s: np.ndarray
     w_r: np.ndarray
     w_t: np.ndarray
     w_d: np.ndarray
     schedule: SuppressionSchedule
-    rate_trace: tuple[float, ...]
-    gain_trace: tuple[EffectiveGains, ...]
-    power_trace: tuple[PowerPair, ...]
-
-    def __post_init__(self) -> None:
-        if not 0 < len(self.rate_trace) == len(self.gain_trace) == len(self.power_trace):
-            raise ValueError("the three traces must be non-empty and of equal length")
+    trace: tuple[AisPass, ...]
 
     @property
     def k(self) -> int:
-        """Completed passes; the traces also hold the start."""
-        return len(self.rate_trace) - 1
+        """Completed passes; the trace also holds the start."""
+        return len(self.trace) - 1
 
     @property
     def powers(self) -> PowerPair:
-        return self.power_trace[-1]
+        return self.trace[-1].powers
 
 
 def init_beamformers(
@@ -238,23 +243,18 @@ def cm_repair(
 
 
 def _evaluated_state(
-    prev: AisState | None, links: LinkSet, budget: LinkBudget, schedule: SuppressionSchedule,
+    trace: tuple[AisPass, ...], links: LinkSet, budget: LinkBudget, schedule: SuppressionSchedule,
     w_s: np.ndarray, w_r: np.ndarray, w_t: np.ndarray, w_d: np.ndarray,
 ) -> AisState:
-    """Gains, optimal powers and rate of four weight arrays, appended to the
-    traces of ``prev``, or starting them when ``prev`` is None."""
+    """The state of four weight arrays: ``trace`` plus the record of their
+    gains, optimal powers and rate."""
     gains = effective_gains(
         w_s, w_r, w_t, w_d,
         links.s2v.entries, links.si.entries, links.v2d.entries, links.s2d.entries,
     )
     powers = optimal_powers(gains, budget.p_s_tot, budget.p_v_tot, budget.noise1, budget.noise2)
     _, _, r = achievable_rates(gains, powers, budget.noise1, budget.noise2)
-    return AisState(
-        w_s, w_r, w_t, w_d, schedule,
-        rate_trace=(prev.rate_trace if prev else ()) + (r,),
-        gain_trace=(prev.gain_trace if prev else ()) + (gains,),
-        power_trace=(prev.power_trace if prev else ()) + (powers,),
-    )
+    return AisState(w_s, w_r, w_t, w_d, schedule, trace + (AisPass(r, gains, powers),))
 
 
 def initial_state(links: LinkSet, budget: LinkBudget, schedule: SuppressionSchedule) -> AisState:
@@ -267,7 +267,7 @@ def initial_state(links: LinkSet, budget: LinkBudget, schedule: SuppressionSched
         mu_si=float(abs(np.vdot(w_r, links.si.entries @ w_t))),
         mu_s2d=float(abs(np.vdot(w_d, links.s2d.entries @ w_s))),
     )
-    return _evaluated_state(None, links, budget, schedule, w_s, w_r, w_t, w_d)
+    return _evaluated_state((), links, budget, schedule, w_s, w_r, w_t, w_d)
 
 
 def ais_iterate(state: AisState, links: LinkSet, budget: LinkBudget) -> AisState:
@@ -295,7 +295,7 @@ def ais_iterate(state: AisState, links: LinkSet, budget: LinkBudget) -> AisState
     w_s = update(state.w_s, s2v.conj_t @ w_r, s2d.conj_t @ state.w_d, mu3, "w_s")
     w_d = update(state.w_d, v2d.entries @ w_t, s2d.entries @ w_s, mu_s2d, "w_d")
     schedule = SuppressionSchedule(sch.eta_floor, sch.kappa, mu_si, mu_s2d)
-    return _evaluated_state(state, links, budget, schedule, w_s, w_r, w_t, w_d)
+    return _evaluated_state(state.trace, links, budget, schedule, w_s, w_r, w_t, w_d)
 
 
 def run_ais(
@@ -306,15 +306,13 @@ def run_ais(
     max_iters: int,
 ) -> AisState:
     """Iterate from ``state`` (usually :func:`initial_state`) until the rate
-    gain of a pass drops to eps_r or less, or the traces hold max_iters passes."""
+    gain of a pass drops to eps_r or less, or the trace holds max_iters passes."""
     if eps_r <= 0:
         raise ValueError("rate tolerance must be positive")
     if max_iters < 1:
         raise ValueError("need at least one iteration")
     while state.k < max_iters:
-        new_state = ais_iterate(state, links, budget)
-        improved = new_state.rate_trace[-1] - state.rate_trace[-1]
-        state = new_state
-        if improved <= eps_r:
+        state = ais_iterate(state, links, budget)
+        if state.trace[-1].rate - state.trace[-2].rate <= eps_r:
             break
     return state

@@ -528,14 +528,18 @@ def build_si_channel(env: EnvParams, tx_upa: UpaSpec, rx_upa: UpaSpec) -> Channe
     It depends on its three (frozen, hashable) arguments alone, so it is
     built once per scenario and the one read-only matrix is shared.
     """
-    r = si_element_distances(env, tx_upa, rx_upa)
-    # the plain expression's operations, in place in one complex buffer and r
-    entries = np.multiply(-2j * math.pi, r)
-    entries /= env.wavelength
-    np.exp(entries, out=entries)
-    amp = np.power(r, -env.alpha_los / 2.0, out=r)
-    np.multiply(env.ref_amplitude, amp, out=amp)
-    np.multiply(amp, entries, out=entries)
+    with np.errstate(all="ignore"):  # an entry that is not finite fails below
+        r = si_element_distances(env, tx_upa, rx_upa)
+        # the plain expression's operations, in place in one complex buffer and r
+        entries = np.multiply(-2j * math.pi, r)
+        entries /= env.wavelength
+        np.exp(entries, out=entries)
+        amp = np.power(r, -env.alpha_los / 2.0, out=r)
+        np.multiply(env.ref_amplitude, amp, out=amp)
+        np.multiply(amp, entries, out=entries)
+    if not np.isfinite(entries).all():
+        raise ValueError("the self-interference channel is not finite: its element distances "
+                         "(panel_separation wavelengths apart) under- or overflow a float")
     return ChannelMatrix(entries=entries, role=ROLE_SI, components=())
 
 

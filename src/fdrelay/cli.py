@@ -127,8 +127,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     with _open_out(args.out) as out, panel_memory_context(scenario):
         result = run_trial(scenario, args.trial_index)
-        traces = zip(result.rate_trace, result.si_gain_trace, result.s2d_gain_trace, result.power_trace)
-        rows = [(k, rate, si, s2d, *powers) for k, (rate, si, s2d, powers) in enumerate(traces)]
+        rows = [(k, p.rate, p.gains.g_si, p.gains.g_s2d, *p.powers) for k, p in enumerate(result.trace)]
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_CONVERGE_FIELDS)
         writer.writerows(rows)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .beamforming import (
+    AisPass,
     AisState,
     SuppressionSchedule,
     eta_floor_rule,
@@ -137,10 +138,7 @@ class TrialResult:
     strict_bound_s2v: float
     strict_bound_v2d: float
     iters: dict[str, int]
-    rate_trace: tuple[float, ...]
-    si_gain_trace: tuple[float, ...]
-    s2d_gain_trace: tuple[float, ...]
-    power_trace: tuple[tuple[float, float], ...]
+    trace: tuple[AisPass, ...]  # the proposed run's, from its steered start
 
     @property
     def strict_bound_min(self) -> float:
@@ -148,7 +146,7 @@ class TrialResult:
 
     @property
     def powers_proposed(self) -> tuple[float, float]:
-        return self.power_trace[-1]
+        return self.trace[-1].powers
 
 
 def _sample_dn(scenario: Scenario, trial_index: int) -> Vec3:
@@ -229,9 +227,7 @@ def apply_misalignment(links: LinkSet, offsets: list | None) -> LinkSet:
     )
 
 
-def _evaluate_rate(
-    state: AisState, links: LinkSet, scenario: Scenario
-) -> float:
+def _evaluate_rate(state: AisState, links: LinkSet, scenario: Scenario) -> float:
     """End-to-end rate of a designed state against (possibly perturbed) channels."""
     gains = effective_gains(
         state.w_s, state.w_r, state.w_t, state.w_d,
@@ -337,10 +333,7 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
         strict_bound_s2v=sb1,
         strict_bound_v2d=sb2,
         iters={"proposed": proposed.k, "randpos_ais": rand_ais.k, "despos_steer": 0},
-        rate_trace=proposed.rate_trace,
-        si_gain_trace=tuple(g.g_si for g in proposed.gain_trace),
-        s2d_gain_trace=tuple(g.g_s2d for g in proposed.gain_trace),
-        power_trace=tuple((p.p_s, p.p_v) for p in proposed.power_trace),
+        trace=proposed.trace,
     )
 
 

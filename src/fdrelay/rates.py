@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,13 +24,12 @@ class EffectiveGains:
     g_s2d: float
 
     def __post_init__(self) -> None:
-        vals = (self.g_s2v, self.g_si, self.g_v2d, self.g_s2d)
-        if not all(math.isfinite(v) and v >= 0 for v in vals):
-            raise ValueError("effective gains must be finite and nonnegative")
+        for name, v in vars(self).items():
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"effective gain {name} is {v!r}; gains must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class PowerPair:
+class PowerPair(NamedTuple):
     """Transmit powers of the source and the relay, watts."""
 
     p_s: float
@@ -37,8 +37,12 @@ class PowerPair:
 
 
 def _bilinear_power(w_rx: np.ndarray, h: np.ndarray, w_tx: np.ndarray) -> float:
-    v = np.vdot(w_rx, h @ w_tx)
-    return float(abs(v) ** 2)
+    v = float(abs(np.vdot(w_rx, h @ w_tx)))
+    # a float's power calls the pow() of numpy's scalar, but raises where that warns
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
 
 
 def effective_gains(w_s, w_r, w_t, w_d, h_s2v, h_si, h_v2d, h_s2d) -> EffectiveGains:

@@ -171,7 +171,7 @@ def test_acceptance_06_si_gain_trace_convergence(table1_results):
     eta_sq = TABLE1.schedule.eta_floor**2
     worst_final = 0.0
     for r in table1_results:
-        trace = r.si_gain_trace
+        trace = [p.gains.g_si for p in r.trace]
         for a, b in zip(trace[1:], trace[2:]):
             assert b <= a * (1 + 1e-9), f"trial {r.trial_index}: SI gain rose {a} -> {b}"
         assert trace[-1] <= 10.0 * eta_sq, (

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ import pytest
 import fdrelay.beamforming as beamforming
 from fdrelay.beamforming import (
     CM_TOL,
-    AisState,
     SuppressionSchedule,
     ais_iterate,
     cm_repair,
@@ -263,24 +261,14 @@ class TestInitialState:
         links = _links()
         state = initial_state(links, _budget(), _schedule())
         assert state.k == 0
-        assert len(state.rate_trace) == 1
-        assert len(state.gain_trace) == 1
-        assert len(state.power_trace) == 1
+        assert len(state.trace) == 1
         assert all(_on_cap(bf) for bf in (state.w_s, state.w_r, state.w_t, state.w_d))
         mu_si = abs(np.vdot(state.w_r, links.si.entries @ state.w_t))
         mu_s2d = abs(np.vdot(state.w_d, links.s2d.entries @ state.w_s))
         assert state.schedule.mu_si == pytest.approx(mu_si)
         assert state.schedule.mu_s2d == pytest.approx(mu_s2d)
-        assert state.powers == state.power_trace[0]
-        assert state.rate_trace[0] > 0
-
-    def test_trace_length_validation(self):
-        links = _links()
-        state = initial_state(links, _budget(), _schedule())
-        with pytest.raises(ValueError, match="trace"):
-            replace(state, rate_trace=state.rate_trace * 2)
-        with pytest.raises(ValueError, match="trace"):
-            replace(state, rate_trace=(), gain_trace=(), power_trace=())
+        assert state.powers == state.trace[0].powers
+        assert state.trace[0].rate > 0
 
 
 class TestAisIterate:
@@ -290,8 +278,8 @@ class TestAisIterate:
         s0 = initial_state(links, budget, _schedule())
         s1 = ais_iterate(s0, links, budget)
         assert s1.k == 1
-        assert len(s1.rate_trace) == 2
-        assert s1.rate_trace[0] == s0.rate_trace[0]
+        assert s1.trace[0] is s0.trace[0]
+        assert len(s1.trace) == 2
         kappa = s0.schedule.kappa
         assert s1.schedule.mu_si == (s0.schedule.mu_si / kappa) / kappa
         assert s1.schedule.mu_s2d == (s0.schedule.mu_s2d / kappa) / kappa
@@ -347,8 +335,8 @@ class TestAisIterate:
         cap = 1.0 / math.sqrt(UPA4.n_tot)
         want_r = cap * np.exp(1j * np.angle(links.s2v.entries @ s0.w_s))
         assert np.allclose(s1.w_r, want_r, atol=1e-12)
-        assert s1.gain_trace[-1].g_si == 0.0
-        assert s1.gain_trace[-1].g_s2d == 0.0
+        assert s1.trace[-1].gains.g_si == 0.0
+        assert s1.trace[-1].gains.g_s2d == 0.0
 
 
 class TestRunAis:
@@ -357,16 +345,16 @@ class TestRunAis:
         state = _run_ais(links, eps_r=0.01, max_iters=50)
         assert 1 <= state.k <= 50
         if state.k < 50:
-            assert state.rate_trace[-1] - state.rate_trace[-2] <= 0.01
+            assert state.trace[-1].rate - state.trace[-2].rate <= 0.01
         # the suppression caps force the SI gain down each pass after the first
-        si_trace = [g.g_si for g in state.gain_trace]
+        si_trace = [p.gains.g_si for p in state.trace]
         for a, b in zip(si_trace[1:], si_trace[2:]):
             assert b <= a * (1 + 1e-9)
 
     def test_converged_rate_beats_start(self):
         links = _links()
         state = _run_ais(links)
-        assert state.rate_trace[-1] >= state.rate_trace[0]
+        assert state.trace[-1].rate >= state.trace[0].rate
 
     def test_max_iters_respected(self):
         links = _links()

@@ -154,6 +154,14 @@ class TestReadme:
         line = re.search(r"Sweepable parameters: ([^.]*)\.", self.TEXT).group(1)
         assert re.findall(r"`(\w+)`", line) == list(harness.SWEEPS)
 
+    def test_converge_columns_and_trial_keys_are_listed(self, fast_config, capsys):
+        columns = re.search(r"`converge` output .*?\scolumns\s+`([^`]*)`", self.TEXT, re.S).group(1)
+        assert tuple(columns.split(", ")) == cli._CONVERGE_FIELDS
+        assert main(["trial", "--config", fast_config]) == 0
+        listed = re.search(r"`trial` prints one JSON object (.*?)\n\n", self.TEXT, re.S).group(1)
+        keys = json.loads(capsys.readouterr().out)
+        assert set(keys) <= set(re.findall(r"`(\w+)`", listed))
+
     def test_dotted_names_resolve(self):
         # every backticked `module.name` or `Class.attribute` names an
         # attribute of fdrelay, so a deleted or renamed one fails here
@@ -231,6 +239,26 @@ class TestExitCodes:
         path.write_text(text)
         assert main(["trial", "--config", str(path)]) == 2
         assert "error: a value overflows a float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["converge", "trial"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # element distances underflow to 0, so r^(-alpha/2) is inf
+            ("panel_separation = 1e-300\n", "error: the self-interference channel is not finite"),
+            ("fc_hz = 1e300\n", "error: the self-interference channel is not finite"),
+            # |w^H H w|^2 overflows
+            ("sigma_f = 1e300\n", "error: effective gain g_s2v is inf"),
+        ],
+    )
+    def test_non_finite_channel_or_gain_is_a_config_error(self, command, text, message, tmp_path, capsys):
+        # one line names what is not finite, and numpy prints no warning
+        path = tmp_path / "huge.cfg"
+        path.write_text(text)
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["position", "trial"])
     @pytest.mark.parametrize(
@@ -480,6 +508,14 @@ class TestConvergeCommand:
         out = capsys.readouterr().out
         assert out.startswith("iteration,rate,si_gain,s2d_gain,p_s,p_v\n")
 
+    def test_csv_bytes_pinned(self, fast_config, tmp_path, capsys, pin_note):
+        out = tmp_path / "pinned.csv"
+        assert main(["converge", "--config", fast_config, "--out", str(out)]) == 0
+        assert (
+            hashlib.sha256(out.read_bytes()).hexdigest()
+            == "c422afb33b84b5d4f850f3741103c81fec40ce123364e2c24689af42baa89dc0"
+        ), pin_note
+
 
 class TestSweepCommand:
     def test_csv_layout_and_reproducibility(self, fast_config, tmp_path, capsys):
@@ -553,10 +589,12 @@ class TestTrialIndex:
         assert main(["converge", "--config", disk_config, "--trial-index", "3"]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         result = run_trial(build_scenario(load_config(disk_config)), 3)
-        assert [float(r["rate"]) for r in rows] == list(result.rate_trace)
-        assert [float(r["si_gain"]) for r in rows] == list(result.si_gain_trace)
-        assert [float(r["s2d_gain"]) for r in rows] == list(result.s2d_gain_trace)
-        assert [(float(r["p_s"]), float(r["p_v"])) for r in rows] == list(result.power_trace)
+        assert [float(r["rate"]) for r in rows] == [p.rate for p in result.trace]
+        assert [float(r["si_gain"]) for r in rows] == [p.gains.g_si for p in result.trace]
+        assert [float(r["s2d_gain"]) for r in rows] == [p.gains.g_s2d for p in result.trace]
+        assert [(float(r["p_s"]), float(r["p_v"])) for r in rows] == [
+            (p.powers.p_s, p.powers.p_v) for p in result.trace
+        ]
 
     def test_trial_replays_trial(self, disk_config, capsys):
         assert main(["trial", "--config", disk_config, "--trial-index", "3"]) == 0
@@ -601,6 +639,14 @@ class TestTrialCommand:
         assert main(["trial", "--config", fast_config]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["fallback"] in (False, True)
+
+    def test_json_bytes_pinned(self, fast_config, tmp_path, capsys, pin_note):
+        out = tmp_path / "pinned.json"
+        assert main(["trial", "--config", fast_config, "--out", str(out)]) == 0
+        assert (
+            hashlib.sha256(out.read_bytes()).hexdigest()
+            == "2a9b7b392fb48fda4e4e378354519818d1db109834a9091709ea13601a474a0c"
+        ), pin_note
 
     def test_no_nlos_rays(self, tmp_path, capsys):
         # with no sigma_f set, L = 0 used to divide by sqrt(0)

@@ -184,32 +184,34 @@ class TestRunTrial:
     def test_bit_exact_repeatability(self):
         a = run_trial(FAST, 0)
         b = run_trial(FAST, 0)
-        assert a.rates == b.rates
-        assert a.rate_trace == b.rate_trace
-        assert a.designed_position == b.designed_position
-        assert a.powers_proposed == b.powers_proposed
+        assert a == b  # every field, the proposed run's records too
 
     def test_proposed_rate_is_last_trace_entry_at_zero_delta(self):
-        res = run_trial(FAST, 0)
-        assert res.rates["proposed"] == res.rate_trace[-1]
-        assert res.rates["despos_steer"] == res.rate_trace[0]
+        # unperturbed, the proposed rate is the last record's and the steered
+        # baseline's the first record's, bit for bit, on every workload
+        for workload in WORKLOADS.values():
+            scenario = build_scenario({**workload.overrides, "delta_m_deg": 0.0})
+            for trial in range(20):
+                res = run_trial(scenario, trial)
+                assert res.rates["proposed"].hex() == res.trace[-1].rate.hex()
+                assert res.rates["despos_steer"].hex() == res.trace[0].rate.hex()
 
     def test_steered_baseline_is_the_loop_start_to_the_bit(self):
         scenario = Scenario(trials=4, master_seed=7)
         for trial in range(4):
             res = run_trial(scenario, trial)
-            assert res.rates["despos_steer"].hex() == res.rate_trace[0].hex()
+            assert res.rates["despos_steer"].hex() == res.trace[0].rate.hex()
 
     def test_perturbed_evaluation_departs_from_trace(self):
         res = run_trial(Scenario(dn_rule="fixed", trials=1, master_seed=7, delta_m_deg=10.0), 0)
-        assert res.rates["proposed"] != res.rate_trace[-1]
+        assert res.rates["proposed"] != res.trace[-1].rate
 
     def test_trace_lengths_consistent(self):
         res = run_trial(FAST, 0)
         k = res.iters["proposed"]
-        assert len(res.rate_trace) == k + 1
-        assert len(res.si_gain_trace) == k + 1
-        assert len(res.power_trace) == k + 1
+        assert len(res.trace) == k + 1
+        powers = res.trace[-1].powers
+        assert res.powers_proposed == (powers.p_s, powers.p_v)
 
     def test_bounds_ordering(self):
         res = run_trial(FAST, 0)
@@ -305,10 +307,10 @@ class TestOddArrays:
         for trial in range(4):
             res = run_trial(scenario, trial)
             assert all(math.isfinite(r) for r in res.rates.values())
-            assert all(math.isfinite(r) for r in res.rate_trace)
-            for p_s, p_v in res.power_trace:
-                assert 0.0 <= p_s <= scenario.p_s_tot
-                assert 0.0 <= p_v <= scenario.p_v_tot
+            for p in res.trace:
+                assert math.isfinite(p.rate)
+                assert 0.0 <= p.powers.p_s <= scenario.p_s_tot
+                assert 0.0 <= p.powers.p_v <= scenario.p_v_tot
         assert infos
         for info in infos:
             assert info.gap <= GAP_TOL
@@ -442,7 +444,7 @@ class TestRunTrials:
         parallel = run_trials(Scenario(dn_rule="fixed", trials=4, master_seed=7, workers=2))
         for a, b in zip(serial, parallel):
             assert a.rates == b.rates
-            assert a.rate_trace == b.rate_trace
+            assert a.trace == b.trace
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
