@@ -3,7 +3,7 @@
 `position`, `converge` and `trial` run the one trial named by --trial-index,
 so any trial of a sweep replays from its config, seed and trial index.
 Exit codes: 0 success, 2 configuration or usage error (a value that overflows
-a float included), 3 numerical failure or out of memory.
+a float included), 3 numerical failure, out of memory or a dead worker process.
 All CSV output uses ',' separators and '.' decimals; reruns with the same
 seed and arguments produce byte-identical files.
 """
@@ -23,7 +23,7 @@ import sys
 from .channel import Vec3
 from .config import ConfigError, build_scenario, load_config
 from .harness import OutputRow, Scenario, SweepSpec, place_relay, run_sweep, run_trial
-from .harness import PanelMemoryError, panel_memory_context
+from .harness import PanelMemoryError, WorkerDiedError
 from .positioning import approx_upper_bounds
 from .solver import SolverError
 
@@ -125,7 +125,7 @@ _CONVERGE_FIELDS = ("iteration", "rate", "si_gain", "s2d_gain", "p_s", "p_v")
 
 def cmd_converge(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    with _open_out(args.out) as out, panel_memory_context(scenario):
+    with _open_out(args.out) as out:
         result = run_trial(scenario, args.trial_index)
         rows = [(k, p.rate, p.gains.g_si, p.gains.g_s2d, *p.powers) for k, p in enumerate(result.trace)]
         writer = csv.writer(out, lineterminator="\n")
@@ -174,7 +174,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_trial(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    with _open_out(args.out) as out, panel_memory_context(scenario):
+    with _open_out(args.out) as out:
         result = run_trial(scenario, args.trial_index)
         doc = {
             "trial_index": result.trial_index,
@@ -224,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except MemoryError as exc:
         print(exc if isinstance(exc, PanelMemoryError) else "out of memory", file=sys.stderr)
+        return 3
+    except WorkerDiedError as exc:
+        print(exc, file=sys.stderr)
         return 3
 
 

@@ -10,7 +10,6 @@ comparisons.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -277,101 +276,103 @@ def place_relay(scenario: Scenario, trial_index: int) -> Placement:
     return Placement(dn, box, env_real, p_star, rho, designed, fallback)
 
 
-def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
-    """One full paired trial: proposed pipeline, both baselines, both bounds.
-
-    A SolverError names the AIS run it came from: the designed or the
-    random position.
-    """
-    placement = place_relay(scenario, trial_index)
-    dn, designed = placement.dn, placement.designed
-    budget = scenario.budget
-
-    arrays = (scenario.upa_s, scenario.upa_r, scenario.upa_t, scenario.upa_d)
-    links_des = build_links(placement.env_real, dn, designed, *arrays)
-    rand_pos = _sample_random_position(placement)
-    links_rand = build_links(placement.env_real, dn, rand_pos, *arrays, s2d=links_des.s2d)
-
-    # one block of pointing errors, delta times uniforms on [-1/2, 1/2], for
-    # both link sets; sweeps over delta with the same trial seed are paired
-    # (common random numbers), and at delta 0 no stream is built
-    offsets = None
-    if scenario.delta_m_deg > 0:
-        rng = trial_rng(scenario.master_seed, trial_index, TAG_MISALIGN)
-        block = rng.uniform(-0.5, 0.5, size=(2, 1 + scenario.env.num_nlos, 4))
-        offsets = (math.radians(scenario.delta_m_deg) * block).tolist()
-    links_des_eval = apply_misalignment(links_des, offsets)
-    links_rand_eval = apply_misalignment(links_rand, offsets)
-
-    # the steered-beam baseline is the proposed loop's start
-    schedule = scenario.schedule
-    steer = initial_state(links_des, budget, schedule)
-    with solver_error_context("designed position"):
-        proposed = run_ais(steer, links_des, budget, scenario.eps_r, scenario.max_iters)
-    rand_start = initial_state(links_rand, budget, schedule)
-    with solver_error_context("random position"):
-        rand_ais = run_ais(rand_start, links_rand, budget, scenario.eps_r, scenario.max_iters)
-
-    rates = {
-        "proposed": _evaluate_rate(proposed, links_des_eval, scenario),
-        "despos_steer": _evaluate_rate(steer, links_des_eval, scenario),
-        "randpos_ais": _evaluate_rate(rand_ais, links_rand_eval, scenario),
-    }
-    ab1, ab2 = approx_upper_bounds(designed, budget, scenario.env, dn)
-    sb1, sb2 = strict_upper_bounds(links_des.s2v, links_des.v2d, budget)
-
-    return TrialResult(
-        trial_index=trial_index,
-        dn=dn,
-        rho=placement.rho,
-        designed_position=designed,
-        random_position=rand_pos,
-        fallback=placement.fallback,
-        rates=rates,
-        approx_bound_s2v=ab1,
-        approx_bound_v2d=ab2,
-        strict_bound_s2v=sb1,
-        strict_bound_v2d=sb2,
-        iters={"proposed": proposed.k, "randpos_ais": rand_ais.k, "despos_steer": 0},
-        trace=proposed.trace,
-    )
-
-
-def _run_trial_tuple(args: tuple[Scenario, int]) -> TrialResult:
-    scenario, trial_index = args
-    with solver_error_context(f"master_seed={scenario.master_seed} trial_index={trial_index}"):
-        return run_trial(scenario, trial_index)
-
-
 class PanelMemoryError(MemoryError):
     """Out of memory in a trial; the message names the scenario's panels."""
 
 
-@contextlib.contextmanager
-def panel_memory_context(scenario: Scenario):
-    """Re-raise a MemoryError raised within as a PanelMemoryError."""
+def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
+    """One full paired trial: proposed pipeline, both baselines, both bounds.
+
+    A failure names its trial, whoever runs it: a SolverError is prefixed
+    with ``master_seed=S trial_index=I`` and the AIS run it came from (the
+    designed or the random position), and a MemoryError is re-raised as a
+    PanelMemoryError that names the scenario's panels.
+    """
     try:
-        yield
+        with solver_error_context(f"master_seed={scenario.master_seed} trial_index={trial_index}"):
+            placement = place_relay(scenario, trial_index)
+            dn, designed = placement.dn, placement.designed
+            budget = scenario.budget
+
+            arrays = (scenario.upa_s, scenario.upa_r, scenario.upa_t, scenario.upa_d)
+            links_des = build_links(placement.env_real, dn, designed, *arrays)
+            rand_pos = _sample_random_position(placement)
+            links_rand = build_links(placement.env_real, dn, rand_pos, *arrays, s2d=links_des.s2d)
+
+            # one block of pointing errors, delta times uniforms on [-1/2, 1/2], for
+            # both link sets; sweeps over delta with the same trial seed are paired
+            # (common random numbers), and at delta 0 no stream is built
+            offsets = None
+            if scenario.delta_m_deg > 0:
+                rng = trial_rng(scenario.master_seed, trial_index, TAG_MISALIGN)
+                block = rng.uniform(-0.5, 0.5, size=(2, 1 + scenario.env.num_nlos, 4))
+                offsets = (math.radians(scenario.delta_m_deg) * block).tolist()
+            links_des_eval = apply_misalignment(links_des, offsets)
+            links_rand_eval = apply_misalignment(links_rand, offsets)
+
+            # the steered-beam baseline is the proposed loop's start
+            schedule = scenario.schedule
+            steer = initial_state(links_des, budget, schedule)
+            with solver_error_context("designed position"):
+                proposed = run_ais(steer, links_des, budget, scenario.eps_r, scenario.max_iters)
+            rand_start = initial_state(links_rand, budget, schedule)
+            with solver_error_context("random position"):
+                rand_ais = run_ais(rand_start, links_rand, budget, scenario.eps_r, scenario.max_iters)
+
+            rates = {
+                "proposed": _evaluate_rate(proposed, links_des_eval, scenario),
+                "despos_steer": _evaluate_rate(steer, links_des_eval, scenario),
+                "randpos_ais": _evaluate_rate(rand_ais, links_rand_eval, scenario),
+            }
+            ab1, ab2 = approx_upper_bounds(designed, budget, scenario.env, dn)
+            sb1, sb2 = strict_upper_bounds(links_des.s2v, links_des.v2d, budget)
+
+            return TrialResult(
+                trial_index=trial_index,
+                dn=dn,
+                rho=placement.rho,
+                designed_position=designed,
+                random_position=rand_pos,
+                fallback=placement.fallback,
+                rates=rates,
+                approx_bound_s2v=ab1,
+                approx_bound_v2d=ab2,
+                strict_bound_s2v=sb1,
+                strict_bound_v2d=sb2,
+                iters={"proposed": proposed.k, "randpos_ais": rand_ais.k, "despos_steer": 0},
+                trace=proposed.trace,
+            )
     except MemoryError as exc:
         upas = (scenario.upa_s, scenario.upa_r, scenario.upa_t, scenario.upa_d)
         sizes = ", ".join(f"{u.rows}x{u.cols}" for u in upas)
         raise PanelMemoryError(f"out of memory at panels s, r, t, d of {sizes} elements") from exc
 
 
-def run_trials(scenario: Scenario) -> list[TrialResult]:
-    """All trials of a scenario in trial-index order, whatever the worker count.
+class WorkerDiedError(RuntimeError):
+    """A pool worker process died before it returned its trial."""
 
-    The pool forks all its workers at the first job, so it holds no more
-    workers than there are trials or CPUs.
+
+def run_trials(*scenarios: Scenario) -> list[TrialResult]:
+    """All trials of the scenarios, scenario by scenario, each in trial-index
+    order, whatever the worker count.
+
+    The first scenario's worker count sizes one pool for them all. The pool
+    forks all its workers at the first job, so it holds no more workers than
+    there are trials or CPUs. When a trial fails, the jobs not yet started
+    are cancelled.
     """
-    jobs = [(scenario, i) for i in range(scenario.trials)]
-    workers = min(scenario.workers, scenario.trials, os.cpu_count() or 1)
+    runs = [scenario for scenario in scenarios for _ in range(scenario.trials)]
+    indices = [i for scenario in scenarios for i in range(scenario.trials)]
+    workers = min(scenarios[0].workers, len(runs), os.cpu_count() or 1)
     if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_trial_tuple, jobs))
-    return list(map(_run_trial_tuple, jobs))
+        try:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(run_trial, runs, indices))
+        except concurrent.futures.BrokenExecutor as exc:
+            raise WorkerDiedError("a worker process died before it returned its trial") from exc
+    return list(map(run_trial, runs, indices))
 
 
 @dataclass(frozen=True)
@@ -464,8 +465,9 @@ def run_sweep(spec: SweepSpec) -> list[OutputRow]:
     fails at once, wherever it stands in the list.
     """
     scenarios = [apply_sweep_value(spec.base, spec.param, value) for value in spec.values]
+    results = run_trials(*scenarios)
+    n = spec.base.trials  # no swept parameter changes the trial count
     rows: list[OutputRow] = []
-    for value, scenario in zip(spec.values, scenarios):
-        with panel_memory_context(scenario):
-            rows.extend(aggregate(run_trials(scenario), spec.param, value))
+    for k, value in enumerate(spec.values):
+        rows.extend(aggregate(results[k * n:(k + 1) * n], spec.param, value))
     return rows

@@ -386,7 +386,6 @@ def solve_bf_subproblem_report(
     int_norm = math.sqrt(h_int.real.dot(h_int.real) + h_int.imag.dot(h_int.imag))
     if sig_norm == 0.0:
         return np.zeros_like(h_sig), SolveInfo(0.0, 0.0, 0.0, 0.0, 0.0, "shortcut", 0j)
-    s_hat = h_sig / sig_norm
 
     # matched constant-magnitude filter whenever it already meets the cap;
     # built from the raw channel so the closed form is recovered bit-exactly
@@ -407,6 +406,7 @@ def solve_bf_subproblem_report(
         obj = float(np.vdot(w_mf, h_sig).real)
         return w_mf, SolveInfo(obj, obj, 0.0, 0.0, 0.0, "shortcut", 0j)
 
+    s_hat = h_sig / sig_norm
     i_hat = h_int / int_norm
     eta_hat = eta / int_norm
 

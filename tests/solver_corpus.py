@@ -1,5 +1,5 @@
-"""The solver's corpus: seeded fuzz families, named instances, and the
-recovery that certifies a solve.
+"""The solver's corpus: seeded fuzz families, named instances, the
+subproblems of real trials, and the recovery that certifies a solve.
 
 Each named instance once made a solve raise SolverError or miss its
 certificate; ``NAMED`` keeps it with the recovery that certifies it now.
@@ -11,20 +11,31 @@ every uncertified or raised solve (exit 1 if there is one):
 
 ``--per-family 1000 --seed 2029`` solves the sample that
 tests/test_solver.py::TestSeededFuzz checks.
+
+With ``--capture`` it records every subproblem that trials 0 to K - 1 of a
+trialbench workload solve (``capture``), re-solves each the same way, and
+also prints the mean time a solve took in the trials, per route; a re-solve
+that differs from its trial's solve is a fault too. ``--save`` writes the
+captured solves to that one .npz file (keep it out of the repository):
+
+    PYTHONPATH=src:. python tests/solver_corpus.py --capture paper_default --trials 20 --seed 0
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import dataclasses
 import math
 import sys
+import time
 from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
 
 import fdrelay.solver as solver
+from fdrelay import beamforming, config, harness
 from fdrelay.solver import CAP_TOL, FEAS_TOL, GAP_TOL, SolverError, solve_bf_subproblem_report
 
 FUZZ_FAMILIES = ("decades_0", "decades_6", "decades_12", "near_origin", "zeroed", "cluster")
@@ -207,41 +218,123 @@ NAMED = {
 }
 
 
+class TrialSolve(NamedTuple):
+    case: tuple  # h_sig, h_int, eta, cap, as the trial passed them
+    w: bytes  # the weights the solve returned
+    info: solver.SolveInfo
+    seconds: float
+
+
+def capture(workload, trials, seed):
+    """Every ``beamforming.solve_bf_subproblem`` call of the given trials of a
+    trialbench workload at master seed ``seed``, as TrialSolves in call order.
+
+    The recorder stands in for that binding, as trialbench's
+    ``checks.SolveAudit`` does, and solves through
+    ``solver.solve_bf_subproblem_report``, so the trials run as they would
+    unrecorded.
+    """
+    from trialbench.workloads import WORKLOADS  # needs the repository root on the path
+
+    solves = []
+
+    def record(h_sig, h_int, eta, cap):
+        case = (np.array(h_sig), np.array(h_int), eta, cap)
+        start = time.perf_counter()
+        w, info = solver.solve_bf_subproblem_report(h_sig, h_int, eta, cap)
+        solves.append(TrialSolve(case, w.tobytes(), info, time.perf_counter() - start))
+        return w
+
+    scenario = config.build_scenario({**WORKLOADS[workload].overrides, "master_seed": seed})
+    with mock.patch.object(beamforming, "solve_bf_subproblem", record):
+        for trial_index in trials:
+            harness.run_trial(scenario, trial_index)
+    return solves
+
+
+def save(path, solves):
+    """Write captured solves to the .npz file ``path``: each solve's element
+    count, its vectors concatenated in call order, and one entry per solve for
+    eta, cap, the seconds it took and each SolveInfo field."""
+    arrays = {
+        "n": [s.case[0].size for s in solves],
+        "h_sig": np.concatenate([s.case[0] for s in solves]),
+        "h_int": np.concatenate([s.case[1] for s in solves]),
+        "eta": [s.case[2] for s in solves],
+        "cap": [s.case[3] for s in solves],
+        "w": np.concatenate([np.frombuffer(s.w, dtype=complex) for s in solves]),
+        "seconds": [s.seconds for s in solves],
+    }
+    for f in dataclasses.fields(solver.SolveInfo):
+        arrays[f.name] = [getattr(s.info, f.name) for s in solves]
+    with open(path, "wb") as fh:  # np.savez given a name would append .npz to it
+        np.savez(fh, **arrays)
+
+
+def tally(label, cases):
+    """Solve each (N, case, trial solve) and print the label's counts and
+    faults; True when there is none. The trial solve is None, or the
+    TrialSolve whose w bytes and SolveInfo the solve must reproduce."""
+    counts, faults = collections.Counter(), []
+    for i, (n, case, trial_solve) in enumerate(cases):
+        where = f"  instance {i} (N = {n})"
+        try:
+            w, info, recovery = solve_recorded(case)
+        except SolverError as exc:
+            counts["raised"] += 1
+            faults.append(f"{where} raised: {exc}")
+            continue
+        counts[info.method] += 1
+        if recovery is not None:
+            counts[recovery] += 1
+        missed = failures(case, w, info)
+        if trial_solve is not None and (w.tobytes(), info) != (trial_solve.w, trial_solve.info):
+            missed.append("its trial's w or SolveInfo")
+        if missed:
+            counts["uncertified"] += 1
+            faults.append(f"{where} uncertified: misses {', '.join(missed)}")
+    # the recoveries at z* by tolerance, then the one at z = 0
+    recoveries = sorted(
+        (key for key in counts if isinstance(key, tuple)), key=lambda r: (r[0] == "0", r[1])
+    )
+    certified = ", ".join(f"{z} at {tol:g}: {counts[z, tol]}" for z, tol in recoveries)
+    print(f"{label}: {counts['shortcut']} shortcut, {counts['dual']} dual ({certified}); "
+          f"{counts['uncertified']} uncertified, {counts['raised']} raised")
+    for line in faults:
+        print(line)
+    return not faults
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Solve the seeded fuzz families and count how each solve certified."
+        description="Solve the seeded fuzz families, or the subproblems of a trialbench "
+        "workload's trials, and count how each solve certified."
     )
     parser.add_argument("--per-family", type=int, default=1000, metavar="N")
     parser.add_argument("--seed", type=int, default=2029, metavar="S")
+    parser.add_argument("--capture", metavar="WORKLOAD", help="solve this workload's subproblems")
+    parser.add_argument("--trials", type=int, default=4, metavar="K", help="trials to capture")
+    parser.add_argument("--save", metavar="PATH.npz", help="write the captured solves here")
     args = parser.parse_args(argv)
-    clean = True
-    for family in FUZZ_FAMILIES:
-        counts, faults = collections.Counter(), []
-        for i, (n, case) in enumerate(fuzz_cases(family, args.seed, args.per_family)):
-            where = f"  instance {i} (N = {n})"
-            try:
-                w, info, recovery = solve_recorded(case)
-            except SolverError as exc:
-                counts["raised"] += 1
-                faults.append(f"{where} raised: {exc}")
-                continue
-            counts[info.method] += 1
-            if recovery is not None:
-                counts[recovery] += 1
-            missed = failures(case, w, info)
-            if missed:
-                counts["uncertified"] += 1
-                faults.append(f"{where} uncertified: misses {', '.join(missed)}")
-        # the recoveries at z* by tolerance, then the one at z = 0
-        recoveries = sorted(
-            (key for key in counts if isinstance(key, tuple)), key=lambda r: (r[0] == "0", r[1])
-        )
-        certified = ", ".join(f"{z} at {tol:g}: {counts[z, tol]}" for z, tol in recoveries)
-        print(f"{family}: {counts['shortcut']} shortcut, {counts['dual']} dual ({certified}); "
-              f"{counts['uncertified']} uncertified, {counts['raised']} raised")
-        for line in faults:
-            print(line)
-        clean = clean and not faults
+    if args.capture is None:
+        clean = [
+            tally(family, ((n, case, None) for n, case in fuzz_cases(family, args.seed, args.per_family)))
+            for family in FUZZ_FAMILIES
+        ]
+        return 0 if all(clean) else 1
+    if args.trials < 1:
+        parser.error("--trials must be at least 1")
+    solves = capture(args.capture, range(args.trials), args.seed)
+    clean = tally(args.capture, ((s.case[0].size, s.case, s) for s in solves))
+    means = []
+    for method in ("shortcut", "dual"):
+        seconds = [s.seconds for s in solves if s.info.method == method]
+        if seconds:
+            means.append(f"{method} {1e6 * sum(seconds) / len(seconds):.1f} us")
+    print(f"  mean time a solve in the trials: {', '.join(means)}")
+    if args.save:
+        save(args.save, solves)
+        print(f"  wrote {len(solves)} solves to {args.save}")
     return 0 if clean else 1
 
 

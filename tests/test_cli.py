@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import pkgutil
 import re
 import time
@@ -59,6 +60,16 @@ OTHER_VALUES = {
     "max_iters": 20,
     "workers": 2,
 }
+
+
+TEST_PID = os.getpid()
+
+
+def exit_in_worker(scenario, trial_index):
+    """A stand-in ``harness.run_trial`` that kills the pool worker it runs in."""
+    if os.getpid() == TEST_PID:
+        raise AssertionError("the stand-in ran in the test process, not in a worker")
+    os._exit(1)
 
 
 @pytest.fixture
@@ -326,7 +337,7 @@ class TestExitCodes:
     def test_failing_trial_is_named(self, fast_config, tmp_path, monkeypatch, capsys):
         # trial 1 fails on the 7th solve of its second AIS run, the random
         # position's: pass 2 solves w_r, w_t, w_s, w_d as its solves 5-8.
-        # The counts live in each worker process the pool forks.
+        # FAST_CFG runs its trials serially, so the counts stay in this process.
         at = {"trial": None, "run": 0, "solve": 0}
         trial, run_ais, solve = harness.run_trial, harness.run_ais, beamforming.solve_bf_subproblem
 
@@ -352,6 +363,28 @@ class TestExitCodes:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "master_seed=7 trial_index=1: random position: AIS pass 2, w_s: stub failure" in err
+        # a single trial names its seed and index the same way; its first
+        # solve is the designed position's w_r
+        def no_solve(*args):
+            raise SolverError("stub failure")
+
+        monkeypatch.setattr(beamforming, "solve_bf_subproblem", no_solve)
+        for command in ("trial", "converge"):
+            assert main([command, "--config", fast_config]) == 3
+            assert capsys.readouterr().err == (
+                "numerical failure: master_seed=7 trial_index=0: designed position: "
+                "AIS pass 1, w_r: stub failure\n"
+            )
+
+    def test_dead_worker_exits_3(self, fast_config, tmp_path, monkeypatch, capsys):
+        # the stand-in is pickled by name, so the forked workers run it too
+        monkeypatch.setattr(harness, "run_trial", exit_in_worker)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool on a 1-CPU host too
+        out = tmp_path / "o.csv"
+        argv = ["sweep", "--config", fast_config, "--workers", "2", "--sweep", "array=2,3"]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "a worker process died before it returned its trial\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["trial"], ["converge"], ["sweep", "--sweep", "delta_m_deg=0"],
@@ -563,6 +596,13 @@ class TestSweepCommand:
         with open(more, newline="") as fh:
             n_col = [row["n_trials"] for row in csv.DictReader(fh)]
         assert n_col == ["3"] * 4
+
+    def test_csv_bytes_match_at_one_and_two_workers(self, fast_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool on a 1-CPU host too
+        argv = ["sweep", "--config", fast_config, "--sweep", "delta_m_deg=0,5", "--out"]
+        for workers in ("1", "2"):
+            assert main([*argv, str(tmp_path / workers), "--workers", workers]) == 0
+        assert (tmp_path / "1").read_bytes() == (tmp_path / "2").read_bytes()
 
     def test_csv_bytes_pinned(self, fast_config, tmp_path, capsys, pin_note):
         # a refactor must not move any output bit

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -40,10 +41,21 @@ from fdrelay.harness import (
     run_trial,
     run_trials,
 )
-from fdrelay.solver import CAP_TOL, FEAS_TOL, GAP_TOL, solve_bf_subproblem_report
+from fdrelay.solver import CAP_TOL, FEAS_TOL, GAP_TOL, SolverError, solve_bf_subproblem_report
 from trialbench.workloads import WORKLOADS
 
 FAST = Scenario(dn_rule="fixed", trials=4, master_seed=7)
+JOB_LOG = None  # the file slow_trial_failing_first logs each job it starts to
+
+
+def slow_trial_failing_first(scenario, trial_index):
+    """A stand-in ``harness.run_trial``: trial 0 of each scenario fails at
+    once, and every other trial takes 0.3 s."""
+    with open(JOB_LOG, "a") as fh:
+        fh.write(f"{scenario.p_v_tot} {trial_index}\n")
+    if trial_index == 0:
+        raise SolverError("stub failure")
+    time.sleep(0.3)
 
 
 class TestScenario:
@@ -465,8 +477,8 @@ class TestRunTrials:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -489,6 +501,22 @@ class TestRunTrials:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert run_trials(replace(FAST, workers=64)) == run_trials(FAST)
         assert pool_sizes == [3]
+
+    def test_sweep_opens_one_pool(self, pool_sizes):
+        spec = SweepSpec(param="p_v_tot_dbm", values=(10.0, 20.0), base=replace(FAST, workers=2))
+        assert run_sweep(spec) == run_sweep(replace(spec, base=FAST))
+        assert pool_sizes == [2]
+
+    def test_failing_sweep_cancels_the_jobs_not_started(self, tmp_path, monkeypatch):
+        # a real pool, whose forked workers see the log path and run the
+        # stand-in, pickled by name; run to the end, the sweep starts 16 jobs
+        monkeypatch.setattr(harness, "run_trial", slow_trial_failing_first)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool on a 1-CPU host too
+        monkeypatch.setitem(globals(), "JOB_LOG", str(tmp_path / "jobs.log"))
+        spec = SweepSpec(param="p_v_tot_dbm", values=(0.0, 10.0, 20.0, 30.0), base=replace(FAST, workers=2))
+        with pytest.raises(SolverError, match="stub failure"):
+            run_sweep(spec)
+        assert len((tmp_path / "jobs.log").read_text().splitlines()) < 16
 
 
 class TestAggregate:

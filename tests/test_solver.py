@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import fdrelay.solver as solver
 from fdrelay import config, harness
+from trialbench.workloads import WORKLOADS
 from fdrelay.solver import (
     CAP_TOL,
     FEAS_TOL,
@@ -22,6 +23,7 @@ from oracles import kink_point, n2_dense_best, recover_primal, weiszfeld
 from solver_corpus import (
     FUZZ_FAMILIES,
     NAMED,
+    capture,
     failures,
     from_flat,
     fuzz_cases,
@@ -770,6 +772,22 @@ class TestSeededFuzz:
         for i, (n, case) in enumerate(fuzz_cases(family, 2029, 1000)):
             w, info = solve_bf_subproblem_report(*case)
             assert not failures(case, w, info), f"{family} instance {i} (N = {n})"
+
+
+class TestTrialCaptures:
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_check_trial_solves_certify_and_replay(self, workload):
+        # every subproblem the benchmark's check trials solve, recorded at
+        # the binding the trials call; a re-solve outside the trial must
+        # give the same weight bytes and certificate
+        check = WORKLOADS[workload]
+        solves = capture(workload, check.check_trials, check.check_master_seed)
+        assert {s.info.method for s in solves} == {"shortcut", "dual"}
+        for i, (case, w, info, _) in enumerate(solves):
+            w_again, info_again = solver.solve_bf_subproblem_report(*case)
+            assert (w_again.tobytes(), info_again) == (w, info), f"{workload} solve {i}"
+            # GAP_TOL, FEAS_TOL and CAP_TOL, on the SolveInfo and on w itself
+            assert not failures(case, w_again, info_again), f"{workload} solve {i}"
 
 
 class TestRecoveries:
