@@ -278,14 +278,14 @@ class EnvironmentRealization:
     """Seeded, position-consistent randomness for one Monte Carlo trial.
 
     The LoS field: the state of a ground-to-UAV link at grid cell (i, j, k)
-    is a pure function of (master_seed, trial_index, link role, cell). The
-    cell's uniform u comes from the sha256 digest of the key
-    ``"master_seed|trial_index|role|i|j|k"`` (_digest_uniforms), and the
-    link has LoS when u lies below the logistic LoS probability at the
-    elevation of the cell's center (_los_rule). :meth:`los_indicator`
-    decides the one cell of a position; a search over many cells asks
-    :meth:`los_route` for each role's :class:`LosRoute`, which decides
-    every cell of a pass by the same _los_rule in one call.
+    is a pure function of (master_seed, trial_index, link role, cell). One
+    cell map decides it for a search and the one-cell :meth:`los_indicator`
+    alike: the cell's index from quantize_axes, its sha256 key
+    ``b"master_seed|trial_index|role|i|j|k"`` (_key_prefix), the key's
+    uniform u (_digest_uniforms), and LoS when u lies below the logistic
+    LoS probability at the elevation of the cell's center (_los_rule). A
+    search asks :meth:`los_route` for each role's :class:`LosRoute`, which
+    decides every cell of a pass in one call.
     Multipath draws are made once per (trial, role) in a fixed order and
     are position-independent.
     """
@@ -322,26 +322,20 @@ class EnvironmentRealization:
         k = np.rint(z / eh)
         return np.rint(x / ex), np.rint(y / ey), np.where((z > 0) & (k < 1), 1.0, k)
 
-    def _key_prefix(self, role: str) -> str:
-        """The start ``"master_seed|trial_index|role|"`` of a role's cell keys."""
+    def _key_prefix(self, role: str) -> bytes:
+        """The head ``b"master_seed|trial_index|role|%d|"`` of a role's cell
+        keys, which takes the cell's i."""
         if role not in (ROLE_S2V, ROLE_V2D):
             raise ValueError(f"LoS field only covers ground-UAV links, got {role!r}")
-        return f"{self.master_seed}|{self.trial_index}|{role}|"
+        return f"{self.master_seed}|{self.trial_index}|{role}|%d|".encode()
 
     def los_indicator(self, role: str, ground: Vec3, uav: Vec3) -> bool:
-        """Bernoulli LoS state of a ground-to-UAV link at the UAV's grid cell.
-
-        Python's ``round`` rounds half to even as quantize_axes' np.rint
-        does, with the same layer-1 rule, and the cell is decided by
-        _los_rule, as LosRoute decides every cell of a pass.
-        """
-        prefix = self._key_prefix(role)
+        """Bernoulli LoS state of a ground-to-UAV link at the UAV's grid cell,
+        decided by the cell map of :class:`LosRoute` on one cell."""
+        head = self._key_prefix(role)
+        i, j, k = (c.item() for c in self.quantize_axes(*np.array([uav.x, uav.y, uav.z])))
+        u = _digest_uniforms(hashlib.sha256(head % i + b"%d|" % j + b"%d" % k).digest())[0]
         ex, ey, eh = self.grid_step
-        i, j, k = round(uav.x / ex), round(uav.y / ey), round(uav.z / eh)
-        if uav.z > 0 and k < 1:
-            k = 1
-        digest = hashlib.sha256(f"{prefix}{i}|{j}|{k}".encode()).digest()
-        u = int.from_bytes(digest[:8], "big") / 2.0**64
         return bool(_los_rule(u, i * ex - ground.x, j * ey - ground.y, k * eh - ground.z, self.env))
 
     def los_route(self, role: str, ground: Vec3, axes) -> "LosRoute":
@@ -387,17 +381,18 @@ class LosRoute:
     pass's cells as three equal-length int arrays, each cell's positions
     bi, bj and bk on the x, y and z runs, in any order.
     It formats the key fragments ``b"%d|" % j`` and ``b"%d" % k`` of the y
-    and z runs between the pass's least and greatest positions, hashes
-    ``b"master_seed|trial_index|role|%d|" % i`` once per run of consecutive
-    cells with the same bi and copies that sha256 state per cell, so each
-    cell hashes the bytes of its ``"master_seed|trial_index|role|i|j|k"``
-    key (BENCH_17.json, BENCH_19.json). Then one _los_rule call decides
-    every cell. A pass leaves no state behind.
+    and z runs between the pass's least and greatest positions, hashes the
+    head ``_key_prefix(role) % i`` once per run of consecutive cells with
+    the same bi and copies that sha256 state per cell, so each cell hashes
+    the bytes of its ``"master_seed|trial_index|role|i|j|k"`` key
+    (BENCH_17.json, BENCH_19.json). Then one _los_rule call decides
+    every cell. A pass leaves no state behind. This is the cell map that
+    ``los_indicator`` runs on one cell.
     """
 
     def __init__(self, real: EnvironmentRealization, role: str, ground: Vec3, axes) -> None:
         self._env = real.env
-        self._head = f"{real._key_prefix(role)}%d|".encode()
+        self._head = real._key_prefix(role)
         self._axes = axes
         ground = (ground.x, ground.y, ground.z)
         self._offsets = tuple(run * step - g for run, step, g in zip(axes, real.grid_step, ground))

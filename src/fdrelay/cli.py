@@ -85,8 +85,9 @@ def _scenario_from_args(args: argparse.Namespace, **flags: int | None) -> Scenar
 @contextlib.contextmanager
 def _open_out(path: str | None):
     """``--out`` (or stdout), opened before the first trial so a bad path
-    fails at once; a failed command removes the file, but never a link or a
-    device such as /dev/stdout."""
+    fails at once; a failed command removes the file while it is still a
+    regular file there, never a link or a device such as /dev/stdout, and
+    raises its own error."""
     if path is None:
         yield sys.stdout
         return
@@ -95,8 +96,9 @@ def _open_out(path: str | None):
         with fh:
             yield fh
     except BaseException:
-        if stat.S_ISREG(os.lstat(path).st_mode):
-            os.remove(path)
+        with contextlib.suppress(FileNotFoundError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
         raise
 
 

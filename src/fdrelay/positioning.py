@@ -239,8 +239,8 @@ def los_adjusted_position(
     Per ring, _ring_cells lists the ring's cells in (i, j, k) order, one
     S2V ``decide`` call decides them, then one V2D call decides the S2V
     hits. The coordinates and cells are the ones the cell-by-cell loop
-    computes, and LosRoute decides every cell by the field's one rule, as
-    that loop and ``los_indicator`` do (tests/oracles.py keeps the loop),
+    computes, and LosRoute decides every cell by the field's one cell map,
+    as ``los_indicator`` and that loop do (tests/oracles.py keeps the loop),
     so the hits, their order and the chosen point are the same to the bit.
     """
     if not box.contains(p_star):

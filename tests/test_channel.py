@@ -399,8 +399,8 @@ class TestLosCells:
         assert [tuple(c) for c in cells.tolist()] == [quantize_oracle(real, Vec3(v, v, v)) for v in huge]
 
     def test_los_indicator_past_the_int64_range(self):
-        # a cell past 2**62 is an integral float on the route and a Python
-        # int on the one-cell route; both give the same key and center
+        # a cell past 2**62 is an integral float, whose b"%d" key is its
+        # exact integer; the oracle's cell is a Python int
         real = EnvironmentRealization(ENV, 3, 1)
         ground, uav = Vec3(0.0, 0.0, 0.0), Vec3(2.0**70, 3.0, 100.0)
         want = _route_states(real, ROLE_S2V, ground, [(2.0**70, 3.0, 100.0)])[0]

@@ -334,6 +334,20 @@ class TestExitCodes:
         assert main(argv + [str(link)]) == 3
         assert link.is_symlink() and target.exists()
 
+    def test_failed_command_keeps_its_error_when_the_out_file_is_gone(
+        self, fast_config, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "o.csv"
+
+        def delete_and_fail(scenario, trial_index):
+            out.unlink()
+            raise SolverError("stub failure")
+
+        monkeypatch.setattr(cli, "run_trial", delete_and_fail)
+        assert main(["converge", "--config", fast_config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: stub failure\n"
+        assert not out.exists()
+
     def test_failing_trial_is_named(self, fast_config, tmp_path, monkeypatch, capsys):
         # trial 1 fails on the 7th solve of its second AIS run, the random
         # position's: pass 2 solves w_r, w_t, w_s, w_d as its solves 5-8.
