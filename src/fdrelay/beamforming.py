@@ -89,27 +89,6 @@ class AisState:
         return self.trace[-1].powers
 
 
-def init_beamformers(
-    upa_s: UpaSpec,
-    upa_r: UpaSpec,
-    upa_t: UpaSpec,
-    upa_d: UpaSpec,
-    s2v_angles: AngleSet,
-    v2d_angles: AngleSet,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized LoS steering vectors for all four arrays."""
-
-    def bf(upa: UpaSpec, angles: AngleSet) -> np.ndarray:
-        return steering_vector(upa, angles) / math.sqrt(upa.n_tot)
-
-    return (
-        bf(upa_s, s2v_angles),
-        bf(upa_r, s2v_angles),
-        bf(upa_t, v2d_angles),
-        bf(upa_d, v2d_angles),
-    )
-
-
 def normalize_cm(w: np.ndarray, cap: float) -> np.ndarray:
     """Push every element onto the constant-modulus circle of radius cap.
 
@@ -258,10 +237,15 @@ def _evaluated_state(
 
 
 def initial_state(links: LinkSet, budget: LinkBudget, schedule: SuppressionSchedule) -> AisState:
-    """Steering-vector start with its interference levels, powers, and rate."""
-    w_s, w_r, w_t, w_d = init_beamformers(
-        links.upa_s, links.upa_r, links.upa_t, links.upa_d, links.s2v_angles, links.v2d_angles
-    )
+    """Steering-vector start with its interference levels, powers, and rate:
+    each link's two arrays steered along its LoS-design angles."""
+
+    def steer(upa: UpaSpec, angles: AngleSet) -> np.ndarray:
+        return steering_vector(upa, angles) / math.sqrt(upa.n_tot)
+
+    s2v, v2d = links.s2v, links.v2d
+    w_s, w_r = steer(s2v.tx, links.s2v_angles), steer(s2v.rx, links.s2v_angles)
+    w_t, w_d = steer(v2d.tx, links.v2d_angles), steer(v2d.rx, links.v2d_angles)
     schedule = replace(
         schedule,
         mu_si=float(abs(np.vdot(w_r, links.si.entries @ w_t))),

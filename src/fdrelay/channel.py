@@ -146,7 +146,8 @@ class EnvParams:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Complex channel (rx_elements x tx_elements) with its path metadata.
+    """Complex channel (rx_elements x tx_elements) with its path metadata
+    and the two arrays it connects, ``tx`` and ``rx``.
 
     ``entries`` is made read-only: the SI channel is shared by every trial
     of a scenario and S2D by both positions of a trial, so an in-place
@@ -156,6 +157,8 @@ class ChannelMatrix:
     entries: np.ndarray
     role: str
     components: tuple[PathComponent, ...]
+    tx: UpaSpec
+    rx: UpaSpec
 
     def __post_init__(self) -> None:
         if self.role not in _ROLE_IDS:
@@ -440,7 +443,7 @@ def channel_from_paths(
     entries = np.zeros((rx_upa.n_tot, tx_upa.n_tot), dtype=complex)
     for comp, row_rx, row_tx in zip(components, a_rx, a_tx_conj):
         entries += comp.gain * np.outer(row_rx, row_tx)
-    return ChannelMatrix(entries=entries, role=role, components=components)
+    return ChannelMatrix(entries, role, components, tx_upa, rx_upa)
 
 
 def build_farfield_channel(
@@ -535,12 +538,12 @@ def build_si_channel(env: EnvParams, tx_upa: UpaSpec, rx_upa: UpaSpec) -> Channe
     if not np.isfinite(entries).all():
         raise ValueError("the self-interference channel is not finite: its element distances "
                          "(panel_separation wavelengths apart) under- or overflow a float")
-    return ChannelMatrix(entries=entries, role=ROLE_SI, components=())
+    return ChannelMatrix(entries, ROLE_SI, (), tx_upa, rx_upa)
 
 
 @dataclass(frozen=True)
 class LinkSet:
-    """The four channels of one trial plus the LoS-design angles and arrays."""
+    """The four channels of one trial plus the LoS-design angles."""
 
     s2v: ChannelMatrix
     v2d: ChannelMatrix
@@ -548,10 +551,6 @@ class LinkSet:
     si: ChannelMatrix
     s2v_angles: AngleSet
     v2d_angles: AngleSet
-    upa_s: UpaSpec
-    upa_r: UpaSpec
-    upa_t: UpaSpec
-    upa_d: UpaSpec
 
 
 def build_links(
@@ -564,7 +563,8 @@ def build_links(
     upa_d: UpaSpec,
     s2d: ChannelMatrix | None = None,
 ) -> LinkSet:
-    """Synthesize all four channels for a UAV position within one trial.
+    """Synthesize all four channels for a UAV position within one trial:
+    S2V joins panels s and r, V2D t and d, S2D s and d, and SI t and r.
 
     The source is :data:`SOURCE`, and the environment is ``env_real.env``,
     whose LoS field gives the S2V and V2D states at the UAV's cell. S2D
@@ -578,15 +578,4 @@ def build_links(
     si = build_si_channel(env_real.env, upa_t, upa_r)
     _, s2v_angles = link_geometry(SOURCE, uav)
     _, v2d_angles = link_geometry(dn, uav)
-    return LinkSet(
-        s2v=s2v,
-        v2d=v2d,
-        s2d=s2d,
-        si=si,
-        s2v_angles=s2v_angles,
-        v2d_angles=v2d_angles,
-        upa_s=upa_s,
-        upa_r=upa_r,
-        upa_t=upa_t,
-        upa_d=upa_d,
-    )
+    return LinkSet(s2v, v2d, s2d, si, s2v_angles, v2d_angles)

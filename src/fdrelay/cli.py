@@ -154,10 +154,7 @@ def _parse_sweep_flag(flag: str) -> tuple[str, tuple[float, ...]]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args, trials=args.trials, workers=args.workers)
     name, values = _parse_sweep_flag(args.sweep)
-    try:
-        spec = SweepSpec(param=name, values=values, base=scenario)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = SweepSpec(param=name, values=values, base=scenario)  # fails before --out opens
     with _open_out(args.out) as out:
         rows = run_sweep(spec)
         writer = csv.writer(out, lineterminator="\n")

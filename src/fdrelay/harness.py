@@ -202,7 +202,7 @@ def apply_misalignment(links: LinkSet, offsets: list | None) -> LinkSet:
     if offsets is None:
         return links
 
-    def perturb(channel, upa_tx, upa_rx, rows):
+    def perturb(channel, rows):
         comps = []
         # a far-field channel lists its LoS path first: path n takes row n,
         # or row n + 1 when the channel has no LoS path
@@ -217,12 +217,12 @@ def apply_misalignment(links: LinkSet, offsets: list | None) -> LinkSet:
                     comp.is_los,
                 )
             )
-        return channel_from_paths(channel.role, comps, upa_tx, upa_rx)
+        return channel_from_paths(channel.role, comps, channel.tx, channel.rx)
 
     return replace(
         links,
-        s2v=perturb(links.s2v, links.upa_s, links.upa_r, offsets[0]),
-        v2d=perturb(links.v2d, links.upa_t, links.upa_d, offsets[1]),
+        s2v=perturb(links.s2v, offsets[0]),
+        v2d=perturb(links.v2d, offsets[1]),
     )
 
 

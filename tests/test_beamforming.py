@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from fdrelay.beamforming import (
     ais_iterate,
     cm_repair,
     eta_floor_rule,
-    init_beamformers,
     initial_state,
     interior_census,
     normalize_cm,
@@ -19,10 +19,8 @@ from fdrelay.beamforming import (
 )
 from fdrelay.channel import (
     AngleSet,
-    ChannelMatrix,
     EnvParams,
     EnvironmentRealization,
-    LinkSet,
     UpaSpec,
     Vec3,
     build_links,
@@ -97,7 +95,9 @@ class TestInitBeamformers:
     def test_scaled_steering_vectors(self):
         s2v = AngleSet(0.4, 1.1)
         v2d = AngleSet(0.2, 5.0)
-        w_s, w_r, w_t, w_d = init_beamformers(UPA4, UPA4, UPA4, UPA4, s2v, v2d)
+        links = replace(_links(), s2v_angles=s2v, v2d_angles=v2d)
+        state = initial_state(links, _budget(), _schedule())
+        w_s, w_r, w_t, w_d = state.w_s, state.w_r, state.w_t, state.w_d
         n = UPA4.n_tot
         assert np.allclose(w_s, steering_vector(UPA4, s2v) / math.sqrt(n))
         assert np.allclose(w_r, steering_vector(UPA4, s2v) / math.sqrt(n))
@@ -108,9 +108,8 @@ class TestInitBeamformers:
     def test_full_array_gain_on_pure_los_link(self):
         env = EnvParams(num_nlos=0)
         links = _links(realization_cls=_AlwaysLos, env=env)
-        w_s, w_r, _, _ = init_beamformers(
-            UPA4, UPA4, UPA4, UPA4, links.s2v_angles, links.v2d_angles
-        )
+        state = initial_state(links, _budget(), _schedule())
+        w_s, w_r = state.w_s, state.w_r
         got = abs(np.vdot(w_r, links.s2v.entries @ w_s)) ** 2
         beta = los_path_gain(SN.distance_to(UAV), env)
         want = abs(beta) ** 2 * UPA4.n_tot * UPA4.n_tot
@@ -241,6 +240,37 @@ class TestCmRepair:
         assert np.array_equal(out, w)
         assert rep.pairs_repaired == 0 and rep.interior_before == 0
 
+    def test_degenerate_triangle_puts_both_on_the_cap(self):
+        # a zero contribution of two equal-magnitude entries: the pair lands
+        # anti-aligned on the cap and its contribution stays zero
+        cap = 0.5
+        w1, w2 = beamforming._repair_pair(0j, 0j, 1, 1j, cap)
+        assert abs(w1) == pytest.approx(cap, abs=1e-15)
+        assert abs(w2) == pytest.approx(cap, abs=1e-15)
+        assert abs(w1.conjugate() * 1 + w2.conjugate() * 1j) <= 1e-15 * cap
+
+    def test_skipped_pair_is_not_retested(self, monkeypatch):
+        # elements 0 and 2 share the ratio 0.3, element 1 does not: (0, 1) is
+        # skipped, the short (0, 2) repair leaves element 0 interior, and the
+        # next sweep passes (0, 1) by without a second ratio test
+        cap = 0.5
+        h_sig = np.array([2.0, 1.0, 1.0], dtype=complex)
+        h_int = np.array([0.6, -0.5 + 0.7j, 0.3])
+        w = 1e-3 * cap * np.array([1.0, 1.0, 1j])
+        tested = []
+        ratio = beamforming._constant_ratio
+        monkeypatch.setattr(
+            beamforming, "_constant_ratio", lambda *a: tested.append(a) or ratio(*a)
+        )
+        out, rep = cm_repair(w, h_sig, h_int, cap)
+        assert len(tested) == 2
+        assert rep.pairs_repaired == 1 and rep.pairs_skipped == 1
+        assert rep.interior_before == 3 and rep.interior_after == 2
+        assert abs(out[0]) < cap - CM_TOL and abs(out[2]) == pytest.approx(cap, abs=1e-15)
+        assert out[1] == w[1]
+        assert np.vdot(out, h_sig) == pytest.approx(np.vdot(w, h_sig), abs=1e-15)
+        assert np.vdot(out, h_int) == pytest.approx(np.vdot(w, h_int), abs=1e-15)
+
     def test_many_interior_reduced_to_at_most_one(self, rng):
         cap = 1.0 / math.sqrt(8)
         h_sig, h_int = self._ratio_channels(8, rng)
@@ -311,23 +341,10 @@ class TestAisIterate:
         # with the SI and direct channels nulled the caps are slack, so every
         # subproblem reduces to the matched filter of its signal product
         links = _links()
-        zero_si = ChannelMatrix(
-            entries=np.zeros_like(links.si.entries), role=links.si.role, components=()
-        )
-        zero_s2d = ChannelMatrix(
-            entries=np.zeros_like(links.s2d.entries), role=links.s2d.role, components=()
-        )
-        links0 = LinkSet(
-            s2v=links.s2v,
-            v2d=links.v2d,
-            s2d=zero_s2d,
-            si=zero_si,
-            s2v_angles=links.s2v_angles,
-            v2d_angles=links.v2d_angles,
-            upa_s=links.upa_s,
-            upa_r=links.upa_r,
-            upa_t=links.upa_t,
-            upa_d=links.upa_d,
+        links0 = replace(
+            links,
+            s2d=replace(links.s2d, entries=np.zeros_like(links.s2d.entries), components=()),
+            si=replace(links.si, entries=np.zeros_like(links.si.entries)),
         )
         budget = _budget()
         s0 = initial_state(links0, budget, _schedule())

@@ -130,10 +130,15 @@ class TestConfigParsing:
         assert out["m_s"] == 8 and isinstance(out["m_s"], int)
 
     def test_invalid_scenario_values_become_config_errors(self):
-        with pytest.raises(ConfigError):
-            build_scenario({"dn_rule": "hexagon"})
-        with pytest.raises(ConfigError):
-            build_scenario({"kappa": 0.5})
+        for overrides, message in (
+            ({"dn_rule": "hexagon"}, "unknown DN placement rule"),
+            ({"kappa": 0.5}, "kappa must exceed 1"),
+            ({"eps_r": 0.0}, "rate tolerance must be positive"),
+            ({"max_iters": 0}, "need at least one iteration"),
+            ({"workers": 0}, "need at least one worker"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                build_scenario(overrides)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -208,6 +213,12 @@ class TestExitCodes:
         out = str(tmp_path / "o.csv")
         assert main(["sweep", "--config", fast_config, "--sweep", "bogus", "--out", out]) == 2
         assert main(["sweep", "--config", fast_config, "--sweep", "foo=1,2", "--out", out]) == 2
+        assert main(["sweep", "--config", fast_config, "--sweep", "p_v_tot_dbm=a,b", "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and all(line.startswith("error: ") for line in err)
+        assert err[1] == "error: unknown sweep parameter 'foo'"
+        assert err[2] == "error: bad sweep values in 'p_v_tot_dbm=a,b'"
+        assert not Path(out).exists()
 
     @pytest.mark.parametrize("flag", ["p_v_tot_dbm=nan", "p_v_tot_dbm=inf", "array=inf"])
     def test_non_finite_sweep_value_fails_before_the_first_trial(

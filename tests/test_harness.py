@@ -191,6 +191,27 @@ class TestMisalignment:
         assert len(offsets) == 2 and offsets[0] is offsets[1]
         assert offsets[0] == self._offsets(10.0, trial=1)
 
+    def test_every_channel_carries_the_arrays_its_role_connects(self, monkeypatch):
+        # each of the four panels differs, so a channel paired with the wrong
+        # array, or rebuilt on one, fails on the array or on its shape
+        panels = dict(zip("srtd", (UpaSpec(2, 3), UpaSpec(4, 4), UpaSpec(3, 3), UpaSpec(1, 5))))
+        scenario = replace(FAST, delta_m_deg=10.0, **{f"upa_{k}": v for k, v in panels.items()})
+        seen = []
+        apply = harness.apply_misalignment
+
+        def recorded(links, block):
+            seen.extend((links, apply(links, block)))
+            return seen[-1]
+
+        monkeypatch.setattr(harness, "apply_misalignment", recorded)
+        run_trial(scenario, 1)
+        assert len(seen) == 4 and seen[0].s2v is not seen[1].s2v and seen[2].v2d is not seen[3].v2d
+        for links in seen:
+            for name, (tx, rx) in {"s2v": "sr", "v2d": "td", "s2d": "sd", "si": "tr"}.items():
+                channel = getattr(links, name)
+                assert (channel.tx, channel.rx) == (panels[tx], panels[rx]), name
+                assert channel.entries.shape == (channel.rx.n_tot, channel.tx.n_tot), name
+
 
 class TestRunTrial:
     def test_bit_exact_repeatability(self):

@@ -804,3 +804,27 @@ class TestRecoveries:
         assert info.method == "dual"
         assert not failures(case, w, info)
         assert seen == recovery
+
+    def test_uncertified_last_rung_raises_with_its_certificate(self, monkeypatch):
+        # with every certificate refused, each rung recovers one primal and
+        # the error names the last rung's gap and interference violation
+        rng = np.random.default_rng(11)
+        h_sig, h_int = instance(rng, 8)
+        cap = 1.0 / math.sqrt(8)
+        eta = 0.3 * cap * float(np.sum(np.abs(h_int)))
+        infos, recovered = [], []
+        recover = solver._recover_primal
+        monkeypatch.setattr(solver, "_certified", lambda info: infos.append(info) or False)
+        monkeypatch.setattr(
+            solver, "_recover_primal", lambda *a: recovered.append(a[0]) or recover(*a)
+        )
+        returned = None
+        with pytest.raises(SolverError) as err:
+            returned = solve_bf_subproblem_report(h_sig, h_int, eta, cap)
+        assert returned is None
+        assert len(recovered) == len(infos) >= 2
+        assert all(info.method == "dual" for info in infos)
+        last = infos[-1]
+        assert str(err.value) == (
+            f"subproblem not certified: gap={last.gap:.3e}, feas={last.int_violation:.3e}"
+        )
